@@ -11,10 +11,8 @@ invocations print identical bytes.
 import argparse
 import itertools
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .bijections import (
     arrow_down,
@@ -40,7 +38,7 @@ from .grothendieck import (
     staircase_product,
 )
 from .insertion import insert_word
-from .permutations import all_permutations, eval_hecke_word_ltr
+from .permutations import all_permutations, eval_hecke_word_ltr, perm_from_str
 from .polynomials import (
     Polynomial,
     coefficient,
@@ -57,6 +55,7 @@ from .polynomials import (
 )
 from .stable import (
     TruncationSpec,
+    _one_box_per_line,
     halfweak_stable,
     omega,
     qschur_expansion,
@@ -117,12 +116,9 @@ def parse_perm(text: str) -> tuple[int, ...]:
     (3, 1, 2)
     """
     try:
-        w = tuple(int(part) for part in text.split(","))
+        return perm_from_str(text)
     except ValueError:
         raise UsageError(f"not a permutation: {text!r}") from None
-    if sorted(w) != list(range(1, len(w) + 1)):
-        raise UsageError(f"not a permutation of 1..{len(w)}: {text!r}")
-    return w
 
 
 def _bound(value: int | None, default: int) -> int:
@@ -474,14 +470,6 @@ def suite_bijections(b: argparse.Namespace) -> list[Check]:
     return checks
 
 
-def _scattered(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
-    pad = tuple(inner) + (0,) * (len(outer) - len(inner))
-    if any(o - i > 1 for o, i in zip(outer, pad)):
-        return False
-    cols = [pad[r] for r in range(len(outer)) if outer[r] > pad[r]]
-    return len(cols) == len(set(cols))
-
-
 def _weak_tableau_formula(w: tuple[int, ...], t: TruncationSpec) -> Polynomial:
     out = Polynomial(t.m, {})
     for T in enumerate_hecke_tableaux(w, max_boxes=t.D):
@@ -489,7 +477,7 @@ def _weak_tableau_formula(w: tuple[int, ...], t: TruncationSpec) -> Polynomial:
         for mu in partitions_inside(shape):
             wy = omega(genfun_svt(conjugate(mu), t.m, t.D), "x")
             for rho in partitions_inside(mu):
-                if not _scattered(mu, rho):
+                if not _one_box_per_line(mu, rho):
                     continue
                 wx = omega(genfun_svt(shape, t.m, t.D, inner=rho), "x")
                 out = out + truncate_degree(wx * exchange_families(wy), t.D)
@@ -734,13 +722,6 @@ SUITES = {
 }
 
 
-def _thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("GROTH_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     chosen = args.suite_pos
     if args.suite is not None:
@@ -748,15 +729,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise UsageError("suite named twice, with different names")
         chosen = args.suite
     names = list(SUITE_ORDER) if chosen in (None, "all") else [chosen]
-    threads = min(_thread_cap(), len(names))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda nm: SUITES[nm](args), names))
-    else:
-        results = [SUITES[nm](args) for nm in names]
-    rows = [
-        (nm, check) for nm, checks in zip(names, results) for check in checks
-    ]
+    rows = [(nm, check) for nm in names for check in SUITES[nm](args)]
     if args.json:
         payload = [
             {"suite": nm, "check": cname, "ok": ok, "detail": detail}

@@ -560,6 +560,11 @@ def parse_factorization(text: str, kind: str, n: int) -> Factorization:
     >>> parse_factorization("()(3)|(3 1)()", "double_unbounded", 3).split
     2
     """
+    stray = _FACTOR_RE.sub("", text).replace("|", "", 1) + "".join(
+        _LETTER_RE.sub("", body) for body in _FACTOR_RE.findall(text)
+    )
+    if stray.strip():
+        raise ValueError(f"cannot parse factorization from {text!r}")
     split = None
     if "|" in text:
         before, _ = text.split("|", maxsplit=1)

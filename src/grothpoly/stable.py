@@ -22,7 +22,6 @@ from .polynomials import (
     truncate_degree,
 )
 from .tableaux import (
-    check_partition,
     conjugate,
     contains,
     enumerate_hecke_tableaux,
@@ -129,10 +128,15 @@ def stable_double_via_tableaux(
 
 
 @cache
+def _schur(shape: tuple[int, ...], m: int) -> Polynomial:
+    return genfun_svt(shape, m, sum(shape))
+
+
 def schur(shape: tuple[int, ...], m: int) -> Polynomial:
     """
     Schur polynomial in m variables by column-strict fillings; zero
-    when the shape has more rows than there are variables.
+    when the shape has more rows than there are variables.  Each call
+    returns its own copy of the cached value.
 
     >>> from .polynomials import pretty
     >>> pretty(schur((2,), 2))
@@ -140,32 +144,7 @@ def schur(shape: tuple[int, ...], m: int) -> Polynomial:
     >>> pretty(schur((1, 1, 1), 2))
     '0'
     """
-    check_partition(shape)
-    if len(shape) > m:
-        return constant(0, m)
-    boxes = [(r, c) for r in range(len(shape)) for c in range(shape[r])]
-    counts: dict = {}
-    weights = [0] * m
-
-    def place(idx: int, filled: dict) -> None:
-        if idx == len(boxes):
-            key = (tuple(weights), (0,) * m)
-            counts[key] = counts.get(key, 0) + 1
-            return
-        r, c = boxes[idx]
-        lo = filled.get((r, c - 1), 1)
-        above = filled.get((r - 1, c))
-        if above is not None:
-            lo = max(lo, above + 1)
-        for v in range(lo, m + 1):
-            filled[(r, c)] = v
-            weights[v - 1] += 1
-            place(idx + 1, filled)
-            weights[v - 1] -= 1
-        filled.pop((r, c), None)
-
-    place(0, {})
-    return Polynomial(m, counts)
+    return Polynomial(m, _schur(shape, m).terms)
 
 
 def _eliminate(component: dict, m: int) -> dict:

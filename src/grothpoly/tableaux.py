@@ -16,13 +16,14 @@ True
 ((3, 3, 3, 2), (1, 2, 2, 0))
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 import itertools
 import re
 from typing import Iterable, NamedTuple
 
 from .permutations import check_permutation, hecke_apply, hecke_distance
-from .polynomials import Polynomial, constant
+from .polynomials import Polynomial, constant, set_y_equal_x
 
 __all__ = [
     "Entry",
@@ -171,22 +172,29 @@ _ENTRY_RE = re.compile(r"(\d)('?)")
 
 
 def _as_box(spec) -> tuple[Entry, ...]:
-    if isinstance(spec, int):
-        return (Entry(spec),)
-    if isinstance(spec, str):
-        return tuple(
+    if isinstance(spec, Entry):
+        box = (spec,)
+    elif isinstance(spec, int):
+        box = (Entry(spec),)
+    elif isinstance(spec, str):
+        if _ENTRY_RE.sub("", spec):
+            raise ValueError(f"box spec {spec!r} is not digits and primes")
+        box = tuple(
             Entry(int(v), p == "'") for v, p in _ENTRY_RE.findall(spec)
         )
-    return tuple(
-        e if isinstance(e, Entry) else _as_box(e)[0] for e in spec
-    )
+    else:
+        box = tuple(e for part in spec for e in _as_box(part))
+    if any(e.value < 1 for e in box):
+        raise ValueError(f"box spec {spec!r} has an entry below 1")
+    return box
 
 
 def tableau(rows, inner: tuple[int, ...] = ()) -> Tableau:
     """
-    Build a tableau from per-box specs: an int, a string of single
-    digits like "1'2'3", or a list of entries.  Entry order within a
-    box is kept as given.
+    Build a tableau from per-box specs: an int, an Entry, a string of
+    single digits like "1'2'3", or a list of such specs, read in turn.
+    Entry order within a box is kept as given; a string with other
+    characters, or an entry below 1, raises ValueError.
 
     >>> tableau([[1, 2], [3]]).rows
     (((Entry(value=1, primed=False),), (Entry(value=2, primed=False),)), ((Entry(value=3, primed=False),),))
@@ -504,12 +512,14 @@ def enumerate_hecke_tableaux(
 # ---------------------------------------------------------------------------
 # generating polynomials
 #
-# Each enumerator walks boxes in row-major order carrying the entry
-# budget and the per-line bookkeeping its family needs, accumulating
-# monomial weights directly.
+# One filler, _fill, walks the boxes of a straight, skew or shifted shape
+# carrying the entry budget and the (entry, line) marks that keep an
+# entry to one box per row or per column.  A family supplies only the
+# choices for a box given its filled neighbours; _box_choices builds
+# them from the family's alphabet order, box contents and line rule.
 
 
-def _boxes_of(outer, inner):
+def _boxes_of(outer, inner=()):
     inner = tuple(inner) + (0,) * (len(outer) - len(inner))
     return [
         (r, c)
@@ -518,8 +528,127 @@ def _boxes_of(outer, inner):
     ]
 
 
-def _poly_from_counts(m: int, counts: dict) -> Polynomial:
-    return Polynomial(m, dict(counts))
+def _fill(boxes, budget, choices, leaf) -> None:
+    """
+    Call leaf(filled) on every filling of the boxes, taken in the given
+    order, which must put each box after its left and upper neighbours.
+    choices(r, c, filled, room, used) gives (content, marks) pairs: a
+    box content of at most room entries and the marks it claims, none
+    of them in used.  Each entry costs one unit of the budget and every
+    box takes at least one, so a budget equal to the number of boxes
+    forces one entry per box.
+    """
+    filled: dict = {}
+    used: set = set()
+    last = len(boxes) - 1
+
+    def place(idx: int, budget: int) -> None:
+        if idx > last:
+            leaf(filled)
+            return
+        room = budget - (last - idx)
+        if room < 1:
+            return
+        r, c = boxes[idx]
+        for content, marks in choices(r, c, filled, room, used):
+            filled[(r, c)] = content
+            used.update(marks)
+            place(idx + 1, budget - len(content))
+            used.difference_update(marks)
+        filled.pop((r, c), None)
+
+    place(0, budget)
+
+
+def _alphabet(m: int, key) -> list[Entry]:
+    return sorted(
+        (Entry(v, p) for v in range(1, m + 1) for p in (True, False)), key=key
+    )
+
+
+def _box_sets(pool, room):
+    """Nonempty sets from pool of at most room entries, smallest first."""
+    sizes = range(1, min(room, len(pool)) + 1)
+    return itertools.chain.from_iterable(
+        itertools.combinations(pool, size) for size in sizes
+    )
+
+
+def _box_multisets(pool, room):
+    """Nonempty multisets from pool of at most room entries, each primed
+    entry at most once, smallest first."""
+    return (
+        combo
+        for size in range(1, room + 1)
+        for combo in itertools.combinations_with_replacement(pool, size)
+        if size == 1
+        or not any(a.primed and a == b for a, b in zip(combo, combo[1:]))
+    )
+
+
+def _box_choices(alphabet, contents, lines=None, column_gap=0):
+    """
+    Choices for _fill: a box holds contents(pool, room), drawn from the
+    alphabet (sorted in the family's order) no earlier than its left
+    neighbour's largest entry and column_gap places after its upper
+    neighbour's.  lines(r, c), if given, is the pair (line of an
+    unprimed entry, line of a primed one) for box (r, c); an entry may
+    sit in one box only of each such line.
+    """
+    rank = {e: i for i, e in enumerate(alphabet)}
+
+    def choices(r, c, filled, room, used):
+        lo = 0
+        left = filled.get((r, c - 1))
+        if left:
+            lo = rank[left[-1]]
+        above = filled.get((r - 1, c))
+        if above:
+            lo = max(lo, rank[above[-1]] + column_gap)
+        if lines is None:
+            return zip(contents(alphabet[lo:], room), itertools.repeat(()))
+        line = lines(r, c)
+        pool = [e for e in alphabet[lo:] if (e, line[e.primed]) not in used]
+        return (
+            (combo, {(e, line[e.primed]) for e in combo})
+            for combo in contents(pool, room)
+        )
+
+    return choices
+
+
+@cache
+def _svt_choices(m: int):
+    """Sets of values, rows weak, columns strict."""
+    return _box_choices(
+        [Entry(v) for v in range(1, m + 1)], _box_sets, column_gap=1
+    )
+
+
+@cache
+def _psmt_choices(m: int):
+    """Marked order, weak comparisons, multisets with each primed entry
+    at most once; unprimed once per column, primed once per row."""
+    return _box_choices(
+        _alphabet(m, marked_key), _box_multisets, lines=lambda r, c: (c, r)
+    )
+
+
+def _genfun(boxes, budget, choices, m: int) -> Polynomial:
+    """Count the fillings by weight: unprimed entries feed x, primed y."""
+    counts: dict = {}
+
+    def leaf(filled):
+        x = [0] * m
+        y = [0] * m
+        for box in filled.values():
+            for value, primed in box:
+                (y if primed else x)[value - 1] += 1
+        key = (tuple(x), tuple(y))
+        counts[key] = counts.get(key, 0) + 1
+
+    _fill(boxes, budget, choices, leaf)
+    return Polynomial(m, counts)
 
 
 def genfun_svt(
@@ -545,42 +674,7 @@ def genfun_svt(
         check_partition(inner)
         if not contains(outer, inner):
             raise ValueError(f"{inner} not inside {outer}")
-    boxes = _boxes_of(outer, inner)
-    counts: dict = {}
-    weights = [0] * m
-
-    def place(idx: int, budget: int, filled: dict) -> None:
-        if idx == len(boxes):
-            key = (tuple(weights), (0,) * m)
-            counts[key] = counts.get(key, 0) + 1
-            return
-        if budget < len(boxes) - idx:
-            return
-        r, c = boxes[idx]
-        left = filled.get((r, c - 1))
-        above = filled.get((r - 1, c))
-        lo = 1
-        if left:
-            lo = max(lo, max(left))
-        if above:
-            lo = max(lo, max(above) + 1)
-        pool = range(lo, m + 1)
-        for size in range(1, min(budget - (len(boxes) - idx - 1), m - lo + 1) + 1):
-            for combo in itertools.combinations(pool, size):
-                filled[(r, c)] = combo
-                for v in combo:
-                    weights[v - 1] += 1
-                place(idx + 1, budget - size, filled)
-                for v in combo:
-                    weights[v - 1] -= 1
-        filled.pop((r, c), None)
-
-    place(0, D, {})
-    return _poly_from_counts(m, counts)
-
-
-def _primed_pool(m: int) -> list[Entry]:
-    return [Entry(v, True) for v in range(1, m + 1)]
+    return _genfun(_boxes_of(outer, inner), D, _svt_choices(m), m)
 
 
 def genfun_psvt(outer: tuple[int, ...], m: int, D: int) -> Polynomial:
@@ -593,82 +687,12 @@ def genfun_psvt(outer: tuple[int, ...], m: int, D: int) -> Polynomial:
     'x1 + y1 + x1*y1'
     """
     check_partition(outer)
-    boxes = _boxes_of(outer, ())
-    alphabet = _primed_pool(m) + [Entry(v) for v in range(1, m + 1)]
-    rank = {e: i for i, e in enumerate(alphabet)}
-    counts: dict = {}
-    x_wt = [0] * m
-    y_wt = [0] * m
-
-    def place(idx, budget, filled, row_used, col_used):
-        if idx == len(boxes):
-            key = (tuple(x_wt), tuple(y_wt))
-            counts[key] = counts.get(key, 0) + 1
-            return
-        if budget < len(boxes) - idx:
-            return
-        r, c = boxes[idx]
-        left = filled.get((r, c - 1))
-        above = filled.get((r - 1, c))
-        lo = 0
-        if left:
-            lo = max(lo, max(rank[e] for e in left))
-        if above:
-            lo = max(lo, max(rank[e] for e in above))
-        pool = [
-            e
-            for e in alphabet[lo:]
-            if (e.primed and (e.value, c) not in col_used)
-            or (not e.primed and (e.value, r) not in row_used)
-        ]
-        cap = min(budget - (len(boxes) - idx - 1), len(pool))
-        for size in range(1, cap + 1):
-            for combo in itertools.combinations(pool, size):
-                filled[(r, c)] = combo
-                for e in combo:
-                    if e.primed:
-                        y_wt[e.value - 1] += 1
-                        col_used.add((e.value, c))
-                    else:
-                        x_wt[e.value - 1] += 1
-                        row_used.add((e.value, r))
-                place(idx + 1, budget - size, filled, row_used, col_used)
-                for e in combo:
-                    if e.primed:
-                        y_wt[e.value - 1] -= 1
-                        col_used.discard((e.value, c))
-                    else:
-                        x_wt[e.value - 1] -= 1
-                        row_used.discard((e.value, r))
-        filled.pop((r, c), None)
-
-    place(0, D, {}, set(), set())
-    return _poly_from_counts(m, counts)
-
-
-def _box_multisets(pool, budget, primed_left_of_unprimed=False):
-    """Nonempty weakly increasing multisets from pool (already rank
-    sorted), primed entries at most once each, total size <= budget."""
-    out = []
-
-    def grow(start, current, room):
-        if current:
-            out.append(tuple(current))
-        for i in range(start, len(pool)):
-            e = pool[i]
-            if room == 0:
-                break
-            if e.primed:
-                current.append(e)
-                grow(i + 1, current, room - 1)
-                current.pop()
-            else:
-                current.append(e)
-                grow(i, current, room - 1)
-                current.pop()
-
-    grow(0, [], budget)
-    return out
+    choices = _box_choices(
+        _alphabet(m, split_key),
+        _box_sets,
+        lines=lambda r, c: (r, c),
+    )
+    return _genfun(_boxes_of(outer), D, choices, m)
 
 
 def genfun_psmt(outer: tuple[int, ...], m: int, D: int) -> Polynomial:
@@ -677,105 +701,21 @@ def genfun_psmt(outer: tuple[int, ...], m: int, D: int) -> Polynomial:
     values once per column, primed once per row and per box.
     """
     check_partition(outer)
-    boxes = _boxes_of(outer, ())
-    alphabet = sorted(
-        _primed_pool(m) + [Entry(v) for v in range(1, m + 1)],
-        key=marked_key,
-    )
-    counts: dict = {}
-    x_wt = [0] * m
-    y_wt = [0] * m
-
-    def place(idx, budget, filled, row_used, col_used):
-        if idx == len(boxes):
-            key = (tuple(x_wt), tuple(y_wt))
-            counts[key] = counts.get(key, 0) + 1
-            return
-        if budget < len(boxes) - idx:
-            return
-        r, c = boxes[idx]
-        left = filled.get((r, c - 1))
-        above = filled.get((r - 1, c))
-        lo = 0
-        if left:
-            lo = max(lo, max(marked_key(e) for e in left))
-        if above:
-            lo = max(lo, max(marked_key(e) for e in above))
-        pool = [
-            e
-            for e in alphabet
-            if marked_key(e) >= lo
-            and (
-                ((e.value, r) not in row_used)
-                if e.primed
-                else ((e.value, c) not in col_used)
-            )
-        ]
-        room = budget - (len(boxes) - idx - 1)
-        for combo in _box_multisets(pool, room):
-            filled[(r, c)] = combo
-            for e in set(combo):
-                if e.primed:
-                    row_used.add((e.value, r))
-                else:
-                    col_used.add((e.value, c))
-            for e in combo:
-                (y_wt if e.primed else x_wt)[e.value - 1] += 1
-            place(idx + 1, budget - len(combo), filled, row_used, col_used)
-            for e in set(combo):
-                if e.primed:
-                    row_used.discard((e.value, r))
-                else:
-                    col_used.discard((e.value, c))
-            for e in combo:
-                (y_wt if e.primed else x_wt)[e.value - 1] -= 1
-        filled.pop((r, c), None)
-
-    place(0, D, {}, set(), set())
-    return _poly_from_counts(m, counts)
+    return _genfun(_boxes_of(outer), D, _psmt_choices(m), m)
 
 
 def _pt_fillings(shape: tuple[int, ...], max_value: int) -> list[Tableau]:
     """All primed tableaux of the shape with values <= max_value."""
-    boxes = _boxes_of(shape, ())
-    alphabet = sorted(
-        _primed_pool(max_value) + [Entry(v) for v in range(1, max_value + 1)],
-        key=marked_key,
-    )
+    boxes = _boxes_of(shape)
     out: list[Tableau] = []
 
-    def place(idx, filled, row_used, col_used):
-        if idx == len(boxes):
-            rows = tuple(
-                tuple((filled[(r, c)],) for c in range(shape[r]))
-                for r in range(len(shape))
-            )
-            out.append(Tableau(rows))
-            return
-        r, c = boxes[idx]
-        left = filled.get((r, c - 1))
-        above = filled.get((r - 1, c))
-        lo = 0
-        if left is not None:
-            lo = max(lo, marked_key(left))
-        if above is not None:
-            lo = max(lo, marked_key(above))
-        for e in alphabet:
-            if marked_key(e) < lo:
-                continue
-            if e.primed and (e.value, r) in row_used:
-                continue
-            if not e.primed and (e.value, c) in col_used:
-                continue
-            filled[(r, c)] = e
-            used = row_used if e.primed else col_used
-            token = (e.value, r if e.primed else c)
-            used.add(token)
-            place(idx + 1, filled, row_used, col_used)
-            used.discard(token)
-        filled.pop((r, c), None)
+    def leaf(filled):
+        out.append(Tableau(tuple(
+            tuple(filled[(r, c)] for c in range(length))
+            for r, length in enumerate(shape)
+        )))
 
-    place(0, {}, set(), set())
+    _fill(boxes, len(boxes), _psmt_choices(max_value), leaf)
     return out
 
 
@@ -789,16 +729,7 @@ def genfun_pt(shape: tuple[int, ...], m: int) -> Polynomial:
     >>> pretty(genfun_pt((), 2))
     '1'
     """
-    check_partition(shape)
-    counts: dict = {}
-    for T in _pt_fillings(shape, m):
-        x, y = weight_of(T)
-        key = (
-            tuple(x) + (0,) * (m - len(x)),
-            tuple(y) + (0,) * (m - len(y)),
-        )
-        counts[key] = counts.get(key, 0) + 1
-    return _poly_from_counts(m, counts)
+    return genfun_psmt(shape, m, sum(shape))
 
 
 def oft_count(mu: tuple[int, ...], rho: tuple[int, ...]) -> int:
@@ -824,25 +755,22 @@ def oft_count(mu: tuple[int, ...], rho: tuple[int, ...]) -> int:
     boxes = _boxes_of(mu, rho)
     total = 0
 
-    def place(idx, filled):
-        nonlocal total
-        if idx == len(boxes):
-            total += 1
-            return
-        r, c = boxes[idx]
+    def choices(r, c, filled, room, used):
         hi = rho[r]
         left = filled.get((r, c - 1))
-        if left is not None:
-            hi = min(hi, left)
+        if left:
+            hi = min(hi, left[0])
         above = filled.get((r - 1, c))
-        if above is not None:
-            hi = min(hi, above - 1)
+        if above:
+            hi = min(hi, above[0] - 1)
         for v in range(1, hi + 1):
-            filled[(r, c)] = v
-            place(idx + 1, filled)
-        filled.pop((r, c), None)
+            yield (v,), ()
 
-    place(0, {})
+    def leaf(filled):
+        nonlocal total
+        total += 1
+
+    _fill(boxes, len(boxes), choices, leaf)
     return total
 
 
@@ -866,45 +794,7 @@ def q_schur(shape: tuple[int, ...], m: int, D: int) -> Polynomial:
     boxes = [
         (r, r + j) for r in range(len(shape)) for j in range(shape[r])
     ]
-    alphabet = sorted(
-        _primed_pool(m) + [Entry(v) for v in range(1, m + 1)],
-        key=marked_key,
-    )
-    counts: dict = {}
-    wt = [0] * m
-
-    def place(idx, filled, row_used, col_used):
-        if idx == len(boxes):
-            key = (tuple(wt), (0,) * m)
-            counts[key] = counts.get(key, 0) + 1
-            return
-        r, c = boxes[idx]
-        lo = 0
-        left = filled.get((r, c - 1))
-        if left is not None:
-            lo = max(lo, marked_key(left))
-        above = filled.get((r - 1, c))
-        if above is not None:
-            lo = max(lo, marked_key(above))
-        for e in alphabet:
-            if marked_key(e) < lo:
-                continue
-            if e.primed and (e.value, r) in row_used:
-                continue
-            if not e.primed and (e.value, c) in col_used:
-                continue
-            filled[(r, c)] = e
-            used = row_used if e.primed else col_used
-            token = (e.value, r if e.primed else c)
-            used.add(token)
-            wt[e.value - 1] += 1
-            place(idx + 1, filled, row_used, col_used)
-            wt[e.value - 1] -= 1
-            used.discard(token)
-        filled.pop((r, c), None)
-
-    place(0, {}, set(), set())
-    return _poly_from_counts(m, counts)
+    return set_y_equal_x(_genfun(boxes, len(boxes), _psmt_choices(m), m))
 
 
 # ---------------------------------------------------------------------------

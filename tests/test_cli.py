@@ -131,31 +131,18 @@ def test_verify_suite_flag_and_positional_must_agree(capsys):
     assert out.startswith("ok qp.")
 
 
-def test_verify_order_is_fixed_and_threads_change_nothing(capsys, monkeypatch):
+def test_verify_order_is_fixed(capsys, monkeypatch):
     quick = {
         name: (lambda nm: (lambda b: [(f"{nm}_probe", True, "")]))(name)
         for name in cli.SUITE_ORDER
     }
     for name, fn in quick.items():
         monkeypatch.setitem(cli.SUITES, name, fn)
-    code, sequential, _ = run(capsys, "verify")
+    code, out, _ = run(capsys, "verify")
     assert code == 0
-    monkeypatch.setenv("GROTH_THREADS", "4")
-    code, threaded, _ = run(capsys, "verify")
-    assert code == 0
-    assert threaded == sequential
-    assert [line.split()[1] for line in sequential.splitlines()] == [
+    assert [line.split()[1] for line in out.splitlines()] == [
         f"{name}.{name}_probe" for name in cli.SUITE_ORDER
     ]
-
-
-def test_thread_cap_tolerates_garbage(monkeypatch):
-    monkeypatch.setenv("GROTH_THREADS", "many")
-    assert cli._thread_cap() == 1
-    monkeypatch.setenv("GROTH_THREADS", "0")
-    assert cli._thread_cap() == 1
-    monkeypatch.setenv("GROTH_THREADS", "6")
-    assert cli._thread_cap() == 6
 
 
 def test_internal_errors_exit_one(capsys, monkeypatch):

@@ -298,6 +298,12 @@ def test_genfun_rejects_mixed_kinds():
     assert pretty(genfun([], m=2)) == "0"
 
 
+def test_parse_rejects_stray_characters():
+    for text in ("(3 x 2)", "(3)x(2)", "(1)|(2)|(3)"):
+        with pytest.raises(ValueError):
+            parse_factorization(text, "plain", 3)
+
+
 def test_weight_undefined_for_unbounded_circled():
     f = parse_factorization("(3 2 2o)(3o 2 1 1o)()(1o)", "circled", 3)
     with pytest.raises(ValueError):

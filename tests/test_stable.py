@@ -131,6 +131,11 @@ def test_schur_values_and_expansion():
         schur_expand(monomial(2, (2,)), "x", 2)
 
 
+def test_schur_cache_cannot_be_changed_through_a_result():
+    schur((1,), 2).terms.clear()
+    assert pretty(schur((1,), 2)) == "x1 + x2"
+
+
 def test_involution_conjugates_schur_components():
     assert omega(schur((2,), 3), "x") == schur((1, 1), 3)
     assert omega(schur((2, 1), 3), "x") == schur((2, 1), 3)

@@ -36,12 +36,14 @@ from grothpoly.tableaux import (
     is_pt,
     is_standard_svt,
     is_svt,
+    marked_key,
     oft_count,
     outer_shape,
     partitions_inside,
     partitions_of,
     pretty_tableau,
     q_schur,
+    split_key,
     tableau,
     tableau_from_json,
     tableau_to_json,
@@ -88,6 +90,13 @@ def test_check_partition_rejects():
         check_partition((1, 2))
     with pytest.raises(ValueError):
         check_partition((2, 0))
+
+
+def test_tableau_rejects_specs_it_cannot_read():
+    for spec in ("10", "1x", "1 2", "1''", 0, [Entry(0)]):
+        with pytest.raises(ValueError):
+            tableau([[spec]])
+    assert tableau([[["1'2", 3]]]) == tableau([["1'23"]])
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +299,47 @@ def test_genfun_svt_row_shapes_match_operator_image():
             lhs = genfun_svt(shape, 2, D)
             rhs = pi(1, monomial(2, (l1 + 1, l2), ()))
             assert lhs == rhs, (l1, l2)
+
+
+def _brute_genfun(shape, m, D, key, valid):
+    """Tally, by weight, every filling with boxes sorted in the key's
+    order that the validator accepts."""
+    alphabet = sorted(
+        (Entry(v, p) for v in range(1, m + 1) for p in (False, True)), key=key
+    )
+    n = sum(shape)
+    contents = [
+        combo
+        for size in range(1, D - n + 2)
+        for combo in itertools.combinations_with_replacement(alphabet, size)
+    ]
+    counts = {}
+    for boxes in itertools.product(contents, repeat=n):
+        if sum(map(len, boxes)) > D:
+            continue
+        it = iter(boxes)
+        T = Tableau(tuple(tuple(next(it) for _ in range(k)) for k in shape))
+        if not valid(T):
+            continue
+        x, y = weight_of(T)
+        w = (x + (0,) * (m - len(x)), y + (0,) * (m - len(y)))
+        counts[w] = counts.get(w, 0) + 1
+    return Polynomial(m, counts)
+
+
+def test_genfuns_match_brute_force():
+    families = [
+        (genfun_svt, marked_key, is_svt),
+        (genfun_psvt, split_key, is_psvt),
+        (genfun_psmt, marked_key, is_psmt),
+    ]
+    for shape in [p for n in range(4) for p in partitions_of(n)]:
+        for m in (1, 2):
+            for D in (sum(shape), sum(shape) + 1):
+                for genfun_of, key, valid in families:
+                    assert genfun_of(shape, m, D) == _brute_genfun(
+                        shape, m, D, key, valid
+                    ), (genfun_of.__name__, shape, m, D)
 
 
 def test_genfun_psvt_pinned():
