@@ -42,6 +42,7 @@ from .polynomials import (
     constant,
     exchange_families,
     monomial,
+    poly_sum,
 )
 
 __all__ = [
@@ -321,17 +322,19 @@ def _enumerate_factors(
     kind: str,
     specs: list[_FactorSpec],
     side: str,
-    max_letters: int,
+    max_letters: int | None,
     split: int | None = None,
 ) -> list[Factorization]:
     check_permutation(w)
     n = len(w) - 1
     dist = hecke_distance(w, side)
     apply_fn = hecke_apply_right if side == "right" else hecke_apply
-    far = max_letters + 1
     tail_cap = [0] * (len(specs) + 1)
     for idx in range(len(specs) - 1, -1, -1):
         tail_cap[idx] = tail_cap[idx + 1] + specs[idx].capacity(None)
+    if max_letters is None:
+        max_letters = tail_cap[0]
+    far = max_letters + 1
 
     out: list[Factorization] = []
     factors: list[tuple[Letter, ...]] = []
@@ -381,10 +384,8 @@ def enumerate_bounded_plain(
     ['(2 1)()()']
     """
     n = len(w) - 1
-    cap = sum(n - i + 1 for i in range(1, n + 2))
-    budget = cap if max_letters is None else min(cap, max_letters)
     specs = [_decreasing_spec(i, n) for i in range(1, n + 2)]
-    return _enumerate_factors(w, "bounded_plain", specs, "right", budget)
+    return _enumerate_factors(w, "bounded_plain", specs, "right", max_letters)
 
 
 def enumerate_circled_bounded(
@@ -398,10 +399,8 @@ def enumerate_circled_bounded(
     27
     """
     n = len(w) - 1
-    cap = sum(max(0, 2 * (n - i + 1)) for i in range(1, n + 2))
-    budget = cap if max_letters is None else min(cap, max_letters)
     specs = [_circled_spec(i, n) for i in range(1, n + 2)]
-    return _enumerate_factors(w, "circled_bounded", specs, "right", budget)
+    return _enumerate_factors(w, "circled_bounded", specs, "right", max_letters)
 
 
 def enumerate_double_bounded(
@@ -414,12 +413,10 @@ def enumerate_double_bounded(
     bounded below by i.
     """
     n = len(w) - 1
-    cap = 2 * sum(n - i + 1 for i in range(1, n + 2))
-    budget = cap if max_letters is None else min(cap, max_letters)
     specs = [_increasing_spec(i, n) for i in range(n + 1, 0, -1)]
     specs += [_decreasing_spec(i, n) for i in range(1, n + 2)]
     return _enumerate_factors(
-        w, "double_bounded", specs, "right", budget, split=n + 1
+        w, "double_bounded", specs, "right", max_letters, split=n + 1
     )
 
 
@@ -491,11 +488,7 @@ def genfun(factorizations, m: int | None = None) -> Polynomial:
         raise ValueError(f"mixed kinds {sorted(kinds)}")
     first_x, first_y = weight(items[0])
     width = m or max(len(first_x), len(first_y))
-    total = constant(0, width)
-    for f in items:
-        x_wt, y_wt = weight(f)
-        total = total + monomial(width, x_wt, y_wt)
-    return total
+    return poly_sum(width, (monomial(width, *weight(f)) for f in items))
 
 
 def enumerate_X(w: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -525,11 +518,11 @@ def cauchy_sum(w: tuple[int, ...]) -> Polynomial:
     >>> pretty(cauchy_sum((1, 2)))
     '1'
     """
-    total = constant(0, len(w))
-    for u, v in enumerate_X(w):
-        left = exchange_families(grothendieck_single(inverse(u)))
-        total = total + left * grothendieck_single(v)
-    return total
+    products = (
+        exchange_families(grothendieck_single(inverse(u))) * grothendieck_single(v)
+        for u, v in enumerate_X(w)
+    )
+    return poly_sum(len(w), products)
 
 
 def factorization_to_str(f: Factorization) -> str:

@@ -16,12 +16,15 @@ x exponents of each term and carry the y part along untouched.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 __all__ = [
     "Polynomial",
     "constant",
     "x_var",
     "y_var",
     "monomial",
+    "poly_sum",
     "swap_x",
     "delta",
     "pi",
@@ -70,14 +73,13 @@ class Polynomial:
         )
 
     def __hash__(self):
+        zero = (0,) * self.m
+        if self.terms.keys() <= {(zero, zero)}:  # equal to its int, so hash alike
+            return hash(sum(self.terms.values()))
         return hash((self.m, frozenset(self.terms.items())))
 
     def __add__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return Polynomial(self.m, out)
+        return poly_sum(self.m, (self, other))
 
     __radd__ = __add__
 
@@ -85,17 +87,17 @@ class Polynomial:
         return Polynomial(self.m, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        return self + (-self._coerce(other))
+        return self + (-_coerce(self.m, other))
 
     def __rsub__(self, other) -> "Polynomial":
-        return self._coerce(other) - self
+        return _coerce(self.m, other) - self
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):
             return Polynomial(
                 self.m, {k: c * other for k, c in self.terms.items()}
             )
-        other = self._coerce(other)
+        other = _coerce(self.m, other)
         out: dict[Key, int] = {}
         for (xa, ya), ca in self.terms.items():
             for (xb, yb), cb in other.terms.items():
@@ -119,15 +121,6 @@ class Polynomial:
             base = base * base if e > 1 else base
             e >>= 1
         return result
-
-    def _coerce(self, other) -> "Polynomial":
-        if isinstance(other, int):
-            return constant(other, self.m)
-        if not isinstance(other, Polynomial):
-            raise TypeError(f"cannot combine Polynomial with {type(other)}")
-        if other.m != self.m:
-            raise ValueError(f"family size mismatch: {self.m} vs {other.m}")
-        return other
 
     def __repr__(self) -> str:
         return pretty(self)
@@ -156,6 +149,34 @@ def monomial(
     if len(xe) != m or len(ye) != m or min(xe + ye, default=0) < 0:
         raise ValueError("bad exponent vectors")
     return Polynomial(m, {(xe, ye): c})
+
+
+def poly_sum(m: int, polys: Iterable[Polynomial]) -> Polynomial:
+    """
+    The sum of polynomials of family size m (an int counts as a
+    constant), tallied into one dict; the sum of none is 0.
+
+    >>> pretty(poly_sum(2, [x_var(1, 2), x_var(1, 2), -x_var(2, 2)]))
+    '2*x1 - x2'
+    >>> poly_sum(3, []) == constant(0, 3)
+    True
+    """
+    it = iter(polys)
+    out = dict(_coerce(m, next(it, 0)).terms)
+    for p in it:
+        for k, c in _coerce(m, p).terms.items():
+            out[k] = out.get(k, 0) + c
+    return Polynomial(m, out)
+
+
+def _coerce(m: int, other) -> Polynomial:
+    if isinstance(other, int):
+        return constant(other, m)
+    if not isinstance(other, Polynomial):
+        raise TypeError(f"cannot combine Polynomial with {type(other)}")
+    if other.m != m:
+        raise ValueError(f"family size mismatch: {m} vs {other.m}")
+    return other
 
 
 def x_var(i: int, m: int) -> Polynomial:

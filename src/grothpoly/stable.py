@@ -4,6 +4,7 @@ Q-basis expansion pipeline."""
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
 from typing import NamedTuple
 
@@ -15,9 +16,9 @@ from .factorizations import (
 )
 from .polynomials import (
     Polynomial,
-    constant,
     exchange_families,
     monomial,
+    poly_sum,
     restrict_variables,
     truncate_degree,
 )
@@ -114,17 +115,16 @@ def stable_double_via_tableaux(
     that of the conjugate of mu in y.
     """
     _check_spec(t)
-    total = constant(0, t.m)
-    for T in enumerate_hecke_tableaux(w, max_boxes=t.D):
-        shape = outer_shape(T)
-        for mu in partitions_inside(shape):
-            y_part = exchange_families(genfun_svt(conjugate(mu), t.m, t.D))
-            for rho in partitions_inside(mu):
-                if not _one_box_per_line(mu, rho):
-                    continue
-                x_part = genfun_svt(shape, t.m, t.D, inner=rho)
-                total = total + truncate_degree(x_part * y_part, t.D)
-    return total
+    products = (
+        truncate_degree(genfun_svt(shape, t.m, t.D, inner=rho) * y_part, t.D)
+        for T in enumerate_hecke_tableaux(w, max_boxes=t.D)
+        for shape in [outer_shape(T)]
+        for mu in partitions_inside(shape)
+        for y_part in [exchange_families(genfun_svt(conjugate(mu), t.m, t.D))]
+        for rho in partitions_inside(mu)
+        if _one_box_per_line(mu, rho)
+    )
+    return poly_sum(t.m, products)
 
 
 @cache
@@ -204,23 +204,17 @@ def omega(p: Polynomial, family: str) -> Polynomial:
     """
     if family not in ("x", "y"):
         raise ValueError(f"unknown family {family!r}")
+    if family == "y":
+        return exchange_families(omega(exchange_families(p), "x"))
     groups: dict = {}
     for (xe, ye), c in p.terms.items():
-        own, other = ((xe, ye) if family == "x" else (ye, xe))
-        groups.setdefault((other, sum(own)), {})[own] = c
-    total = constant(0, p.m)
-    for (other, _), component in groups.items():
-        carrier = (
-            monomial(p.m, (), other)
-            if family == "x"
-            else monomial(p.m, other, ())
-        )
-        for lam, c in _eliminate(component, p.m).items():
-            image = schur(conjugate(lam), p.m)
-            if family == "y":
-                image = exchange_families(image)
-            total = total + c * (image * carrier)
-    return total
+        groups.setdefault((ye, sum(xe)), {})[xe] = c
+    images = (
+        c * (schur(conjugate(lam), p.m) * monomial(p.m, (), ye))
+        for (ye, _), component in groups.items()
+        for lam, c in _eliminate(component, p.m).items()
+    )
+    return poly_sum(p.m, images)
 
 
 def weak_stable_double(w: tuple[int, ...], t: TruncationSpec) -> Polynomial:
@@ -262,10 +256,9 @@ def qschur_expansion(w: tuple[int, ...], t: TruncationSpec) -> dict:
     {(): 1}
     """
     _check_spec(t)
-    shape_counts: dict[tuple[int, ...], int] = {}
-    for T in enumerate_hecke_tableaux(w, max_boxes=t.D):
-        s = outer_shape(T)
-        shape_counts[s] = shape_counts.get(s, 0) + 1
+    shape_counts = Counter(
+        outer_shape(T) for T in enumerate_hecke_tableaux(w, max_boxes=t.D)
+    )
     out: dict[tuple[int, ...], int] = {}
     for d in range(t.D + 1):
         for mu in partitions_of(d):

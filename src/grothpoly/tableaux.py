@@ -916,14 +916,21 @@ def tableau_to_json(T: Tableau) -> dict:
     }
 
 
+_JSON_ENTRY_RE = re.compile(r"([1-9][0-9]*)('?)")
+
+
+def _entry_from_json(s) -> Entry:
+    match = _JSON_ENTRY_RE.fullmatch(s) if isinstance(s, str) else None
+    if match is None:
+        raise ValueError(f"not a tableau entry: {s!r}")
+    return Entry(int(match[1]), bool(match[2]))
+
+
 def tableau_from_json(data: dict) -> Tableau:
+    """Inverse of tableau_to_json; an entry other than a positive
+    integer with at most one prime, such as "12'", raises ValueError."""
     rows = tuple(
-        tuple(
-            tuple(
-                Entry(int(s.rstrip("'")), s.endswith("'")) for s in box
-            )
-            for box in row
-        )
+        tuple(tuple(_entry_from_json(s) for s in box) for box in row)
         for row in data["boxes"]
     )
     return Tableau(rows, tuple(data.get("inner", ())))

@@ -163,3 +163,20 @@ def test_every_suite_passes_at_default_bounds(capsys):
     assert all(line.startswith("ok ") for line in lines)
     suites = {line.split()[1].split(".")[0] for line in lines}
     assert suites == set(cli.SUITE_ORDER)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("relations", "--n", "1"),
+        ("insertion", "--degree", "-5"),
+        ("cauchy", "--trials", "-3"),
+        ("tabt", "--m", "0"),
+        ("stability", "--degree", "-1"),
+    ],
+)
+def test_verify_bounds_below_their_minimum_exit_two(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{argv[1]} must be at least" in err

@@ -1,5 +1,6 @@
 import itertools
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from grothpoly.factorizations import (
@@ -371,6 +372,26 @@ def test_str_round_trip():
         f = parse_factorization(text, kind, n)
         assert factorization_to_str(f) == text
         assert f.kind == kind and f.n == n
+
+
+ENUMERATED = [
+    f
+    for w in sorted(all_permutations(3))
+    for f in [
+        *enumerate_bounded_plain(w),
+        *enumerate_circled_bounded(w),
+        *enumerate_double_bounded(w),
+        *enumerate_double_unbounded(w, 2, 4),
+        *enumerate_plain_unbounded(w, 3, 4),
+        *enumerate_hook(w, 2, 4),
+    ]
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ENUMERATED))
+def test_str_round_trip_property(f):
+    assert parse_factorization(factorization_to_str(f), f.kind, f.n) == f
 
 
 def test_json_form():

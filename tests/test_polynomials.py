@@ -1,6 +1,10 @@
+from collections import Counter
+from functools import reduce
 import json
+import operator
 import random
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from grothpoly.polynomials import (
@@ -13,6 +17,7 @@ from grothpoly.polynomials import (
     monomial,
     pi,
     pi_word,
+    poly_sum,
     pretty,
     set_y_equal_x,
     substitute_zero,
@@ -182,3 +187,31 @@ def test_zero_terms_never_stored():
     assert p.terms == {}
     q = Polynomial(2, {((0, 0), (0, 0)): 0})
     assert q.terms == {}
+
+
+def test_constants_hash_like_their_ints():
+    assert len({constant(1, 1), 1}) == 1
+    assert len({Polynomial(3, {}), 0, constant(-2, 2), -2, x_var(1, 2)}) == 3
+
+
+def polynomials(m=2):
+    exps = st.tuples(*[st.integers(0, 2)] * m)
+    terms = st.dictionaries(st.tuples(exps, exps), st.integers(-3, 3), max_size=5)
+    return terms.map(lambda t: Polynomial(m, t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(polynomials(), max_size=6))
+def test_poly_sum_is_the_fold_of_plus(ps):
+    tally: Counter = Counter()
+    for p in ps:
+        tally.update(p.terms)
+    assert poly_sum(2, ps) == Polynomial(2, dict(tally))
+    assert poly_sum(2, ps) == reduce(operator.add, ps, Polynomial(2, {}))
+    assert poly_sum(2, ps + [-p for p in reversed(ps)]).terms == {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials(3))
+def test_json_round_trip_property(p):
+    assert from_json(json.loads(json.dumps(to_json(p)))) == p

@@ -1,6 +1,7 @@
 import itertools
 import json
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from grothpoly.factorizations import enumerate_plain_unbounded, genfun
@@ -558,6 +559,36 @@ def test_tableau_json_roundtrip():
     ]:
         blob = json.dumps(tableau_to_json(T))
         assert tableau_from_json(json.loads(blob)) == T
+
+
+def test_tableau_from_json_rejects_entries_it_cannot_read():
+    for bad in (["1''", "0"], ["1''"], ["0"], ["01"], ["'1"], ["1x"], [""], [3]):
+        with pytest.raises(ValueError):
+            tableau_from_json({"boxes": [[bad]]})
+    loaded = tableau_from_json({"boxes": [[["12'", "12"]]]})
+    assert loaded == Tableau((((Entry(12, True), Entry(12)),),))
+
+
+@st.composite
+def skew_tableaux(draw):
+    outer = sorted(draw(st.lists(st.integers(1, 4), max_size=4)), reverse=True)
+    inner: list[int] = []
+    for part in outer:
+        inner.append(draw(st.integers(0, min([part, *inner[-1:]]))))
+    entries = st.lists(
+        st.builds(Entry, st.integers(1, 12), st.booleans()), min_size=1, max_size=3
+    )
+    rows = tuple(
+        tuple(tuple(draw(entries)) for _ in range(part - start))
+        for part, start in zip(outer, inner)
+    )
+    return Tableau(rows, tuple(inner))
+
+
+@settings(max_examples=200, deadline=None)
+@given(skew_tableaux())
+def test_tableau_json_round_trip_property(T):
+    assert tableau_from_json(json.loads(json.dumps(tableau_to_json(T)))) == T
 
 
 def test_tableau_json_shape_fields():
