@@ -124,8 +124,9 @@ def _strictly_decreasing(ranks) -> bool:
     return all(a > b for a, b in zip(ranks, ranks[1:]))
 
 
-def _strictly_increasing(ranks) -> bool:
-    return all(a < b for a, b in zip(ranks, ranks[1:]))
+_CIRCLED_KINDS = ("circled", "circled_bounded", "hook")
+_BOUNDED_KINDS = ("bounded_plain", "circled_bounded", "double_bounded")
+_KINDS = _CIRCLED_KINDS + _BOUNDED_KINDS + ("plain", "double_unbounded")
 
 
 def is_valid_factorization(f: Factorization) -> bool:
@@ -139,57 +140,14 @@ def is_valid_factorization(f: Factorization) -> bool:
     >>> evaluation(g)
     (4, 1, 3, 2)
     """
+    kind = f.kind
+    if kind not in _KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
     letters = [l for fac in f.factors for l in fac]
     if any(not 1 <= l.value <= f.n for l in letters):
         return False
-    kind = f.kind
-    if kind in ("plain", "bounded_plain", "double_bounded", "double_unbounded"):
-        if any(l.circled for l in letters):
-            return False
-    if kind in ("plain", "bounded_plain"):
-        if not all(_strictly_decreasing([l.rank for l in fac]) for fac in f.factors):
-            return False
-        if kind == "bounded_plain":
-            if len(f.factors) != f.n + 1:
-                return False
-            return all(
-                l.value >= i
-                for i, fac in enumerate(f.factors, start=1)
-                for l in fac
-            )
-        return True
-    if kind in ("circled", "circled_bounded"):
-        if not all(_strictly_decreasing([l.rank for l in fac]) for fac in f.factors):
-            return False
-        if kind == "circled_bounded":
-            if len(f.factors) != f.n + 1:
-                return False
-            return all(
-                l.value >= i
-                for i, fac in enumerate(f.factors, start=1)
-                for l in fac
-            )
-        return True
-    if kind in ("double_bounded", "double_unbounded"):
-        if f.split is None or len(f.factors) != 2 * f.split:
-            return False
-        left, right = f.factors[: f.split], f.factors[f.split :]
-        if not all(_strictly_increasing([l.rank for l in fac]) for fac in left):
-            return False
-        if not all(_strictly_decreasing([l.rank for l in fac]) for fac in right):
-            return False
-        if kind == "double_bounded":
-            if f.split != f.n + 1:
-                return False
-            # the i-th factor outward from center on either side is
-            # bounded below by i
-            for i in range(1, f.split + 1):
-                bound_ok = all(
-                    l.value >= i for l in left[f.split - i]
-                ) and all(l.value >= i for l in right[i - 1])
-                if not bound_ok:
-                    return False
-        return True
+    if kind not in _CIRCLED_KINDS and any(l.circled for l in letters):
+        return False
     if kind == "hook":
         for fac in f.factors:
             flags = [l.circled for l in fac]
@@ -202,7 +160,29 @@ def is_valid_factorization(f: Factorization) -> bool:
             if any(a > b for a, b in zip(plain, plain[1:])):
                 return False
         return True
-    raise ValueError(f"unknown kind {kind!r}")
+    # double kinds have split factors left of center, the others none
+    split = 0
+    if kind.startswith("double"):
+        if f.split is None or len(f.factors) != 2 * f.split:
+            return False
+        split = f.split
+    # the left half strictly increases and the right half strictly
+    # decreases in the interleaved order
+    for k, fac in enumerate(f.factors):
+        ranks = [l.rank for l in fac]
+        if not _strictly_decreasing(ranks[::-1] if k < split else ranks):
+            return False
+    if kind not in _BOUNDED_KINDS:
+        return True
+    # n+1 factors on each side, the i-th factor outward from center
+    # bounded below by i
+    right, left = f.factors[split:], f.factors[:split][::-1]
+    sides = (right, left) if split else (right,)
+    return all(
+        len(side) == f.n + 1
+        and all(l.value >= i for i, fac in enumerate(side, 1) for l in fac)
+        for side in sides
+    )
 
 
 def weight(f: Factorization) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -252,48 +232,23 @@ class _FactorSpec(NamedTuple):
     capacity: Callable[[Letter | None], int]
 
 
-def _decreasing_spec(bound: int, n: int) -> _FactorSpec:
-    """Strictly decreasing uncircled factor with values >= bound."""
+def _chain_spec(letters: list[Letter]) -> _FactorSpec:
+    """A factor is a subsequence of the given letters, taken in order."""
+    after = {letter: k + 1 for k, letter in enumerate(letters)}
 
     def candidates(prev):
-        hi = n if prev is None else prev.value - 1
-        return (Letter(v) for v in range(hi, bound - 1, -1))
+        return letters[after.get(prev, 0):]
 
     def capacity(prev):
-        hi = n if prev is None else prev.value - 1
-        return max(0, hi - bound + 1)
+        return len(letters) - after.get(prev, 0)
 
     return _FactorSpec(candidates, capacity)
 
 
-def _increasing_spec(bound: int, n: int) -> _FactorSpec:
-    """Strictly increasing uncircled factor with values >= bound."""
-
-    def candidates(prev):
-        lo = bound if prev is None else prev.value + 1
-        return (Letter(v) for v in range(lo, n + 1))
-
-    def capacity(prev):
-        lo = bound if prev is None else prev.value + 1
-        return max(0, n - lo + 1)
-
-    return _FactorSpec(candidates, capacity)
-
-
-def _circled_spec(bound: int, n: int) -> _FactorSpec:
-    """Interleaved-order strictly decreasing factor, values >= bound."""
-    floor_rank = 2 * bound - 1
-
-    def candidates(prev):
-        hi = 2 * n if prev is None else prev.rank - 1
-        for r in range(hi, floor_rank - 1, -1):
-            yield Letter((r + 1) // 2, r % 2 == 1)
-
-    def capacity(prev):
-        hi = 2 * n if prev is None else prev.rank - 1
-        return max(0, hi - floor_rank + 1)
-
-    return _FactorSpec(candidates, capacity)
+def _descending(bound: int, n: int, circled: bool = False) -> list[Letter]:
+    """Letters n down to bound; if circled, each (v) just below v."""
+    marks = (False, True) if circled else (False,)
+    return [Letter(v, c) for v in range(n, bound - 1, -1) for c in marks]
 
 
 def _hook_spec(n: int, budget: int) -> _FactorSpec:
@@ -384,7 +339,7 @@ def enumerate_bounded_plain(
     ['(2 1)()()']
     """
     n = len(w) - 1
-    specs = [_decreasing_spec(i, n) for i in range(1, n + 2)]
+    specs = [_chain_spec(_descending(i, n)) for i in range(1, n + 2)]
     return _enumerate_factors(w, "bounded_plain", specs, "right", max_letters)
 
 
@@ -399,7 +354,9 @@ def enumerate_circled_bounded(
     27
     """
     n = len(w) - 1
-    specs = [_circled_spec(i, n) for i in range(1, n + 2)]
+    specs = [
+        _chain_spec(_descending(i, n, circled=True)) for i in range(1, n + 2)
+    ]
     return _enumerate_factors(w, "circled_bounded", specs, "right", max_letters)
 
 
@@ -413,8 +370,8 @@ def enumerate_double_bounded(
     bounded below by i.
     """
     n = len(w) - 1
-    specs = [_increasing_spec(i, n) for i in range(n + 1, 0, -1)]
-    specs += [_decreasing_spec(i, n) for i in range(1, n + 2)]
+    specs = [_chain_spec(_descending(i, n)[::-1]) for i in range(n + 1, 0, -1)]
+    specs += [_chain_spec(_descending(i, n)) for i in range(1, n + 2)]
     return _enumerate_factors(
         w, "double_bounded", specs, "right", max_letters, split=n + 1
     )
@@ -432,8 +389,8 @@ def enumerate_double_unbounded(
     ['()|(1)', '(1)|()', '(1)|(1)']
     """
     n = len(w) - 1
-    specs = [_increasing_spec(1, n) for _ in range(half_parts)]
-    specs += [_decreasing_spec(1, n) for _ in range(half_parts)]
+    specs = [_chain_spec(_descending(1, n)[::-1])] * half_parts
+    specs += [_chain_spec(_descending(1, n))] * half_parts
     return _enumerate_factors(
         w, "double_unbounded", specs, "right", max_letters, split=half_parts
     )
@@ -450,7 +407,7 @@ def enumerate_plain_unbounded(
     ['()(1)', '(1)()', '(1)(1)']
     """
     n = len(w) - 1
-    specs = [_decreasing_spec(1, n) for _ in range(parts)]
+    specs = [_chain_spec(_descending(1, n))] * parts
     return _enumerate_factors(w, "plain", specs, "right", max_letters)
 
 

@@ -19,6 +19,7 @@ True
 from dataclasses import dataclass
 from functools import cache
 import itertools
+import operator
 import re
 from typing import Iterable, NamedTuple
 
@@ -156,14 +157,6 @@ class Tableau:
     rows: tuple[tuple[tuple[Entry, ...], ...], ...]
     inner: tuple[int, ...] = ()
 
-    def box(self, r: int, c: int) -> tuple[Entry, ...] | None:
-        if not 0 <= r < len(self.rows):
-            return None
-        start = self.inner[r] if r < len(self.inner) else 0
-        if not start <= c < start + len(self.rows[r]):
-            return None
-        return self.rows[r][c - start]
-
     def all_entries(self) -> list[Entry]:
         return [e for row in self.rows for box in row for e in box]
 
@@ -243,52 +236,51 @@ def weight_of(T: Tableau) -> tuple[tuple[int, ...], tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # validators
 #
-# Each validator walks boxes pairwise: a box against the box to its
-# right and the box below, comparing whole contents in its own order.
+# Every validator makes one _ordered walk in its family's order and adds
+# only its family's own conditions.  The walk shares no code with the
+# fillers below: the validators are the reference the tests hold them to.
 
 
-def _neighbors_ok(T: Tableau, key, row_strict: bool, col_strict: bool) -> bool:
+def _ordered(T: Tableau, key, row_strict, col_strict, skew=False, lines=None):
+    """
+    True when T has a well-formed shape (skew only if skew is set), every
+    box is nonempty and sorted by key, and each box's last entry is at
+    most, or below where strict, the first entry of the box to its right
+    and of the box below.  lines(r, c), if given, is the pair (line of an
+    unprimed entry, line of a primed one) for box (r, c); an entry may
+    sit in one box only of each such line.
+    """
+    if (T.inner and not skew) or not _shape_ok(T):
+        return False
+    row_bad = operator.ge if row_strict else operator.gt
+    col_bad = operator.ge if col_strict else operator.gt
+    seen: set = set()
+    above: dict = {}
     for r, row in enumerate(T.rows):
         start = T.inner[r] if r < len(T.inner) else 0
-        for idx, box in enumerate(row):
-            c = start + idx
-            right = T.box(r, c + 1)
-            if right is not None:
-                gap = max(key(e) for e in box) <= min(key(e) for e in right)
-                strict = max(key(e) for e in box) < min(key(e) for e in right)
-                if not (strict if row_strict else gap):
+        left = None
+        lasts = {}
+        for c, box in enumerate(row, start):
+            keys = [key(e) for e in box]
+            if not keys or any(a > b for a, b in zip(keys, keys[1:])):
+                return False
+            if left is not None and row_bad(left, keys[0]):
+                return False
+            if c in above and col_bad(above[c], keys[0]):
+                return False
+            left = lasts[c] = keys[-1]
+            if lines is not None:
+                line = lines(r, c)
+                marks = {(e, line[e.primed]) for e in box}
+                if not seen.isdisjoint(marks):
                     return False
-            below = T.box(r + 1, c)
-            if below is not None:
-                gap = max(key(e) for e in box) <= min(key(e) for e in below)
-                strict = max(key(e) for e in box) < min(key(e) for e in below)
-                if not (strict if col_strict else gap):
-                    return False
+                seen |= marks
+        above = lasts
     return True
 
 
-def _boxes_sorted(T: Tableau, key) -> bool:
-    return all(
-        all(key(a) <= key(b) for a, b in zip(box, box[1:]))
-        for row in T.rows
-        for box in row
-    )
-
-
-def _spread(T: Tableau, primed: bool, per: str) -> bool:
-    """True when each (primed?) value hits at most one box per row or
-    per column."""
-    seen: set[tuple[int, int]] = set()
-    for r, row in enumerate(T.rows):
-        start = T.inner[r] if r < len(T.inner) else 0
-        for idx, box in enumerate(row):
-            c = start + idx
-            line = r if per == "row" else c
-            for v in {e.value for e in box if e.primed == primed}:
-                if (v, line) in seen:
-                    return False
-                seen.add((v, line))
-    return True
+def _boxes(T: Tableau) -> list[tuple[Entry, ...]]:
+    return [box for row in T.rows for box in row]
 
 
 def is_standard_svt(T: Tableau) -> bool:
@@ -299,18 +291,9 @@ def is_standard_svt(T: Tableau) -> bool:
     >>> is_standard_svt(tableau([[1, 3], [3]]))
     False
     """
-    if not _shape_ok(T) or T.inner or any(
-        not box for row in T.rows for box in row
-    ):
-        return False
-    entries = T.all_entries()
-    if any(e.primed for e in entries):
-        return False
-    values = sorted(e.value for e in entries)
-    if values != list(range(1, len(values) + 1)):
-        return False
-    return _boxes_sorted(T, marked_key) and _neighbors_ok(
-        T, marked_key, row_strict=True, col_strict=True
+    entries = sorted(T.all_entries())
+    return _ordered(T, marked_key, row_strict=True, col_strict=True) and (
+        entries == [Entry(v) for v in range(1, len(entries) + 1)]
     )
 
 
@@ -322,52 +305,30 @@ def is_svt(T: Tableau) -> bool:
     >>> is_svt(tableau([["12", 2], [3]]))
     True
     """
-    if not _shape_ok(T) or any(not box for row in T.rows for box in row):
-        return False
-    entries = T.all_entries()
-    if any(e.primed for e in entries):
-        return False
-    if any(len(set(box)) != len(box) for row in T.rows for box in row):
-        return False
-    return _boxes_sorted(T, marked_key) and _neighbors_ok(
-        T, marked_key, row_strict=False, col_strict=True
+    return (
+        _ordered(T, marked_key, row_strict=False, col_strict=True, skew=True)
+        and not any(e.primed for e in T.all_entries())
+        and all(len(set(box)) == len(box) for box in _boxes(T))
     )
 
 
 def is_psvt(T: Tableau) -> bool:
     """Primed set-valued: split order, all comparisons weak, unprimed
     once per row, primed once per column."""
-    if not _shape_ok(T) or T.inner or any(
-        not box for row in T.rows for box in row
-    ):
-        return False
-    if any(len(set(box)) != len(box) for row in T.rows for box in row):
-        return False
-    return (
-        _boxes_sorted(T, split_key)
-        and _neighbors_ok(T, split_key, row_strict=False, col_strict=False)
-        and _spread(T, primed=False, per="row")
-        and _spread(T, primed=True, per="column")
-    )
+    return _ordered(
+        T, split_key, row_strict=False, col_strict=False,
+        lines=lambda r, c: (r, c),
+    ) and all(len(set(box)) == len(box) for box in _boxes(T))
 
 
 def is_psmt(T: Tableau) -> bool:
     """Primed multiset: marked order, weak comparisons, unprimed once
     per column, primed once per row and once per box."""
-    if not _shape_ok(T) or T.inner or any(
-        not box for row in T.rows for box in row
-    ):
-        return False
-    for row in T.rows:
-        for box in row:
-            primes = [e for e in box if e.primed]
-            if len(set(primes)) != len(primes):
-                return False
-    return (
-        _boxes_sorted(T, marked_key)
-        and _neighbors_ok(T, marked_key, row_strict=False, col_strict=False)
-        and _spread(T, primed=False, per="column")
-        and _spread(T, primed=True, per="row")
+    return _ordered(
+        T, marked_key, row_strict=False, col_strict=False,
+        lines=lambda r, c: (c, r),
+    ) and not any(
+        a.primed and a == b for box in _boxes(T) for a, b in zip(box, box[1:])
     )
 
 
@@ -379,37 +340,30 @@ def is_pt(T: Tableau) -> bool:
     >>> is_pt(tableau([["1'", 1], [2]]))
     True
     """
-    if any(len(box) != 1 for row in T.rows for box in row):
-        return False
-    return is_psmt(T)
+    return all(len(box) == 1 for box in _boxes(T)) and is_psmt(T)
+
+
+def _single_values(T: Tableau, caps) -> bool:
+    """Every box of row r holds one unprimed value from 1 to caps[r]."""
+    return all(
+        len(box) == 1 and not box[0].primed and 1 <= box[0].value <= hi
+        for row, hi in zip(T.rows, caps)
+        for box in row
+    )
 
 
 def is_oft(T: Tableau, inner: tuple[int, ...]) -> bool:
     """Over flagged: skew over the given inner shape, row r entries at
     most inner[r], rows weakly decreasing, columns strictly decreasing."""
     check_partition(inner)
-    if tuple(T.inner) != tuple(inner) or len(T.rows) != len(inner):
-        return False
-    if not _shape_ok(T):
-        return False
-    for r, row in enumerate(T.rows):
-        flag = inner[r]
-        for box in row:
-            if len(box) != 1 or box[0].primed:
-                return False
-            if not 1 <= box[0].value <= flag:
-                return False
-        vals = [box[0].value for box in row]
-        if any(a < b for a, b in zip(vals, vals[1:])):
-            return False
-    for r, row in enumerate(T.rows):
-        start = inner[r]
-        for idx in range(len(row)):
-            c = start + idx
-            below = T.box(r + 1, c)
-            if below is not None and row[idx][0].value <= below[0].value:
-                return False
-    return True
+    return (
+        tuple(T.inner) == tuple(inner)
+        and len(T.rows) == len(inner)
+        and _ordered(
+            T, lambda e: -e.value, row_strict=False, col_strict=True, skew=True
+        )
+        and _single_values(T, inner)
+    )
 
 
 def reading_word(T: Tableau) -> tuple[int, ...]:
@@ -428,13 +382,10 @@ def is_hecke_tableau(T: Tableau, w: tuple[int, ...]) -> bool:
     """
     check_permutation(w)
     n = len(w) - 1
-    if not _shape_ok(T) or T.inner:
-        return False
-    for row in T.rows:
-        for box in row:
-            if len(box) != 1 or box[0].primed or not 1 <= box[0].value <= n:
-                return False
-    if not _neighbors_ok(T, marked_key, row_strict=True, col_strict=True):
+    if not (
+        _ordered(T, marked_key, row_strict=True, col_strict=True)
+        and _single_values(T, itertools.repeat(n))
+    ):
         return False
     u = tuple(range(1, n + 2))
     for a in reading_word(T):
@@ -824,6 +775,10 @@ def has_i_starting(T: Tableau, i: int) -> bool:
     must be unprimed (vacuously true if neither occurs).
     """
     _require_pt(T)
+    return _starts_unprimed(T, i)
+
+
+def _starts_unprimed(T: Tableau, i: int) -> bool:
     for e in _rows_bottom_up(T):
         if e.value == i:
             return not e.primed
@@ -840,6 +795,10 @@ def has_i_lattice(T: Tableau, i: int) -> bool:
     breaks when above exceeds below, or on a tie over an unprimed i-1.
     """
     _require_pt(T)
+    return _lattice(T, i)
+
+
+def _lattice(T: Tableau, i: int) -> bool:
     if i == 1:
         return True
     above = below = 0
@@ -883,9 +842,9 @@ def f_coefficient(mu: tuple[int, ...], lam: tuple[int, ...]) -> int:
         return 0
     cap = max(sum(mu), 1)
     count = 0
-    for T in _pt_fillings(mu, cap):
+    for T in _pt_fillings(mu, cap):  # valid by construction: scan unchecked
         if not all(
-            has_i_starting(T, i) and has_i_lattice(T, i)
+            _starts_unprimed(T, i) and _lattice(T, i)
             for i in range(1, cap + 1)
         ):
             continue

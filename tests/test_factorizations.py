@@ -349,6 +349,41 @@ def test_enumerated_members_are_valid_and_on_target():
         assert len(set(map(factorization_to_str, members))) == len(members)
 
 
+@pytest.mark.parametrize(
+    "kind, enumerate_kind",
+    [
+        ("bounded_plain", enumerate_bounded_plain),
+        ("circled_bounded", enumerate_circled_bounded),
+        ("double_bounded", enumerate_double_bounded),
+    ],
+)
+def test_validator_accepts_exactly_the_enumerated_members(
+    kind, enumerate_kind
+):
+    # every candidate with factors of at most 2 letters, valid or not:
+    # the validator and the target must single out the enumerator's
+    # members of that size (double kinds: uncircled letters at n = 2)
+    double = kind.startswith("double")
+    for n in (1, 2):
+        marks = (False,) if double and n == 2 else (False, True)
+        letters = [Letter(v, c) for v in range(1, n + 1) for c in marks]
+        factors = [()] + [(a,) for a in letters]
+        factors += [(a, b) for a in letters for b in letters]
+        split = n + 1 if double else None
+        parts = 2 * (n + 1) if double else n + 1
+        valid = {}
+        for candidate in itertools.product(factors, repeat=parts):
+            f = Factorization(kind, candidate, n, split)
+            if is_valid_factorization(f):
+                valid.setdefault(evaluation(f), set()).add(f)
+        for w in all_permutations(n + 1):
+            small = {
+                f for f in enumerate_kind(w)
+                if all(len(fac) <= 2 for fac in f.factors)
+            }
+            assert valid.get(w, set()) == small, (kind, w)
+
+
 def test_letter_budget_is_respected():
     for f in enumerate_hook((3, 2, 1), 2, 4):
         assert f.letter_count() <= 4

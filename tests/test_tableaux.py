@@ -233,6 +233,21 @@ def test_enumerated_hecke_tableaux_validate():
             assert is_hecke_tableau(T, w)
 
 
+def test_hecke_validator_accepts_exactly_the_enumerated_tableaux():
+    # every single-entry filling with values 1..3 of every shape of at
+    # most 4 boxes, valid or not
+    fillings = []
+    for shape in (s for k in range(5) for s in partitions_of(k)):
+        for values in itertools.product(range(1, 4), repeat=sum(shape)):
+            it = iter(values)
+            fillings.append(tableau([[next(it) for _ in range(length)]
+                                     for length in shape]))
+    for w in all_permutations(4):
+        members = set(enumerate_hecke_tableaux(w, max_boxes=4))
+        for T in fillings:
+            assert is_hecke_tableau(T, w) == (T in members), (w, T)
+
+
 def column_word(T):
     cols = {}
     for r, row in enumerate(T.rows):
