@@ -26,7 +26,6 @@ from typing import Callable, Iterable, NamedTuple
 
 from .grothendieck import grothendieck_single
 from .permutations import (
-    all_permutations,
     check_permutation,
     demazure_product,
     eval_hecke_word,
@@ -148,6 +147,8 @@ def is_valid_factorization(f: Factorization) -> bool:
         return False
     if kind not in _CIRCLED_KINDS and any(l.circled for l in letters):
         return False
+    if not kind.startswith("double") and f.split is not None:
+        return False  # only the double kinds have a center
     if kind == "hook":
         for fac in f.factors:
             flags = [l.circled for l in fac]
@@ -452,15 +453,22 @@ def enumerate_X(w: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ..
     """
     All pairs (u, v) whose Demazure product is w.
 
+    The Demazure product of u and v is u acted on from the right by a
+    word for v, and v acted on from the left by a word for u.  Each
+    action only climbs its weak order, so u lies below w in right weak
+    order and v below w in left weak order: the candidates are the keys
+    of the two hecke_distance tables of w, not all of the symmetric
+    group.
+
     >>> enumerate_X((2, 1))
     [((1, 2), (2, 1)), ((2, 1), (1, 2)), ((2, 1), (2, 1))]
     """
-    check_permutation(w)
-    perms = all_permutations(len(w))
+    below_right = hecke_distance(w, "right")
+    below_left = hecke_distance(w, "left")
     return sorted(
         (u, v)
-        for u in perms
-        for v in perms
+        for u in below_right
+        for v in below_left
         if demazure_product(u, v) == w
     )
 
@@ -506,6 +514,7 @@ def parse_factorization(text: str, kind: str, n: int) -> Factorization:
     """
     Parse the ASCII form back into a Factorization; "|" fixes the split
     for double kinds, otherwise the split is the midpoint when needed.
+    A "|" in any other kind raises ValueError.
 
     >>> parse_factorization("()(3)|(3 1)()", "double_unbounded", 3).split
     2
@@ -517,6 +526,8 @@ def parse_factorization(text: str, kind: str, n: int) -> Factorization:
         raise ValueError(f"cannot parse factorization from {text!r}")
     split = None
     if "|" in text:
+        if not kind.startswith("double"):
+            raise ValueError(f"only double kinds have a center: {text!r}")
         before, _ = text.split("|", maxsplit=1)
         split = len(_FACTOR_RE.findall(before))
     elif kind.startswith("double"):

@@ -332,33 +332,41 @@ def hecke_distance(
     reach target; permutations that cannot reach it are absent.  Used
     to prune dead branches during word and factorization enumeration.
 
-    Breadth-first search backwards from target on the action graph.
+    A generator acting on the right either fixes u or lengthens it by
+    one step in right weak order, so the permutations that reach target
+    form the lower interval [e, target] of that order, and u lies
+    inversions(target) - inversions(u) steps below it.  Breadth-first
+    search therefore walks down from target, swapping adjacent positions
+    that hold a decrease, and visits only that interval.  The left
+    action is the right action conjugated by inverse (see
+    hecke_apply_right), so its table is the right table of
+    inverse(target) with every key inverted: the lower interval of left
+    weak order.
 
     >>> hecke_distance((2, 1))[(1, 2)]
     1
     >>> hecke_distance((2, 1))[(2, 1)]
     0
+    >>> sorted(hecke_distance((2, 3, 1), "left").items())
+    [((1, 2, 3), 2), ((1, 3, 2), 1), ((2, 3, 1), 0)]
     """
-    size = len(target)
-    n = size - 1
-    apply_fn = hecke_apply_right if side == "right" else hecke_apply
-    dist = {target: 0}
-    frontier = [target]
-    # predecessors of v are the u with u . s_i = v, found by scanning
-    # the forward edges of every permutation once
-    preds: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for u in _itertools_permutations(range(1, size + 1)):
-        u = tuple(u)
-        for i in range(1, n + 1):
-            preds.setdefault(apply_fn(u, i), []).append(u)
+    check_permutation(target)
+    mirrored = side != "right"
+    top = inverse(target) if mirrored else target
+    dist = {top: 0}
+    frontier = [top]
     while frontier:
-        nxt = []
+        below = []
         for v in frontier:
-            for u in preds.get(v, ()):
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        frontier = nxt
+            for i in range(1, len(v)):
+                if v[i - 1] > v[i]:
+                    u = v[: i - 1] + (v[i], v[i - 1]) + v[i + 1 :]
+                    if u not in dist:
+                        dist[u] = dist[v] + 1
+                        below.append(u)
+        frontier = below
+    if mirrored:
+        return {inverse(u): d for u, d in dist.items()}
     return dist
 
 

@@ -207,8 +207,8 @@ def outer_shape(T: Tableau) -> tuple[int, ...]:
 def _shape_ok(T: Tableau) -> bool:
     outer = outer_shape(T)
     inner = tuple(T.inner) + (0,) * (len(T.rows) - len(T.inner))
-    if any(a < 0 for a in inner):
-        return False
+    if any(a < 0 for a in inner) or any(inner[len(outer) :]):
+        return False  # the inner shape must sit inside the outer one
     if any(a < b for a, b in zip(outer, outer[1:])):
         return False
     if any(a < b for a, b in zip(inner, inner[1:])):

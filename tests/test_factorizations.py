@@ -27,7 +27,11 @@ from grothpoly.grothendieck import (
     grothendieck_single,
     staircase_product,
 )
-from grothpoly.permutations import all_permutations, eval_hecke_word
+from grothpoly.permutations import (
+    all_permutations,
+    demazure_product,
+    eval_hecke_word,
+)
 from grothpoly.polynomials import pretty
 
 
@@ -305,6 +309,16 @@ def test_parse_rejects_stray_characters():
             parse_factorization(text, "plain", 3)
 
 
+def test_split_only_on_double_kinds():
+    for kind in ("plain", "bounded_plain", "circled", "circled_bounded", "hook"):
+        assert is_valid_factorization(Factorization(kind, ((), (), ()), 2))
+        assert not is_valid_factorization(Factorization(kind, ((), (), ()), 2, 1))
+        with pytest.raises(ValueError):
+            parse_factorization("()|()()", kind, 2)
+    f = parse_factorization("()|()", "double_unbounded", 2)
+    assert f.split == 1 and is_valid_factorization(f)
+
+
 def test_weight_undefined_for_unbounded_circled():
     f = parse_factorization("(3 2 2o)(3o 2 1 1o)()(1o)", "circled", 3)
     with pytest.raises(ValueError):
@@ -321,6 +335,17 @@ def test_enumerate_X_simple_transposition():
         ((2, 1), (1, 2)),
         ((2, 1), (2, 1)),
     ]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_enumerate_X_matches_all_pairs_filter(size):
+    perms = all_permutations(size)
+    by_product = {w: [] for w in perms}
+    for u in perms:
+        for v in perms:
+            by_product[demazure_product(u, v)].append((u, v))
+    for w, pairs in by_product.items():
+        assert enumerate_X(w) == sorted(pairs)
 
 
 def test_cauchy_sum_is_double_polynomial():

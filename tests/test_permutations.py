@@ -12,6 +12,7 @@ from grothpoly.permutations import (
     eval_hecke_word_ltr,
     hecke_apply,
     hecke_apply_right,
+    hecke_distance,
     hecke_equivalent,
     identity,
     inverse,
@@ -154,6 +155,41 @@ def test_enumerate_hecke_words_against_brute_force(size, max_len):
         assert enumerate_hecke_words(p, max_len) == sorted(
             brute_force_words(p, max_len), key=lambda w: (len(w), w)
         )
+
+
+def action_graph_distances(size, side):
+    """Oracle: for every target in S_size, the least number of generators
+    taking each u to it, by breadth-first search backwards over the
+    forward action graph of the whole group."""
+    apply_fn = hecke_apply_right if side == "right" else hecke_apply
+    perms = all_permutations(size)
+    preds = {}
+    for u in perms:
+        for i in range(1, size):
+            preds.setdefault(apply_fn(u, i), set()).add(u)
+    tables = {}
+    for target in perms:
+        dist = {target: 0}
+        frontier = [target]
+        while frontier:
+            reached = []
+            for v in frontier:
+                for u in preds.get(v, ()):
+                    if u not in dist:
+                        dist[u] = dist[v] + 1
+                        reached.append(u)
+            frontier = reached
+        tables[target] = dist
+    return tables
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_hecke_distance_matches_action_graph_search(size, side):
+    for target, expected in action_graph_distances(size, side).items():
+        dist = hecke_distance(target, side)
+        assert dist == expected
+        assert all(d == inversions(target) - inversions(u) for u, d in dist.items())
 
 
 def test_demazure_product_examples():

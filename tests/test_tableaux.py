@@ -194,6 +194,13 @@ def test_svt_buch_orientation():
     assert not is_svt(tableau([["12", 1]]))
 
 
+def test_inner_parts_past_the_last_row_are_rejected():
+    assert not is_svt(Tableau((), (2,)))
+    assert not is_svt(Tableau((((Entry(1),),),), (1, 1)))
+    assert not is_psvt(Tableau((((Entry(1),),),), (1, 1)))
+    assert is_svt(Tableau((((Entry(1),),),), (0, 0)))
+
+
 def test_pt():
     assert is_pt(tableau([["1'", 1], [1]]))
     assert not is_pt(tableau([[1, 1], [1]]))
