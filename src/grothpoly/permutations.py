@@ -341,7 +341,7 @@ def hecke_distance(
     action is the right action conjugated by inverse (see
     hecke_apply_right), so its table is the right table of
     inverse(target) with every key inverted: the lower interval of left
-    weak order.
+    weak order.  A side other than "right" or "left" raises ValueError.
 
     >>> hecke_distance((2, 1))[(1, 2)]
     1
@@ -351,7 +351,9 @@ def hecke_distance(
     [((1, 2, 3), 2), ((1, 3, 2), 1), ((2, 3, 1), 0)]
     """
     check_permutation(target)
-    mirrored = side != "right"
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'right' or 'left': {side!r}")
+    mirrored = side == "left"
     top = inverse(target) if mirrored else target
     dist = {top: 0}
     frontier = [top]

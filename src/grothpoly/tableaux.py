@@ -823,25 +823,13 @@ def _lattice(T: Tableau, i: int) -> bool:
     return True
 
 
-def f_coefficient(mu: tuple[int, ...], lam: tuple[int, ...]) -> int:
-    """
-    The number of primed tableaux of shape mu having every starting and
-    lattice property whose combined x- and y-weight is lam.  Qualifying
-    weights are checked to be strict partitions; a violation raises.
-
-    >>> f_coefficient((3, 1), (4,))
-    1
-    >>> f_coefficient((3, 1), (3, 1))
-    1
-    >>> f_coefficient((), ())
-    1
-    """
-    check_partition(mu)
-    check_partition(lam)
-    if sum(mu) != sum(lam):
-        return 0
+@cache
+def _f_tally(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """One pass over the primed tableaux of shape mu: the qualifying
+    fillings (every starting and lattice scan passes) counted by
+    combined weight, as (weight, count) pairs."""
     cap = max(sum(mu), 1)
-    count = 0
+    counts: dict[tuple[int, ...], int] = {}
     for T in _pt_fillings(mu, cap):  # valid by construction: scan unchecked
         if not all(
             _starts_unprimed(T, i) and _lattice(T, i)
@@ -857,9 +845,31 @@ def f_coefficient(mu: tuple[int, ...], lam: tuple[int, ...]) -> int:
                 f"weight {combined} of a qualifying tableau is not strict: "
                 f"{T}"
             )
-        if combined == lam:
-            count += 1
-    return count
+        counts[combined] = counts.get(combined, 0) + 1
+    return tuple(counts.items())
+
+
+def f_coefficient(mu: tuple[int, ...], lam: tuple[int, ...]) -> int:
+    """
+    The number of primed tableaux of shape mu having every starting and
+    lattice property whose combined x- and y-weight is lam.  Qualifying
+    weights are checked to be strict partitions; a violation raises.
+    The count is read from a tally cached per shape, built by one pass
+    over the primed tableaux of shape mu that counts every lam at once.
+
+    >>> f_coefficient((3, 1), (4,))
+    1
+    >>> f_coefficient((3, 1), (3, 1))
+    1
+    >>> f_coefficient((), ())
+    1
+    """
+    mu, lam = tuple(mu), tuple(lam)
+    check_partition(mu)
+    check_partition(lam)
+    if sum(mu) != sum(lam):
+        return 0
+    return dict(_f_tally(mu)).get(lam, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from grothpoly.factorizations import (
     parse_factorization,
     weight,
 )
+from grothpoly.factorizations import _chain_spec, _descending, _enumerate_factors
 from grothpoly.grothendieck import (
     grothendieck_double,
     grothendieck_single,
@@ -467,3 +468,10 @@ def test_letter_order():
     assert [l.rank for l in ranks] == sorted(l.rank for l in ranks)
     assert str(Letter(3, True)) == "3o"
     assert str(Letter(3)) == "3"
+
+
+def test_enumerate_factors_rejects_unknown_side():
+    specs = [_chain_spec(_descending(1, 2))]
+    assert _enumerate_factors((2, 1, 3), "plain", specs, "left", None)
+    with pytest.raises(ValueError):
+        _enumerate_factors((2, 1, 3), "plain", specs, "rigth", None)

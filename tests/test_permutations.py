@@ -192,6 +192,12 @@ def test_hecke_distance_matches_action_graph_search(size, side):
         assert all(d == inversions(target) - inversions(u) for u, d in dist.items())
 
 
+def test_hecke_distance_rejects_unknown_side():
+    for side in ("rigth", "Left", "", None):
+        with pytest.raises(ValueError):
+            hecke_distance((2, 3, 1), side)
+
+
 def test_demazure_product_examples():
     assert demazure_product((1, 2, 3), (3, 1, 2)) == (3, 1, 2)
     assert demazure_product((2, 1), (2, 1)) == (2, 1)

@@ -50,7 +50,8 @@ from grothpoly.tableaux import (
     tableau_to_json,
     weight_of,
 )
-from grothpoly.tableaux import _pt_fillings
+from grothpoly import tableaux
+from grothpoly.tableaux import _f_tally, _pt_fillings
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +566,39 @@ def test_f_coefficient_cap_is_saturated():
             assert qualifying_weights(mu, cap) == qualifying_weights(
                 mu, cap + 2
             ), mu
+
+
+def test_f_coefficient_matches_public_scans():
+    # every lam of the same size, strict or not, against a count made
+    # through the public scans; repeat calls agree and the cached tally
+    # is immutable all the way down (hashable)
+    for n in range(6):
+        for mu in partitions_of(n):
+            brute = qualifying_weights(mu, max(n, 1))
+            for lam in partitions_of(n):
+                value = f_coefficient(mu, lam)
+                assert type(value) is int
+                assert value == brute.get(lam, 0), (mu, lam)
+                assert f_coefficient(mu, lam) == value
+            hash(_f_tally(mu))
+
+
+def test_f_coefficient_takes_lists():
+    assert f_coefficient([3, 1], [4]) == 1
+    assert f_coefficient((3, 1), [3, 1]) == 1
+    assert f_coefficient([2, 2], (3, 1)) == 1
+
+
+def test_f_coefficient_strictness_guard_survives_caching(monkeypatch):
+    # with the lattice scan disabled, the column 1 over 2 qualifies
+    # with the non-strict weight (1, 1)
+    monkeypatch.setattr(tableaux, "_lattice", lambda T, i: True)
+    _f_tally.cache_clear()
+    try:
+        with pytest.raises(RuntimeError):
+            f_coefficient((1, 1), (2,))
+    finally:
+        _f_tally.cache_clear()
 
 
 # ---------------------------------------------------------------------------
