@@ -461,6 +461,10 @@ def suite_bijections(b: argparse.Namespace) -> list[Check]:
 
 
 def _weak_tableau_formula(w: tuple[int, ...], t: TruncationSpec) -> Polynomial:
+    """The weak stable double series by triples of tableaux, an independent
+    model: omega is applied to each factor before the product, not once to
+    stable_double_via_tableaux.  The tabt check
+    conjugated_series_match_the_weak_model holds weak_stable_double to it."""
     products = (
         truncate_degree(omega(genfun_svt(shape, t.m, t.D, inner=rho), "x") * wy, t.D)
         for T in enumerate_hecke_tableaux(w, max_boxes=t.D)

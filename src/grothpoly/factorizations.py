@@ -22,18 +22,16 @@ evaluate leftmost first.
 
 from dataclasses import dataclass
 import re
-from typing import Callable, Iterable, NamedTuple
+from typing import NamedTuple
 
 from .grothendieck import grothendieck_single
 from .permutations import (
-    check_permutation,
+    FactorSpec,
     demazure_product,
     eval_hecke_word,
     eval_hecke_word_ltr,
-    hecke_apply,
-    hecke_apply_right,
     hecke_distance,
-    identity,
+    hecke_search,
     inverse,
 )
 from .polynomials import (
@@ -218,32 +216,17 @@ def weight(f: Factorization) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# enumeration engine
-#
-# Every family is enumerated the same way: factor by factor, letter by
-# letter, carrying the evaluation of the prefix as a permutation.  A
-# branch survives only while the prefix can still be completed to the
-# target within both the letter budget and the residual capacity of the
-# remaining factor slots, measured by a precomputed distance table, so
-# the search never walks a dead subtree.
+# enumeration: every family is a list of FactorSpec slots for hecke_search
 
 
-class _FactorSpec(NamedTuple):
-    candidates: Callable[[Letter | None], Iterable[Letter]]
-    capacity: Callable[[Letter | None], int]
-
-
-def _chain_spec(letters: list[Letter]) -> _FactorSpec:
+def _chain_spec(letters: list[Letter]) -> FactorSpec:
     """A factor is a subsequence of the given letters, taken in order."""
     after = {letter: k + 1 for k, letter in enumerate(letters)}
-
-    def candidates(prev):
-        return letters[after.get(prev, 0):]
-
-    def capacity(prev):
-        return len(letters) - after.get(prev, 0)
-
-    return _FactorSpec(candidates, capacity)
+    triples = [
+        (letter, letter.value, len(letters) - k - 1)
+        for k, letter in enumerate(letters)
+    ]
+    return FactorSpec(lambda prev, below: triples[after.get(prev, 0):], len(letters))
 
 
 def _descending(bound: int, n: int, circled: bool = False) -> list[Letter]:
@@ -252,78 +235,40 @@ def _descending(bound: int, n: int, circled: bool = False) -> list[Letter]:
     return [Letter(v, c) for v in range(n, bound - 1, -1) for c in marks]
 
 
-def _hook_spec(n: int, budget: int) -> _FactorSpec:
+def _hook_spec(n: int, budget: int) -> FactorSpec:
     """Circled strictly decreasing prefix, then weakly increasing
     uncircled multiset; the multiset part makes capacity budget-bound."""
 
-    def candidates(prev):
+    def candidates(prev, below):
         if prev is None or prev.circled:
             hi = n if prev is None else prev.value - 1
             for v in range(hi, 0, -1):
-                yield Letter(v, True)
+                yield Letter(v, True), v, budget
             lo = 1
         else:
             lo = prev.value
         for v in range(lo, n + 1):
-            yield Letter(v, False)
+            yield Letter(v, False), v, budget
 
-    def capacity(prev):
-        return budget
-
-    return _FactorSpec(candidates, capacity)
+    return FactorSpec(candidates, budget)
 
 
 def _enumerate_factors(
     w: tuple[int, ...],
     kind: str,
-    specs: list[_FactorSpec],
+    specs: list[FactorSpec],
     side: str,
     max_letters: int | None,
     split: int | None = None,
 ) -> list[Factorization]:
-    check_permutation(w)
     n = len(w) - 1
-    dist = hecke_distance(w, side)
-    apply_fn = hecke_apply_right if side == "right" else hecke_apply
-    tail_cap = [0] * (len(specs) + 1)
-    for idx in range(len(specs) - 1, -1, -1):
-        tail_cap[idx] = tail_cap[idx + 1] + specs[idx].capacity(None)
-    if max_letters is None:
-        max_letters = tail_cap[0]
-    far = max_letters + 1
-
-    out: list[Factorization] = []
-    factors: list[tuple[Letter, ...]] = []
-
-    def start_factor(idx: int, u, used: int) -> None:
-        if idx == len(specs):
-            if u == w:
-                out.append(Factorization(kind, tuple(factors), n, split))
-            return
-        if dist.get(u, far) > min(tail_cap[idx], max_letters - used):
-            return
-        extend_factor(idx, [], None, u, used)
-
-    def extend_factor(idx, letters, prev, u, used) -> None:
-        factors.append(tuple(letters))
-        start_factor(idx + 1, u, used)
-        factors.pop()
-        spec = specs[idx]
-        for letter in spec.candidates(prev):
-            u2 = apply_fn(u, letter.value)
-            need = dist.get(u2, far)
-            room = min(
-                spec.capacity(letter) + tail_cap[idx + 1],
-                max_letters - used - 1,
-            )
-            if need > room:
-                continue
-            letters.append(letter)
-            extend_factor(idx, letters, letter, u2, used + 1)
-            letters.pop()
-
-    start_factor(0, identity(n + 1), 0)
-    return sorted(out, key=_canonical_key)
+    return sorted(
+        (
+            Factorization(kind, factors, n, split)
+            for factors in hecke_search(w, specs, side, max_letters)
+        ),
+        key=_canonical_key,
+    )
 
 
 def enumerate_bounded_plain(
@@ -389,6 +334,8 @@ def enumerate_double_unbounded(
     ...  for f in enumerate_double_unbounded((2, 1), 1, 2)]
     ['()|(1)', '(1)|()', '(1)|(1)']
     """
+    if half_parts < 0:
+        raise ValueError(f"half_parts must be at least 0: {half_parts}")
     n = len(w) - 1
     specs = [_chain_spec(_descending(1, n)[::-1])] * half_parts
     specs += [_chain_spec(_descending(1, n))] * half_parts
@@ -407,6 +354,8 @@ def enumerate_plain_unbounded(
     >>> [factorization_to_str(f) for f in enumerate_plain_unbounded((2, 1), 2, 2)]
     ['()(1)', '(1)()', '(1)(1)']
     """
+    if parts < 0:
+        raise ValueError(f"parts must be at least 0: {parts}")
     n = len(w) - 1
     specs = [_chain_spec(_descending(1, n))] * parts
     return _enumerate_factors(w, "plain", specs, "right", max_letters)
@@ -424,6 +373,8 @@ def enumerate_hook(
     >>> [factorization_to_str(f) for f in enumerate_hook((2, 1), 1, 2)]
     ['(1)', '(1o)', '(1 1)', '(1o 1)']
     """
+    if parts < 0:
+        raise ValueError(f"parts must be at least 0: {parts}")
     n = len(w) - 1
     specs = [_hook_spec(n, max_letters) for _ in range(parts)]
     return _enumerate_factors(w, "hook", specs, "left", max_letters)

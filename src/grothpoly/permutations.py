@@ -17,6 +17,7 @@ when they evaluate to the same permutation.
 
 from functools import lru_cache
 from itertools import permutations as _itertools_permutations
+from typing import Any, Callable, Iterable, NamedTuple
 
 __all__ = [
     "identity",
@@ -32,6 +33,8 @@ __all__ = [
     "eval_hecke_word_ltr",
     "hecke_equivalent",
     "hecke_distance",
+    "FactorSpec",
+    "hecke_search",
     "demazure_product",
     "bruhat_leq",
     "reduced_words",
@@ -372,16 +375,96 @@ def hecke_distance(
     return dist
 
 
+# ---------------------------------------------------------------------------
+# the pruned Hecke search
+#
+# Hecke words, factorizations and Hecke tableaux are all listed the same
+# way: factor by factor, letter by letter, carrying the evaluation of the
+# prefix as a permutation.  A branch survives only while the prefix can
+# still be completed to the target within both the letter budget and the
+# residual capacity of the remaining factor slots, measured by the
+# hecke_distance table, so the search never walks a dead subtree.
+
+
+class FactorSpec(NamedTuple):
+    """One factor slot of hecke_search.  candidates(prev, below) yields a
+    (letter, generator, room) triple for each letter that may follow prev
+    (None at the factor's start), given below, the factor finished just
+    before: room bounds how many more letters the factor can take after
+    it.  size bounds the factor's length, least(below) is its fewest."""
+
+    candidates: Callable[[Any, tuple], Iterable[tuple[Any, int, int]]]
+    size: int
+    least: Callable[[tuple], int] = lambda below: 0
+
+
+def hecke_search(
+    target: tuple[int, ...],
+    specs: list[FactorSpec],
+    side: str,
+    max_letters: int | None = None,
+) -> list[tuple[tuple, ...]]:
+    """
+    Every tuple of factors, one per spec, with at most max_letters
+    letters in all (default: the sum of the sizes), whose generators,
+    applied in order on the given side, take the identity to target.
+    The tuples come in search order.  A negative max_letters or a side
+    other than "right" or "left" raises ValueError.
+
+    >>> letters = [(i, i, 3) for i in (1, 2)]
+    >>> spec = FactorSpec(lambda prev, below: letters, 3)
+    >>> hecke_search((3, 2, 1), [spec], "right")
+    [((1, 2, 1),), ((2, 1, 2),)]
+    """
+    dist = hecke_distance(target, side)
+    apply_fn = hecke_apply_right if side == "right" else hecke_apply
+    tail = [sum(spec.size for spec in specs[idx:]) for idx in range(len(specs) + 1)]
+    if max_letters is None:
+        max_letters = tail[0]
+    if max_letters < 0:
+        raise ValueError(f"max_letters must be at least 0: {max_letters}")
+    far = max_letters + 1
+    out: list[tuple[tuple, ...]] = []
+    factors: list[tuple] = []
+
+    def fill(idx, below, least, letters, prev, u, used) -> None:
+        # close factor idx here, if u can still reach target in what is left
+        rest = tail[idx + 1]
+        need = dist.get(u, far)
+        if len(letters) >= least and need <= rest and need <= max_letters - used:
+            factors.append(tuple(letters))
+            if idx + 1 == len(specs):
+                out.append(tuple(factors))
+            else:
+                fewest = specs[idx + 1].least(factors[-1])
+                fill(idx + 1, factors[-1], fewest, [], None, u, used)
+            factors.pop()
+        left = max_letters - used - 1
+        if left < 0:
+            return
+        for letter, generator, room in specs[idx].candidates(prev, below):
+            u2 = apply_fn(u, generator)
+            need = dist.get(u2, far)
+            if need <= left and need <= room + rest:
+                letters.append(letter)
+                fill(idx, below, least, letters, letter, u2, used + 1)
+                letters.pop()
+
+    start = identity(len(target))
+    if not specs:
+        return [()] if start == target else []
+    if dist.get(start, far) <= min(tail[0], max_letters):
+        fill(0, (), specs[0].least(()), [], None, start, 0)
+    return out
+
+
 def enumerate_hecke_words(
     p: tuple[int, ...], max_len: int
 ) -> list[tuple[int, ...]]:
     """
     All words of length <= max_len over the alphabet 1..n evaluating to
-    p, sorted by length then lexicographically.
-
-    A partial word is extended only while its current evaluation can
-    still reach p within the remaining letter budget, so the search
-    touches no dead branches.
+    p, sorted by length then lexicographically: hecke_search over one
+    factor that takes any letter.
 
     >>> enumerate_hecke_words((1, 2), 0)
     [()]
@@ -390,28 +473,10 @@ def enumerate_hecke_words(
     >>> enumerate_hecke_words((3, 2, 1), 3)
     [(1, 2, 1), (2, 1, 2)]
     """
-    check_permutation(p)
-    n = len(p) - 1
-    dist = hecke_distance(p)
-    out: list[tuple[int, ...]] = []
-    ident = identity(len(p))
-
-    def extend(word: list[int], current: tuple[int, ...]) -> None:
-        if current == p:
-            out.append(tuple(word))
-        remaining = max_len - len(word)
-        if remaining == 0:
-            return
-        for i in range(1, n + 1):
-            nxt = hecke_apply_right(current, i)
-            if dist.get(nxt, max_len + 1) <= remaining - 1:
-                word.append(i)
-                extend(word, nxt)
-                word.pop()
-
-    if dist.get(ident, max_len + 1) <= max_len:
-        extend([], ident)
-    return sorted(out, key=lambda w: (len(w), w))
+    letters = [(i, i, max_len) for i in range(1, len(p))]
+    spec = FactorSpec(lambda prev, below: letters, max_len)
+    words = (word for (word,) in hecke_search(p, [spec], "right", max_len))
+    return sorted(words, key=lambda w: (len(w), w))
 
 
 def perm_to_str(p: tuple[int, ...]) -> str:

@@ -23,7 +23,12 @@ import operator
 import re
 from typing import Iterable, NamedTuple
 
-from .permutations import check_permutation, hecke_apply, hecke_distance
+from .permutations import (
+    FactorSpec,
+    check_permutation,
+    eval_hecke_word_ltr,
+    hecke_search,
+)
 from .polynomials import Polynomial, constant, set_y_equal_x
 
 __all__ = [
@@ -387,10 +392,7 @@ def is_hecke_tableau(T: Tableau, w: tuple[int, ...]) -> bool:
         and _single_values(T, itertools.repeat(n))
     ):
         return False
-    u = tuple(range(1, n + 2))
-    for a in reading_word(T):
-        u = hecke_apply(u, a)
-    return u == w
+    return eval_hecke_word_ltr(reading_word(T), n) == w
 
 
 def _tableau_key(T: Tableau):
@@ -406,58 +408,33 @@ def enumerate_hecke_tableaux(
 ) -> list[Tableau]:
     """
     All Hecke tableaux for w with at most max_boxes boxes (default: the
-    full n x n box).  Filled bottom row first in reading order so the
-    running evaluation prunes against a distance table.
+    full n x n box).  A hecke_search over n rows, bottom row first in
+    reading order: a letter is a (column, value) box, bounded by the box
+    to its left and the box below it, and a row holds at least as many
+    boxes as the row below, so the empty rows come first.  A negative
+    max_boxes raises ValueError.
 
     >>> [outer_shape(T) for T in enumerate_hecke_tableaux((3, 1, 2, 5, 4))]
     [(2, 1), (3,), (3, 1)]
     >>> enumerate_hecke_tableaux((1, 2))
     [Tableau(rows=(), inner=())]
     """
-    check_permutation(w)
     n = len(w) - 1
     cap = n * n if max_boxes is None else min(max_boxes, n * n)
-    dist = hecke_distance(w, "left")
-    identity = tuple(range(1, n + 2))
-    far = cap + 1
-    out: list[Tableau] = []
 
-    shapes = [
-        s
-        for total in range(cap + 1)
-        for s in partitions_of(total, n)
-        if len(s) <= n
-    ]
+    def candidates(prev, below):
+        col, lo = (0, 1) if prev is None else (prev[0] + 1, prev[1] + 1)
+        hi = below[col][1] if col < len(below) else n + 1
+        return [((col, v), v, n - v) for v in range(lo, hi)]
 
-    def fill_rows(shape, r, done, u, left_boxes):
-        # done holds the rows below row r, bottom row last
-        if r < 0:
-            if u == w:
-                out.append(Tableau(tuple(done)))
-            return
-        lower = done[0] if done else ()
-
-        def extend(row, c, u2):
-            if dist.get(u2, far) > left_boxes - c:
-                return
-            if c == shape[r]:
-                fill_rows(
-                    shape, r - 1, [tuple(row)] + done, u2,
-                    left_boxes - shape[r],
-                )
-                return
-            lo = row[-1][0].value + 1 if row else 1
-            for v in range(lo, n + 1):
-                if c < len(lower) and v >= lower[c][0].value:
-                    break
-                extend(row + [(Entry(v),)], c + 1, hecke_apply(u2, v))
-
-        extend([], 0, u)
-
-    for shape in shapes:
-        fill_rows(shape, len(shape) - 1, [], identity, sum(shape))
-
-    return sorted(out, key=_tableau_key)
+    found = hecke_search(w, [FactorSpec(candidates, n, len)] * n, "left", cap)
+    tableaux = (
+        Tableau(
+            tuple(tuple((Entry(v),) for _, v in row) for row in rows[::-1] if row)
+        )
+        for rows in found
+    )
+    return sorted(tableaux, key=_tableau_key)
 
 
 # ---------------------------------------------------------------------------

@@ -417,6 +417,33 @@ def test_letter_budget_is_respected():
         assert f.letter_count() <= 5
 
 
+def test_negative_bounds_and_counts_raise():
+    w = (1, 2)
+    with_budget = [
+        lambda b: enumerate_bounded_plain(w, b),
+        lambda b: enumerate_circled_bounded(w, b),
+        lambda b: enumerate_double_bounded(w, b),
+        lambda b: enumerate_double_unbounded(w, 1, b),
+        lambda b: enumerate_plain_unbounded(w, 1, b),
+        lambda b: enumerate_hook(w, 1, b),
+    ]
+    for enumerate_kind in with_budget:
+        assert len(enumerate_kind(0)) == 1
+        with pytest.raises(ValueError):
+            enumerate_kind(-1)
+    assert enumerate_double_unbounded(w, 0, 3) == [
+        Factorization("double_unbounded", (), 1, split=0)
+    ]
+    assert enumerate_plain_unbounded(w, 0, 3) == [Factorization("plain", (), 1)]
+    assert enumerate_hook(w, 0, 0) == [Factorization("hook", (), 1)]
+    with pytest.raises(ValueError):
+        enumerate_double_unbounded(w, -1, 3)
+    with pytest.raises(ValueError):
+        enumerate_plain_unbounded(w, -2, 3)
+    with pytest.raises(ValueError):
+        enumerate_hook(w, -1, 0)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from grothpoly.permutations import (
+    FactorSpec,
     all_permutations,
     bruhat_leq,
     demazure_product,
@@ -14,6 +15,7 @@ from grothpoly.permutations import (
     hecke_apply_right,
     hecke_distance,
     hecke_equivalent,
+    hecke_search,
     identity,
     inverse,
     inversions,
@@ -155,6 +157,53 @@ def test_enumerate_hecke_words_against_brute_force(size, max_len):
         assert enumerate_hecke_words(p, max_len) == sorted(
             brute_force_words(p, max_len), key=lambda w: (len(w), w)
         )
+
+
+def test_enumerate_hecke_words_rejects_negative_length():
+    with pytest.raises(ValueError):
+        enumerate_hecke_words((1, 2), -1)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_hecke_search_matches_brute_force(side):
+    # two strictly increasing factors: the second holds at least as many
+    # letters as the first and does not start with its first letter
+    n = 3
+
+    def candidates(prev, below):
+        lo = 1 if prev is None else prev + 1
+        return [
+            (i, i, n - i)
+            for i in range(lo, n + 1)
+            if prev is not None or below[:1] != (i,)
+        ]
+
+    spec = FactorSpec(candidates, n, len)
+    words = [
+        w
+        for k in range(n + 1)
+        for w in product(range(1, n + 1), repeat=k)
+        if list(w) == sorted(set(w))
+    ]
+    evaluate = eval_hecke_word if side == "right" else eval_hecke_word_ltr
+    for target in all_permutations(n + 1):
+        for budget in (None, 0, 1, 2, 3, 4, 5):
+            expected = sorted(
+                (a, b)
+                for a in words
+                for b in words
+                if len(a) + len(b) <= (2 * n if budget is None else budget)
+                and len(b) >= len(a)
+                and not (a and b and a[0] == b[0])
+                and evaluate(a + b, n) == target
+            )
+            found = hecke_search(target, [spec, spec], side, budget)
+            assert sorted(found) == expected, (target, budget)
+            assert len(set(found)) == len(found)
+    assert hecke_search((1, 2), [], side) == [()]
+    assert hecke_search((2, 1), [], side) == []
+    with pytest.raises(ValueError):
+        hecke_search((1, 2), [spec], side, -1)
 
 
 def action_graph_distances(size, side):

@@ -236,9 +236,21 @@ def test_enumerate_hecke_tableaux_respects_cap():
 
 
 def test_enumerated_hecke_tableaux_validate():
-    for w in all_permutations(4):
-        for T in enumerate_hecke_tableaux(w):
+    # S_5 reaches a fourth row, where a row is bounded by the one below
+    for w in all_permutations(4) + all_permutations(5):
+        found = enumerate_hecke_tableaux(w)
+        assert len(set(found)) == len(found), w
+        for T in found:
             assert is_hecke_tableau(T, w)
+            shape = outer_shape(T)
+            assert all(a >= b > 0 for a, b in zip(shape, shape[1:] + (1,)))
+
+
+def test_enumerate_hecke_tableaux_rejects_negative_bound():
+    assert enumerate_hecke_tableaux((2, 1), max_boxes=0) == []
+    assert enumerate_hecke_tableaux((1, 2), max_boxes=0) == [Tableau(())]
+    with pytest.raises(ValueError):
+        enumerate_hecke_tableaux((1, 2), max_boxes=-1)
 
 
 def test_hecke_validator_accepts_exactly_the_enumerated_tableaux():
