@@ -12,7 +12,6 @@ from .factorizations import (
     factorization_to_str,
     is_valid_factorization,
 )
-from .permutations import eval_hecke_word
 
 __all__ = [
     "WQuadruple",
@@ -68,7 +67,9 @@ def check_quadruple(q: WQuadruple) -> None:
 #   (k in b, K in b, K in c, k in c)
 # to
 #   (K joins a, k stays in b, k stays in c, K joins d).
-# Keys without any K are absent: they are fixed outright.
+# Keys without any K are absent: they are fixed outright, and that
+# absence is the whole test, since K occurs in the blocks exactly when
+# it lies in the support of their Hecke evaluation.
 LADDER_TABLE = {
     (True, True, True, True): (True, True, True, True),
     (True, True, False, True): (True, True, False, True),
@@ -87,23 +88,6 @@ LADDER_TABLE = {
 _TABLE_INVERSE = {after: before for before, after in LADDER_TABLE.items()}
 
 
-def _letters_in_reduced_words(perm: tuple[int, ...]) -> set[int]:
-    """Indices j with the j-th adjacent swap below perm in Bruhat order:
-    exactly the letters that can appear in a Hecke word for perm."""
-    seen: set[int] = set()
-    out = set()
-    for j, v in enumerate(perm[:-1], start=1):
-        seen.add(v)
-        if seen != set(range(1, j + 1)):
-            out.add(j)
-    return out
-
-
-def _quadruple_perm(q: WQuadruple) -> tuple[int, ...]:
-    word = q.a + q.b + q.c + q.d
-    return eval_hecke_word(word, max(word, default=1))
-
-
 def wk_step_down(q: WQuadruple) -> WQuadruple:
     """Lower the threshold by one, migrating letters K = k+1 outward.
 
@@ -114,9 +98,9 @@ def wk_step_down(q: WQuadruple) -> WQuadruple:
     if q.k < 1:
         raise ValueError("already at threshold 0")
     K, k = q.k, q.k - 1
-    if K not in _letters_in_reduced_words(_quadruple_perm(q)):
-        return q._replace(k=k)
     key = (k in q.b, K in q.b, K in q.c, k in q.c)
+    if key not in LADDER_TABLE:
+        return q._replace(k=k)
     to_a, b_keeps_k, c_keeps_k, to_d = LADDER_TABLE[key]
     b = tuple(x for x in q.b if x not in (k, K))
     c = tuple(x for x in q.c if x not in (k, K))
@@ -137,14 +121,14 @@ def wk_step_up(q: WQuadruple) -> WQuadruple:
     """
     check_quadruple(q)
     K, k = q.k + 1, q.k
-    if K not in _letters_in_reduced_words(_quadruple_perm(q)):
-        return q._replace(k=K)
     key = (
         bool(q.a) and q.a[-1] == K,
         k in q.b,
         k in q.c,
         bool(q.d) and q.d[0] == K,
     )
+    if key not in _TABLE_INVERSE:
+        return q._replace(k=K)
     b_had_k, b_had_K, c_had_K, c_had_k = _TABLE_INVERSE[key]
     b = tuple(x for x in q.b if x != k)
     c = tuple(x for x in q.c if x != k)

@@ -52,8 +52,10 @@ from .polynomials import (
     pretty,
     restrict_variables,
     set_y_equal_x,
+    swap_x,
     to_json,
     truncate_degree,
+    x_var,
 )
 from .stable import (
     TruncationSpec,
@@ -278,6 +280,16 @@ def suite_relations(b: argparse.Namespace) -> list[Check]:
                 for i in range(1, m - 1)
                 if op(i, op(i + 1, op(i, p)))
                 != op(i + 1, op(i, op(i + 1, p)))
+            ),
+        ),
+        _check(
+            "delta_divides_the_swap_difference",
+            (
+                f"i={i} on {pretty(p)}"
+                for p in polys
+                for i in range(1, m)
+                if (x_var(i, m) - x_var(i + 1, m)) * delta(i, p)
+                != p - swap_x(p, i)
             ),
         ),
     ]

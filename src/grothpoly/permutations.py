@@ -508,7 +508,8 @@ def word_to_str(word: tuple[int, ...], n: int) -> str:
 
 def word_from_str(text: str) -> tuple[int, ...]:
     """
-    Parse a word either as a digit string or comma separated.
+    Parse a word either as a digit string or comma separated; a letter
+    below 1 names no generator and raises ValueError.
 
     >>> word_from_str("3232")
     (3, 2, 3, 2)
@@ -517,6 +518,7 @@ def word_from_str(text: str) -> tuple[int, ...]:
     """
     if not text:
         return ()
-    if "," in text:
-        return tuple(int(tok) for tok in text.split(","))
-    return tuple(int(ch) for ch in text)
+    word = tuple(int(tok) for tok in (text.split(",") if "," in text else text))
+    if any(i < 1 for i in word):
+        raise ValueError(f"letters must be positive: {text!r}")
+    return word

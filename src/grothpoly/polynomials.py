@@ -448,7 +448,9 @@ def to_json(p: Polynomial) -> dict:
 
 def from_json(data: dict) -> Polynomial:
     """
-    Inverse of to_json.
+    Inverse of to_json; a coefficient that is not an int (a bool is
+    not), or an exponent that is not a nonnegative int, raises
+    ValueError.
 
     >>> q = x_var(1, 2) * y_var(2, 2) - 2
     >>> from_json(to_json(q)) == q
@@ -457,8 +459,12 @@ def from_json(data: dict) -> Polynomial:
     m = data["m"]
     terms: dict[Key, int] = {}
     for t in data["terms"]:
-        key = (tuple(t["x"]), tuple(t["y"]))
+        c, key = t["c"], (tuple(t["x"]), tuple(t["y"]))
         if len(key[0]) != m or len(key[1]) != m:
             raise ValueError("exponent vector length mismatch")
-        terms[key] = terms.get(key, 0) + t["c"]
+        if type(c) is not int:
+            raise ValueError(f"coefficient must be an int: {c!r}")
+        if any(type(e) is not int or e < 0 for e in key[0] + key[1]):
+            raise ValueError(f"exponents must be nonnegative ints: {key!r}")
+        terms[key] = terms.get(key, 0) + c
     return Polynomial(m, terms)

@@ -874,12 +874,16 @@ def _entry_from_json(s) -> Entry:
 
 def tableau_from_json(data: dict) -> Tableau:
     """Inverse of tableau_to_json; an entry other than a positive
-    integer with at most one prime, such as "12'", raises ValueError."""
+    integer with at most one prime, such as "12'", raises ValueError,
+    and so does an "outer" field that is not the loaded outer shape."""
     rows = tuple(
         tuple(tuple(_entry_from_json(s) for s in box) for box in row)
         for row in data["boxes"]
     )
-    return Tableau(rows, tuple(data.get("inner", ())))
+    T = Tableau(rows, tuple(data.get("inner", ())))
+    if "outer" in data and tuple(data["outer"]) != outer_shape(T):
+        raise ValueError(f"outer shape {data['outer']!r} does not match the boxes")
+    return T
 
 
 def pretty_tableau(T: Tableau) -> str:

@@ -27,7 +27,7 @@ from grothpoly.factorizations import (
     parse_factorization,
     weight,
 )
-from grothpoly.permutations import eval_hecke_word
+from grothpoly.permutations import eval_hecke_word, support
 
 
 def test_rewrite_table_covers_exactly_the_patterns_with_a_threshold_letter():
@@ -85,6 +85,29 @@ def increasing_subsets(top):
     return [
         c for r in range(top + 1) for c in combinations(range(1, top + 1), r)
     ]
+
+
+def every_quadruple(top):
+    """Every valid quadruple with letters <= top, at every threshold."""
+    for k in range(top + 1):
+        inner = increasing_subsets(k)
+        outer = [tuple(x + k for x in s) for s in increasing_subsets(top - k)]
+        for a, b, c, d in product(outer, inner, inner, outer):
+            yield WQuadruple(a[::-1], b, c[::-1], d, k)
+
+
+def test_ladder_step_is_fixed_exactly_when_the_threshold_letter_is_outside_the_support():
+    steps = 0
+    for q in every_quadruple(5):
+        sup = support(eval_hecke_word(q.a + q.b + q.c + q.d, 5))
+        if q.k:
+            steps += 1
+            fixed = wk_step_down(q) == q._replace(k=q.k - 1)
+            assert fixed == (q.k not in sup), q
+        steps += 1
+        fixed = wk_step_up(q) == q._replace(k=q.k + 1)
+        assert fixed == (q.k + 1 not in sup), q
+    assert steps == 11264
 
 
 def test_descent_preserves_lengths_and_permutation_at_every_rung():

@@ -6,7 +6,7 @@ import pytest
 
 from grothpoly import cli
 from grothpoly.grothendieck import grothendieck_double
-from grothpoly.polynomials import from_json
+from grothpoly.polynomials import Polynomial, from_json
 
 
 def run(capsys, *argv):
@@ -122,6 +122,13 @@ def test_verify_failure_exits_three(capsys, monkeypatch):
     assert out == "FAIL tabtopi.rigged: w=(2, 1)\n"
 
 
+def test_relations_suite_catches_the_zero_delta(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "delta", lambda i, f: Polynomial(f.m, {}))
+    code, out, _ = run(capsys, "verify", "relations")
+    assert code == 3
+    assert "FAIL relations.delta_divides_the_swap_difference" in out
+
+
 def test_verify_suite_flag_and_positional_must_agree(capsys):
     code, _, err = run(capsys, "verify", "qp", "--suite", "cauchy")
     assert code == 2
@@ -160,6 +167,7 @@ VERIFY_ALL_CHECKS = """
     relations.pi_squared_is_minus_pi
     relations.operators_commute_far_apart
     relations.operators_satisfy_the_braid_relation
+    relations.delta_divides_the_swap_difference
     cauchy.single_equals_bounded_plain_series
     cauchy.double_equals_circled_series
     cauchy.double_equals_split_series

@@ -317,6 +317,12 @@ def test_serialization_round_trip():
         perm_from_str("zap")
 
 
+def test_word_from_str_rejects_letters_below_one():
+    for bad in ("0", "102", "-1,2", "3,0", "2,-4"):
+        with pytest.raises(ValueError):
+            word_from_str(bad)
+
+
 def test_identity_and_inverse():
     assert identity(4) == (1, 2, 3, 4)
     for p in all_permutations(4):

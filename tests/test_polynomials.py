@@ -182,6 +182,21 @@ def test_json_round_trip():
     assert json.dumps(to_json(p)) == json.dumps(to_json(constant(4, 2) + y_var(1, 2) + x_var(1, 2)))
 
 
+def test_json_rejects_non_integer_coefficients_and_bad_exponents():
+    for term in (
+        {"c": 1.5, "x": [1], "y": [0]},
+        {"c": True, "x": [1], "y": [0]},
+        {"c": "2", "x": [1], "y": [0]},
+        {"c": 1, "x": [-1], "y": [0]},
+        {"c": 1, "x": [0], "y": [-2]},
+        {"c": 1, "x": [1.0], "y": [0]},
+        {"c": 1, "x": [0], "y": [False]},
+    ):
+        with pytest.raises(ValueError):
+            from_json({"m": 1, "terms": [term]})
+    assert from_json({"m": 1, "terms": [{"c": -2, "x": [1], "y": [0]}]}) == -2 * x_var(1, 1)
+
+
 def test_zero_terms_never_stored():
     p = x_var(1, 2) - x_var(1, 2)
     assert p.terms == {}

@@ -659,6 +659,18 @@ def test_tableau_json_round_trip_property(T):
     assert tableau_from_json(json.loads(json.dumps(tableau_to_json(T)))) == T
 
 
+def test_tableau_from_json_rejects_an_outer_shape_that_is_not_the_boxes():
+    one_box = {"inner": [], "boxes": [[["1"]]]}
+    for outer in ([5, 5], [2], [1, 1], []):
+        with pytest.raises(ValueError):
+            tableau_from_json({"outer": outer, **one_box})
+    assert tableau_from_json({"outer": [1], **one_box}) == tableau_from_json(one_box)
+    data = tableau_to_json(OFT_EXAMPLE)
+    data["outer"] = [6, 6, 5, 5]
+    with pytest.raises(ValueError):
+        tableau_from_json(data)
+
+
 def test_tableau_json_shape_fields():
     data = tableau_to_json(OFT_EXAMPLE)
     assert data["outer"] == [6, 6, 5, 4]
