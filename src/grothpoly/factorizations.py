@@ -20,6 +20,7 @@ evaluate leftmost first.
 (4, 1, 3, 2)
 """
 
+from collections import Counter
 from dataclasses import dataclass
 import re
 from typing import NamedTuple
@@ -38,7 +39,6 @@ from .polynomials import (
     Polynomial,
     constant,
     exchange_families,
-    monomial,
     poly_sum,
 )
 
@@ -397,7 +397,11 @@ def genfun(factorizations, m: int | None = None) -> Polynomial:
         raise ValueError(f"mixed kinds {sorted(kinds)}")
     first_x, first_y = weight(items[0])
     width = m or max(len(first_x), len(first_y))
-    return poly_sum(width, (monomial(width, *weight(f)) for f in items))
+
+    def pad(e):
+        return e + (0,) * (width - len(e))
+
+    return Polynomial(width, Counter((pad(x), pad(y)) for x, y in map(weight, items)))
 
 
 def enumerate_X(w: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

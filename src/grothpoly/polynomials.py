@@ -16,6 +16,8 @@ x exponents of each term and carry the y part along untouched.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import add
 from typing import Iterable
 
 __all__ = [
@@ -49,16 +51,28 @@ class Polynomial:
     """
     Immutable-by-convention sparse polynomial with a fixed family size m.
 
-    terms maps (x_exponents, y_exponents) to a nonzero integer; both
-    exponent tuples always have length m.  Mixing different m in
-    arithmetic is an error rather than an implicit promotion.
+    terms maps (x_exponents, y_exponents) to a nonzero int.  The
+    constructor raises ValueError unless m is an int >= 0, each key is a
+    pair of length-m tuples of nonnegative ints and each coefficient an
+    int, not a bool.  Mixing family sizes in arithmetic is an error.
     """
 
     __slots__ = ("m", "terms")
 
     def __init__(self, m: int, terms: dict[Key, int] | None = None):
+        if type(m) is not int or m < 0:
+            raise ValueError(f"family size must be an int >= 0: {m!r}")
+        terms = terms or {}
+        for key, c in terms.items():
+            if not (
+                type(c) is int
+                and type(key) is tuple and len(key) == 2
+                and all(type(e) is tuple and len(e) == m for e in key)
+                and all(type(a) is int and a >= 0 for a in key[0] + key[1])
+            ):
+                raise ValueError(f"bad term for family size {m}: {key!r}: {c!r}")
         self.m = m
-        self.terms = {k: c for k, c in (terms or {}).items() if c != 0}
+        self.terms = {k: c for k, c in terms.items() if c}
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -84,7 +98,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.m, {k: -c for k, c in self.terms.items()})
+        return _tally(self.m, ((k, -c) for k, c in self.terms.items()))
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-_coerce(self.m, other))
@@ -94,19 +108,14 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):
-            return Polynomial(
-                self.m, {k: c * other for k, c in self.terms.items()}
-            )
+            return _tally(self.m, ((k, c * other) for k, c in self.terms.items()))
         other = _coerce(self.m, other)
-        out: dict[Key, int] = {}
-        for (xa, ya), ca in self.terms.items():
-            for (xb, yb), cb in other.terms.items():
-                key = (
-                    tuple(a + b for a, b in zip(xa, xb)),
-                    tuple(a + b for a, b in zip(ya, yb)),
-                )
-                out[key] = out.get(key, 0) + ca * cb
-        return Polynomial(self.m, out)
+        products = (
+            ((tuple(map(add, xa, xb)), tuple(map(add, ya, yb))), ca * cb)
+            for (xa, ya), ca in self.terms.items()
+            for (xb, yb), cb in other.terms.items()
+        )
+        return _tally(self.m, products)
 
     __rmul__ = __mul__
 
@@ -126,10 +135,20 @@ class Polynomial:
         return pretty(self)
 
 
+def _tally(m: int, pairs: Iterable[tuple[Key, int]]) -> Polynomial:
+    """Sum the (key, coefficient) pairs into a polynomial, zeros dropped.
+    Unchecked: only for results of arithmetic on checked polynomials."""
+    out: dict[Key, int] = {}
+    for key, c in pairs:
+        out[key] = out.get(key, 0) + c
+    p = Polynomial.__new__(Polynomial)
+    p.m, p.terms = m, {k: c for k, c in out.items() if c}
+    return p
+
+
 def constant(c: int, m: int) -> Polynomial:
     """The constant polynomial c in family size m."""
-    zero = (0,) * m
-    return Polynomial(m, {(zero, zero): c})
+    return _tally(m, [(((0,) * m, (0,) * m), c)])
 
 
 def monomial(
@@ -146,8 +165,6 @@ def monomial(
     """
     xe = tuple(x_exps) + (0,) * (m - len(x_exps))
     ye = tuple(y_exps) + (0,) * (m - len(y_exps))
-    if len(xe) != m or len(ye) != m or min(xe + ye, default=0) < 0:
-        raise ValueError("bad exponent vectors")
     return Polynomial(m, {(xe, ye): c})
 
 
@@ -161,12 +178,7 @@ def poly_sum(m: int, polys: Iterable[Polynomial]) -> Polynomial:
     >>> poly_sum(3, []) == constant(0, 3)
     True
     """
-    it = iter(polys)
-    out = dict(_coerce(m, next(it, 0)).terms)
-    for p in it:
-        for k, c in _coerce(m, p).terms.items():
-            out[k] = out.get(k, 0) + c
-    return Polynomial(m, out)
+    return _tally(m, chain.from_iterable(_coerce(m, p).terms.items() for p in polys))
 
 
 def _coerce(m: int, other) -> Polynomial:
@@ -205,13 +217,11 @@ def swap_x(p: Polynomial, i: int) -> Polynomial:
     """
     if not 1 <= i <= p.m - 1:
         raise ValueError(f"swap index {i} out of range 1..{p.m - 1}")
-    out: dict[Key, int] = {}
-    for (xe, ye), c in p.terms.items():
-        xs = list(xe)
-        xs[i - 1], xs[i] = xs[i], xs[i - 1]
-        key = (tuple(xs), ye)
-        out[key] = out.get(key, 0) + c
-    return Polynomial(p.m, out)
+    swapped = (
+        ((xe[: i - 1] + (xe[i], xe[i - 1]) + xe[i + 1 :], ye), c)
+        for (xe, ye), c in p.terms.items()
+    )
+    return _tally(p.m, swapped)
 
 
 def delta(i: int, f: Polynomial) -> Polynomial:
@@ -232,19 +242,13 @@ def delta(i: int, f: Polynomial) -> Polynomial:
     """
     if not 1 <= i <= f.m - 1:
         raise ValueError(f"operator index {i} out of range 1..{f.m - 1}")
-    out: dict[Key, int] = {}
-    for (xe, ye), c in f.terms.items():
-        p, q = xe[i - 1], xe[i]
-        if p == q:
-            continue
-        sign = 1 if p > q else -1
-        lo, hi = min(p, q), max(p, q)
-        for t in range(lo, hi):
-            xs = list(xe)
-            xs[i - 1], xs[i] = t, p + q - 1 - t
-            key = (tuple(xs), ye)
-            out[key] = out.get(key, 0) + sign * c
-    return Polynomial(f.m, out)
+    quotients = (
+        ((xe[: i - 1] + (t, p + q - 1 - t) + xe[i + 1 :], ye), c if p > q else -c)
+        for (xe, ye), c in f.terms.items()
+        for p, q in [xe[i - 1 : i + 1]]
+        for t in range(min(p, q), max(p, q))
+    )
+    return _tally(f.m, quotients)
 
 
 def pi(i: int, f: Polynomial) -> Polynomial:
@@ -286,12 +290,8 @@ def substitute_zero(p: Polynomial, family: str, keep: int) -> Polynomial:
     if family not in ("x", "y"):
         raise ValueError("family must be 'x' or 'y'")
     slot = 0 if family == "x" else 1
-    out = {
-        key: c
-        for key, c in p.terms.items()
-        if all(e == 0 for e in key[slot][keep:])
-    }
-    return Polynomial(p.m, out)
+    kept = ((k, c) for k, c in p.terms.items() if not any(k[slot][keep:]))
+    return _tally(p.m, kept)
 
 
 def restrict_variables(p: Polynomial, m: int) -> Polynomial:
@@ -304,12 +304,12 @@ def restrict_variables(p: Polynomial, m: int) -> Polynomial:
     """
     if not 0 <= m <= p.m:
         raise ValueError(f"cannot keep {m} of {p.m} variables")
-    out = {
-        (xe[:m], ye[:m]): c
+    kept = (
+        ((xe[:m], ye[:m]), c)
         for (xe, ye), c in p.terms.items()
         if not any(xe[m:]) and not any(ye[m:])
-    }
-    return Polynomial(m, out)
+    )
+    return _tally(m, kept)
 
 
 def exchange_families(p: Polynomial) -> Polynomial:
@@ -322,7 +322,7 @@ def exchange_families(p: Polynomial) -> Polynomial:
     >>> exchange_families(exchange_families(q)) == q
     True
     """
-    return Polynomial(p.m, {(ye, xe): c for (xe, ye), c in p.terms.items()})
+    return _tally(p.m, (((ye, xe), c) for (xe, ye), c in p.terms.items()))
 
 
 def set_y_equal_x(p: Polynomial) -> Polynomial:
@@ -335,12 +335,9 @@ def set_y_equal_x(p: Polynomial) -> Polynomial:
     >>> pretty(set_y_equal_x(sp1))
     '2*x1 + x1^2'
     """
-    out: dict[Key, int] = {}
     zero = (0,) * p.m
-    for (xe, ye), c in p.terms.items():
-        key = (tuple(a + b for a, b in zip(xe, ye)), zero)
-        out[key] = out.get(key, 0) + c
-    return Polynomial(p.m, out)
+    summed = (((tuple(map(add, xe, ye)), zero), c) for (xe, ye), c in p.terms.items())
+    return _tally(p.m, summed)
 
 
 def total_degree(key: Key) -> int:
@@ -354,9 +351,8 @@ def truncate_degree(p: Polynomial, bound: int) -> Polynomial:
     >>> pretty(truncate_degree(x_var(1, 1) + x_var(1, 1) ** 2, 1))
     'x1'
     """
-    return Polynomial(
-        p.m, {k: c for k, c in p.terms.items() if total_degree(k) <= bound}
-    )
+    kept = ((k, c) for k, c in p.terms.items() if total_degree(k) <= bound)
+    return _tally(p.m, kept)
 
 
 def coefficient(
@@ -383,9 +379,8 @@ def homogeneous_component(p: Polynomial, d: int) -> Polynomial:
     >>> pretty(homogeneous_component(q, 2))
     'x1*x2'
     """
-    return Polynomial(
-        p.m, {k: c for k, c in p.terms.items() if total_degree(k) == d}
-    )
+    kept = ((k, c) for k, c in p.terms.items() if total_degree(k) == d)
+    return _tally(p.m, kept)
 
 
 def _term_sort_key(key: Key):
@@ -448,23 +443,18 @@ def to_json(p: Polynomial) -> dict:
 
 def from_json(data: dict) -> Polynomial:
     """
-    Inverse of to_json; a coefficient that is not an int (a bool is
-    not), or an exponent that is not a nonnegative int, raises
-    ValueError.
+    Inverse of to_json; repeated exponents add up.  Whatever the
+    constructor rejects raises ValueError, and so does a scalar where a
+    list belongs.
 
     >>> q = x_var(1, 2) * y_var(2, 2) - 2
     >>> from_json(to_json(q)) == q
     True
     """
-    m = data["m"]
-    terms: dict[Key, int] = {}
-    for t in data["terms"]:
-        c, key = t["c"], (tuple(t["x"]), tuple(t["y"]))
-        if len(key[0]) != m or len(key[1]) != m:
-            raise ValueError("exponent vector length mismatch")
-        if type(c) is not int:
-            raise ValueError(f"coefficient must be an int: {c!r}")
-        if any(type(e) is not int or e < 0 for e in key[0] + key[1]):
-            raise ValueError(f"exponents must be nonnegative ints: {key!r}")
-        terms[key] = terms.get(key, 0) + c
-    return Polynomial(m, terms)
+    m, terms = data["m"], data["terms"]
+    if not isinstance(terms, list) or not all(
+        isinstance(t, dict) and all(isinstance(t[v], list) for v in "xy") for t in terms
+    ):
+        raise ValueError(f"terms must be a list of terms with list x and y: {terms!r}")
+    ones = [Polynomial(m, {(tuple(t["x"]), tuple(t["y"])): t["c"]}) for t in terms]
+    return poly_sum(m, [Polynomial(m), *ones])  # checks m even with no terms

@@ -872,16 +872,29 @@ def _entry_from_json(s) -> Entry:
     return Entry(int(match[1]), bool(match[2]))
 
 
+def _json_list(value) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list: {value!r}")
+    return value
+
+
 def tableau_from_json(data: dict) -> Tableau:
     """Inverse of tableau_to_json; an entry other than a positive
     integer with at most one prime, such as "12'", raises ValueError,
-    and so does an "outer" field that is not the loaded outer shape."""
+    and so do a scalar where a list belongs, a loaded shape that is no
+    skew shape and an "outer" field that is not the loaded outer shape."""
     rows = tuple(
-        tuple(tuple(_entry_from_json(s) for s in box) for box in row)
-        for row in data["boxes"]
+        tuple(
+            tuple(_entry_from_json(s) for s in _json_list(box))
+            for box in _json_list(row)
+        )
+        for row in _json_list(data["boxes"])
     )
-    T = Tableau(rows, tuple(data.get("inner", ())))
-    if "outer" in data and tuple(data["outer"]) != outer_shape(T):
+    T = Tableau(rows, tuple(_json_list(data.get("inner", []))))
+    if any(type(a) is not int for a in T.inner) or not _shape_ok(T):
+        lengths = [len(row) for row in rows]
+        raise ValueError(f"no skew shape: inner {T.inner!r}, row lengths {lengths}")
+    if "outer" in data and tuple(_json_list(data["outer"])) != outer_shape(T):
         raise ValueError(f"outer shape {data['outer']!r} does not match the boxes")
     return T
 

@@ -33,7 +33,7 @@ from grothpoly.permutations import (
     demazure_product,
     eval_hecke_word,
 )
-from grothpoly.polynomials import pretty
+from grothpoly.polynomials import monomial, poly_sum, pretty
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +302,18 @@ def test_genfun_rejects_mixed_kinds():
     with pytest.raises(ValueError):
         genfun([a, b])
     assert pretty(genfun([], m=2)) == "0"
+
+
+def test_genfun_pads_weights_to_the_width_and_rejects_a_narrower_one():
+    for family, width in (
+        (enumerate_bounded_plain((2, 1)), 4),
+        (enumerate_circled_bounded((2, 3, 1)), 5),
+    ):
+        expected = poly_sum(width, (monomial(width, *weight(f)) for f in family))
+        assert genfun(family, width) == expected
+        assert genfun(family, width).m == width
+    with pytest.raises(ValueError):
+        genfun(enumerate_bounded_plain((2, 1)), 1)
 
 
 def test_parse_rejects_stray_characters():

@@ -12,6 +12,7 @@ from grothpoly.polynomials import (
     coefficient,
     constant,
     delta,
+    exchange_families,
     from_json,
     homogeneous_component,
     monomial,
@@ -19,6 +20,7 @@ from grothpoly.polynomials import (
     pi_word,
     poly_sum,
     pretty,
+    restrict_variables,
     set_y_equal_x,
     substitute_zero,
     swap_x,
@@ -194,7 +196,28 @@ def test_json_rejects_non_integer_coefficients_and_bad_exponents():
     ):
         with pytest.raises(ValueError):
             from_json({"m": 1, "terms": [term]})
+    for data in (
+        {"m": 1, "terms": [{"c": 1, "x": 1, "y": [0]}]},
+        {"m": 1, "terms": 5},
+        {"m": "2", "terms": []},
+        {"m": -1, "terms": []},
+    ):
+        with pytest.raises(ValueError):
+            from_json(data)
     assert from_json({"m": 1, "terms": [{"c": -2, "x": [1], "y": [0]}]}) == -2 * x_var(1, 1)
+
+
+def test_constructor_rejects_malformed_terms():
+    for m, terms in (
+        (2, {((1,), (0, 0)): 1}),
+        (2, {((1, -1), (0, 0)): 1}),
+        (2, {((1, 0), (0, 0)): 1.5}),
+        (2, {((1, 0), (0, 0)): True}),
+        ("2", {}),
+    ):
+        with pytest.raises(ValueError):
+            Polynomial(m, terms)
+    assert Polynomial(2, {((1, 0), (0, 2)): -3}) == -3 * x_var(1, 2) * y_var(2, 2) ** 2
 
 
 def test_zero_terms_never_stored():
@@ -230,3 +253,31 @@ def test_poly_sum_is_the_fold_of_plus(ps):
 @given(polynomials(3))
 def test_json_round_trip_property(p):
     assert from_json(json.loads(json.dumps(to_json(p)))) == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials(), polynomials(), st.integers(-3, 3), st.integers(0, 3))
+def test_arithmetic_builds_only_well_formed_polynomials(p, q, k, d):
+    results = [
+        p + q,
+        p - q,
+        p * q,
+        p * k,
+        k * p,
+        p**d,
+        -p,
+        poly_sum(2, [p, q, -p]),
+        swap_x(p, 1),
+        delta(1, p),
+        pi(1, p),
+        set_y_equal_x(p),
+        exchange_families(p),
+        restrict_variables(p, 1),
+        substitute_zero(p, "x", 1),
+        substitute_zero(p, "y", 0),
+        truncate_degree(p, d),
+        homogeneous_component(p, d),
+    ]
+    for r in results:
+        assert Polynomial(r.m, dict(r.terms)) == r
+        assert 0 not in r.terms.values()

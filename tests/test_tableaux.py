@@ -671,6 +671,26 @@ def test_tableau_from_json_rejects_an_outer_shape_that_is_not_the_boxes():
         tableau_from_json(data)
 
 
+def test_tableau_from_json_rejects_what_is_no_skew_shape():
+    one_box = [[["1"]]]
+    for data in (
+        {"boxes": one_box, "inner": [-1]},
+        {"boxes": one_box, "inner": [0, 3]},
+        {"boxes": [[["1"]], [["2"], ["3"]]]},
+        {"boxes": [[["1"]], [["2"]]], "inner": [0, 1]},
+        {"boxes": one_box, "inner": ["1"]},
+        {"boxes": one_box, "inner": 5},
+        {"boxes": 5},
+        {"boxes": [5]},
+        {"boxes": [[5]]},
+        {"boxes": one_box, "outer": 1},
+    ):
+        with pytest.raises(ValueError):
+            tableau_from_json(data)
+    assert tableau_from_json({"boxes": one_box, "inner": [0, 0]}).inner == (0, 0)
+    assert tableau_from_json({"boxes": [[], [["1"]]], "inner": [1, 0]}).inner == (1, 0)
+
+
 def test_tableau_json_shape_fields():
     data = tableau_to_json(OFT_EXAMPLE)
     assert data["outer"] == [6, 6, 5, 4]
