@@ -4,6 +4,7 @@ two-sided bounded factorizations."""
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .factorizations import (
@@ -141,6 +142,30 @@ def wk_step_up(q: WQuadruple) -> WQuadruple:
     )
 
 
+# A ride depends only on its two blocks, and the rewrites repeat a few
+# hundred pairs thousands of times: every pair of subsets of {1..6} fits.
+# A pair that fails check_quadruple raises, and a raise is never cached.
+_RIDE_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_RIDE_CACHE_SIZE)
+def _ride_down(b: tuple[int, ...], c: tuple[int, ...]):
+    q = WQuadruple((), b, c, (), max((*b, *c), default=0))
+    check_quadruple(q)
+    for _ in range(q.k):
+        q = wk_step_down(q)
+    return q.a, q.d
+
+
+@lru_cache(maxsize=_RIDE_CACHE_SIZE)
+def _ride_up(a: tuple[int, ...], d: tuple[int, ...]):
+    q = WQuadruple(a, (), (), d, 0)
+    check_quadruple(q)
+    for _ in range(max((*a, *d), default=0)):
+        q = wk_step_up(q)
+    return q.b, q.c
+
+
 def arrow_down(pair) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Ride the ladder from the top threshold to 0, turning an
     (increasing, decreasing) pair into a (decreasing, increasing) one
@@ -150,11 +175,7 @@ def arrow_down(pair) -> tuple[tuple[int, ...], tuple[int, ...]]:
     ((8, 6, 5, 3), (1, 2, 3, 5, 6, 7))
     """
     b, c = pair
-    q = WQuadruple((), tuple(b), tuple(c), (), max((*b, *c), default=0))
-    check_quadruple(q)
-    for _ in range(q.k):
-        q = wk_step_down(q)
-    return q.a, q.d
+    return _ride_down(tuple(b), tuple(c))
 
 
 def arrow_up(pair) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -165,11 +186,7 @@ def arrow_up(pair) -> tuple[tuple[int, ...], tuple[int, ...]]:
     ((4, 5, 7, 8, 9), (9, 8, 6, 5))
     """
     a, d = pair
-    q = WQuadruple(tuple(a), (), (), tuple(d), 0)
-    check_quadruple(q)
-    for _ in range(max((*a, *d), default=0)):
-        q = wk_step_up(q)
-    return q.b, q.c
+    return _ride_up(tuple(a), tuple(d))
 
 
 def _check_moving_pair(j, factor, extra, circled_cap, extra_floor) -> None:

@@ -292,6 +292,15 @@ def suite_relations(b: argparse.Namespace) -> list[Check]:
                 != p - swap_x(p, i)
             ),
         ),
+        _check(
+            "pi_is_delta_of_the_raised_polynomial",
+            (
+                f"i={i} on {pretty(p)}"
+                for p in polys
+                for i in range(1, m)
+                if pi(i, p) != delta(i, p) + delta(i, x_var(i + 1, m) * p)
+            ),
+        ),
     ]
 
 

@@ -432,17 +432,25 @@ def cauchy_sum(w: tuple[int, ...]) -> Polynomial:
     """
     The convolution over pairs with Demazure product w of the single
     polynomial of u^-1 in the y variables times that of v in the x
-    variables.
+    variables.  Each single polynomial, of a u^-1 or of a v, is computed
+    once, and the pairs are grouped by u: one product of G_{u^-1}(y)
+    with the sum of its G_v(x).
 
     >>> from grothpoly.polynomials import pretty
     >>> pretty(cauchy_sum((1, 2)))
     '1'
     """
+    m = len(w)
+    partners: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for u, v in enumerate_X(w):
+        partners.setdefault(inverse(u), []).append(v)
+    needed = set(partners).union(*partners.values())
+    singles = {p: grothendieck_single(p) for p in needed}
     products = (
-        exchange_families(grothendieck_single(inverse(u))) * grothendieck_single(v)
-        for u, v in enumerate_X(w)
+        exchange_families(singles[u_inv]) * poly_sum(m, (singles[v] for v in vs))
+        for u_inv, vs in partners.items()
     )
-    return poly_sum(len(w), products)
+    return poly_sum(m, products)
 
 
 def factorization_to_str(f: Factorization) -> str:

@@ -79,7 +79,7 @@ class Polynomial:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = constant(other, self.m)
+            other = _constant(other, self.m)
         return (
             isinstance(other, Polynomial)
             and self.m == other.m
@@ -122,7 +122,7 @@ class Polynomial:
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
             raise ValueError("negative powers are not polynomials")
-        result = constant(1, self.m)
+        result = _constant(1, self.m)
         base = self
         while e:
             if e & 1:
@@ -146,9 +146,16 @@ def _tally(m: int, pairs: Iterable[tuple[Key, int]]) -> Polynomial:
     return p
 
 
-def constant(c: int, m: int) -> Polynomial:
-    """The constant polynomial c in family size m."""
+def _constant(c: int, m: int) -> Polynomial:
+    # unchecked: only for an int met in arithmetic on a checked polynomial
     return _tally(m, [(((0,) * m, (0,) * m), c)])
+
+
+def constant(c: int, m: int) -> Polynomial:
+    """The constant polynomial c in family size m.  Raises ValueError
+    unless c is an int, not a bool, and m an int >= 0."""
+    Polynomial(m)  # checks m before it sizes the key
+    return Polynomial(m, {((0,) * m, (0,) * m): c})
 
 
 def monomial(
@@ -183,7 +190,7 @@ def poly_sum(m: int, polys: Iterable[Polynomial]) -> Polynomial:
 
 def _coerce(m: int, other) -> Polynomial:
     if isinstance(other, int):
-        return constant(other, m)
+        return _constant(other, m)
     if not isinstance(other, Polynomial):
         raise TypeError(f"cannot combine Polynomial with {type(other)}")
     if other.m != m:
@@ -224,14 +231,30 @@ def swap_x(p: Polynomial, i: int) -> Polynomial:
     return _tally(p.m, swapped)
 
 
+def _quotients(i: int, f: Polynomial, lifts: tuple[int, ...]):
+    """The unsummed terms of delta_i(x_{i+1}^l * f) for each l in lifts.
+
+    For exponents (p, r) of x_i, x_{i+1} the quotient
+    (x_i^p x_{i+1}^r - x_i^r x_{i+1}^p)/(x_i - x_{i+1}) is a signed
+    geometric sum, so no polynomial division ever happens and the result
+    is exact by construction.
+    """
+    if not 1 <= i <= f.m - 1:
+        raise ValueError(f"operator index {i} out of range 1..{f.m - 1}")
+    return (
+        ((head + (t, p + r - 1 - t) + tail, ye), c if p > r else -c)
+        for (xe, ye), c in f.terms.items()
+        for head, (p, q), tail in [(xe[: i - 1], xe[i - 1 : i + 1], xe[i + 1 :])]
+        for lift in lifts
+        for r in [q + lift]
+        for t in range(min(p, r), max(p, r))
+    )
+
+
 def delta(i: int, f: Polynomial) -> Polynomial:
     """
-    The divided difference (f - swap_x(f, i)) / (x_i - x_{i+1}).
-
-    Computed term by term: for exponents (p, q) of x_i, x_{i+1} the
-    quotient (x_i^p x_{i+1}^q - x_i^q x_{i+1}^p)/(x_i - x_{i+1}) is a
-    signed geometric sum, so no polynomial division ever happens and the
-    result is exact by construction.
+    The divided difference (f - swap_x(f, i)) / (x_i - x_{i+1}),
+    computed term by term as a signed geometric sum.
 
     >>> pretty(delta(1, x_var(1, 2)))
     '1'
@@ -240,28 +263,21 @@ def delta(i: int, f: Polynomial) -> Polynomial:
     >>> delta(1, x_var(1, 2) * x_var(2, 2)).terms
     {}
     """
-    if not 1 <= i <= f.m - 1:
-        raise ValueError(f"operator index {i} out of range 1..{f.m - 1}")
-    quotients = (
-        ((xe[: i - 1] + (t, p + q - 1 - t) + xe[i + 1 :], ye), c if p > q else -c)
-        for (xe, ye), c in f.terms.items()
-        for p, q in [xe[i - 1 : i + 1]]
-        for t in range(min(p, q), max(p, q))
-    )
-    return _tally(f.m, quotients)
+    return _tally(f.m, _quotients(i, f, (0,)))
 
 
 def pi(i: int, f: Polynomial) -> Polynomial:
     """
-    The isobaric variant delta_i(f) + delta_i(x_{i+1} * f); satisfies
-    pi^2 = -pi and commutes with multiplication by y monomials.
+    The isobaric variant delta_i(f) + delta_i(x_{i+1} * f), in one
+    tally of both geometric sums; satisfies pi^2 = -pi and commutes with
+    multiplication by y monomials.
 
     >>> pretty(pi(1, constant(1, 2)))
     '-1'
     >>> pretty(pi(1, x_var(1, 2)))
     '1'
     """
-    return delta(i, f) + delta(i, x_var(i + 1, f.m) * f)
+    return _tally(f.m, _quotients(i, f, (0, 1)))
 
 
 def pi_word(word: tuple[int, ...], f: Polynomial) -> Polynomial:
@@ -444,17 +460,22 @@ def to_json(p: Polynomial) -> dict:
 def from_json(data: dict) -> Polynomial:
     """
     Inverse of to_json; repeated exponents add up.  Whatever the
-    constructor rejects raises ValueError, and so does a scalar where a
-    list belongs.
+    constructor rejects raises ValueError, and so do a missing field and
+    a scalar where an object or a list belongs.
 
     >>> q = x_var(1, 2) * y_var(2, 2) - 2
     >>> from_json(to_json(q)) == q
     True
     """
+    if not (isinstance(data, dict) and "m" in data and "terms" in data):
+        raise ValueError(f"expected an object with fields m and terms: {data!r}")
     m, terms = data["m"], data["terms"]
     if not isinstance(terms, list) or not all(
-        isinstance(t, dict) and all(isinstance(t[v], list) for v in "xy") for t in terms
+        isinstance(t, dict)
+        and "c" in t
+        and all(isinstance(t.get(v), list) for v in "xy")
+        for t in terms
     ):
-        raise ValueError(f"terms must be a list of terms with list x and y: {terms!r}")
+        raise ValueError(f"terms must be a list of {{c, x: list, y: list}}: {terms!r}")
     ones = [Polynomial(m, {(tuple(t["x"]), tuple(t["y"])): t["c"]}) for t in terms]
     return poly_sum(m, [Polynomial(m), *ones])  # checks m even with no terms

@@ -882,7 +882,10 @@ def tableau_from_json(data: dict) -> Tableau:
     """Inverse of tableau_to_json; an entry other than a positive
     integer with at most one prime, such as "12'", raises ValueError,
     and so do a scalar where a list belongs, a loaded shape that is no
-    skew shape and an "outer" field that is not the loaded outer shape."""
+    skew shape, an "outer" field that is not the loaded outer shape and
+    a missing "boxes" field."""
+    if not (isinstance(data, dict) and "boxes" in data):
+        raise ValueError(f"expected an object with a boxes field: {data!r}")
     rows = tuple(
         tuple(
             tuple(_entry_from_json(s) for s in _json_list(box))

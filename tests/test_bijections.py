@@ -153,6 +153,31 @@ def test_descent_and_ascent_are_mutually_inverse():
             assert arrow_down(up) == (dec, inc)
 
 
+def test_cached_rides_equal_an_uncached_ladder_ride():
+    subsets = increasing_subsets(5)
+    for inc in subsets:
+        for dec_rev in subsets:
+            dec = dec_rev[::-1]
+            q = WQuadruple((), inc, dec, (), max((*inc, *dec), default=0))
+            while q.k:
+                q = wk_step_down(q)
+            assert arrow_down((inc, dec)) == (q.a, q.d)
+            q = WQuadruple(dec, (), (), inc, 0)
+            for _ in range(max((*dec, *inc), default=0)):
+                q = wk_step_up(q)
+            assert arrow_up((dec, inc)) == (q.b, q.c)
+
+
+def test_an_invalid_pair_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            arrow_down(((2, 1), ()))
+        with pytest.raises(ValueError):
+            arrow_up(((1, 2), ()))
+        with pytest.raises(ValueError):
+            arrow_down(((0, 1), ()))
+
+
 def test_quadruple_validation_rejects_bad_blocks():
     with pytest.raises(ValueError):
         check_quadruple(WQuadruple((5, 6), (), (), (), 4))

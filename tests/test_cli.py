@@ -6,7 +6,7 @@ import pytest
 
 from grothpoly import cli
 from grothpoly.grothendieck import grothendieck_double
-from grothpoly.polynomials import Polynomial, from_json
+from grothpoly.polynomials import Polynomial, delta, from_json, x_var
 
 
 def run(capsys, *argv):
@@ -129,6 +129,16 @@ def test_relations_suite_catches_the_zero_delta(capsys, monkeypatch):
     assert "FAIL relations.delta_divides_the_swap_difference" in out
 
 
+def test_relations_suite_catches_a_pi_without_its_delta_term(capsys, monkeypatch):
+    # delta_i(x_{i+1} f) alone still squares to minus itself, commutes far
+    # apart and satisfies the braid relation; only the definition catches it
+    monkeypatch.setattr(cli, "pi", lambda i, f: delta(i, x_var(i + 1, f.m) * f))
+    code, out, _ = run(capsys, "verify", "relations")
+    assert code == 3
+    failed = [line.split(":")[0] for line in out.splitlines() if line[:4] == "FAIL"]
+    assert failed == ["FAIL relations.pi_is_delta_of_the_raised_polynomial"]
+
+
 def test_verify_suite_flag_and_positional_must_agree(capsys):
     code, _, err = run(capsys, "verify", "qp", "--suite", "cauchy")
     assert code == 2
@@ -168,6 +178,7 @@ VERIFY_ALL_CHECKS = """
     relations.operators_commute_far_apart
     relations.operators_satisfy_the_braid_relation
     relations.delta_divides_the_swap_difference
+    relations.pi_is_delta_of_the_raised_polynomial
     cauchy.single_equals_bounded_plain_series
     cauchy.double_equals_circled_series
     cauchy.double_equals_split_series

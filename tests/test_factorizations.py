@@ -362,8 +362,8 @@ def test_enumerate_X_matches_all_pairs_filter(size):
 
 
 def test_cauchy_sum_is_double_polynomial():
-    for w in all_permutations(3):
-        assert cauchy_sum(w) == grothendieck_double(w)
+    for w in all_permutations(3) + all_permutations(4):
+        assert cauchy_sum(w) == grothendieck_double(w), w
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,18 @@ def test_operator_relations_random():
         assert pi_word((1, 2, 1), f) == pi_word((2, 1, 2), f)
 
 
+def test_pi_is_delta_of_the_raised_polynomial():
+    rng = random.Random(21)
+    for _ in range(60):
+        m = rng.randrange(2, 5)
+        f = random_poly(rng, m=m, max_exp=4)
+        i = rng.randrange(1, m)
+        assert pi(i, f) == delta(i, f) + delta(i, x_var(i + 1, m) * f)
+    for i in (0, 2):
+        with pytest.raises(ValueError):
+            pi(i, x_var(1, 2))
+
+
 def test_pi_is_y_linear():
     rng = random.Random(13)
     for _ in range(30):
@@ -205,6 +217,25 @@ def test_json_rejects_non_integer_coefficients_and_bad_exponents():
         with pytest.raises(ValueError):
             from_json(data)
     assert from_json({"m": 1, "terms": [{"c": -2, "x": [1], "y": [0]}]}) == -2 * x_var(1, 1)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"terms": []},
+        {"m": 1, "terms": [{"x": [0], "y": [0]}]},
+        [1],
+    ],
+)
+def test_json_missing_fields_and_non_objects_raise_value_error(data):
+    with pytest.raises(ValueError):
+        from_json(data)
+
+
+@pytest.mark.parametrize("c, m", [(1.5, 2), (True, 1), (1, -1), (1, 1.5)])
+def test_constant_rejects_what_the_constructor_rejects(c, m):
+    with pytest.raises(ValueError):
+        constant(c, m)
 
 
 def test_constructor_rejects_malformed_terms():

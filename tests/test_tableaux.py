@@ -671,6 +671,12 @@ def test_tableau_from_json_rejects_an_outer_shape_that_is_not_the_boxes():
         tableau_from_json(data)
 
 
+@pytest.mark.parametrize("data", [{"inner": []}, [1]])
+def test_tableau_from_json_without_boxes_raises_value_error(data):
+    with pytest.raises(ValueError):
+        tableau_from_json(data)
+
+
 def test_tableau_from_json_rejects_what_is_no_skew_shape():
     one_box = [[["1"]]]
     for data in (
