@@ -76,7 +76,7 @@ class Letter(NamedTuple):
         return f"{self.value}o" if self.circled else str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Factorization:
     """
     kind is one of plain, bounded_plain, circled, circled_bounded,

@@ -7,12 +7,20 @@ staircase monomial x1^n x2^(n-1) ... xn; the double polynomial starts
 instead from the product of x_i + y_j + x_i*y_j over i + j <= n+1.
 The result does not depend on the reduced word chosen.
 
+Since the pi operators satisfy the braid relations, G_w = pi_i G_{w s_i}
+for every ascent i of w (w(i) < w(i+1)), along any path down from w0.
+So one memo serves every permutation of a size: a new w costs one pi
+applied to a remembered neighbour, and the staircase is built once for
+as long as the memo keeps it.
+
 >>> from grothpoly.polynomials import pretty
 >>> pretty(grothendieck_single((3, 1, 2)))
 'x1^2'
 >>> pretty(grothendieck_double((2, 1)))
 'x1 + y1 + x1*y1'
 """
+
+from collections import OrderedDict
 
 from .permutations import (
     check_permutation,
@@ -25,7 +33,7 @@ from .polynomials import (
     Polynomial,
     constant,
     monomial,
-    pi_word,
+    pi,
     x_var,
     y_var,
 )
@@ -86,6 +94,53 @@ def operator_word(w: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
+# The descent memo holds at most this many terms in all (the sum of
+# len(p.terms) over its entries), least recently used out first.  All
+# that a round of the cauchy benchmark reaches, on S_4 and six
+# permutations of S_5, is 26,000 to 35,000 terms; an entry larger than
+# the budget, such as the 187,945-term staircase of S_6, is never kept.
+_MEMO_TERM_BUDGET = 100_000
+
+# (w, double) -> G_w, least recently used first
+_memo: OrderedDict[tuple[tuple[int, ...], bool], Polynomial] = OrderedDict()
+_memo_terms = 0
+
+
+def _remember(key: tuple[tuple[int, ...], bool], p: Polynomial) -> None:
+    global _memo_terms
+    size = len(p.terms)
+    if size > _MEMO_TERM_BUDGET:
+        return
+    _memo[key] = p
+    _memo_terms += size
+    while _memo_terms > _MEMO_TERM_BUDGET:
+        _, old = _memo.popitem(last=False)
+        _memo_terms -= len(old.terms)
+
+
+def _descend(w: tuple[int, ...], double: bool) -> Polynomial:
+    """G_w from the memo: climb by first ascents to a remembered
+    permutation or to w0, then come back down one pi per step."""
+    n = len(w) - 1
+    climb = []
+    u = w
+    while (u, double) not in _memo:
+        i = next((i for i in range(1, n + 1) if u[i - 1] < u[i]), None)
+        if i is None:  # u is w0
+            p = staircase_product(n) if double else staircase_monomial(n)
+            _remember((u, double), p)
+            break
+        climb.append((u, i))
+        u = u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
+    else:
+        _memo.move_to_end((u, double))
+        p = _memo[(u, double)]
+    for v, i in reversed(climb):
+        p = pi(i, p)
+        _remember((v, double), p)
+    return p
+
+
 def grothendieck_single(w: tuple[int, ...]) -> Polynomial:
     """
     The single Grothendieck polynomial of w, in variables x1..x(n+1).
@@ -96,8 +151,8 @@ def grothendieck_single(w: tuple[int, ...]) -> Polynomial:
     >>> pretty(grothendieck_single((1, 2)))
     '1'
     """
-    n = len(w) - 1
-    return pi_word(operator_word(w), staircase_monomial(n))
+    check_permutation(w)
+    return _descend(tuple(w), False)
 
 
 def grothendieck_double(w: tuple[int, ...]) -> Polynomial:
@@ -108,5 +163,5 @@ def grothendieck_double(w: tuple[int, ...]) -> Polynomial:
     >>> pretty(grothendieck_double((1, 2)))
     '1'
     """
-    n = len(w) - 1
-    return pi_word(operator_word(w), staircase_product(n))
+    check_permutation(w)
+    return _descend(tuple(w), True)

@@ -408,7 +408,8 @@ def hecke_search(
     Every tuple of factors, one per spec, with at most max_letters
     letters in all (default: the sum of the sizes), whose generators,
     applied in order on the given side, take the identity to target.
-    The tuples come in search order.  A negative max_letters or a side
+    The tuples come in search order, and equal factors within one
+    search are one tuple object.  A negative max_letters or a side
     other than "right" or "left" raises ValueError.
 
     >>> letters = [(i, i, 3) for i in (1, 2)]
@@ -426,13 +427,15 @@ def hecke_search(
     far = max_letters + 1
     out: list[tuple[tuple, ...]] = []
     factors: list[tuple] = []
+    share = {}.setdefault
 
     def fill(idx, below, least, letters, prev, u, used) -> None:
         # close factor idx here, if u can still reach target in what is left
         rest = tail[idx + 1]
         need = dist.get(u, far)
         if len(letters) >= least and need <= rest and need <= max_letters - used:
-            factors.append(tuple(letters))
+            closed = tuple(letters)
+            factors.append(share(closed, closed))
             if idx + 1 == len(specs):
                 out.append(tuple(factors))
             else:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import add
+from types import MappingProxyType
 from typing import Iterable
 
 __all__ = [
@@ -49,19 +50,22 @@ Key = tuple[tuple[int, ...], tuple[int, ...]]
 
 class Polynomial:
     """
-    Immutable-by-convention sparse polynomial with a fixed family size m.
+    Immutable sparse polynomial with a fixed family size m.
 
-    terms maps (x_exponents, y_exponents) to a nonzero int.  The
-    constructor raises ValueError unless m is an int >= 0, each key is a
-    pair of length-m tuples of nonnegative ints and each coefficient an
-    int, not a bool.  Mixing family sizes in arithmetic is an error.
+    terms is a read-only mapping from (x_exponents, y_exponents) to a
+    nonzero int, set once when the polynomial is built; equal exponent
+    tuples inside one polynomial are one object.  Setting or deleting
+    an attribute raises AttributeError, so a polynomial can be cached
+    and shared.  The constructor raises ValueError unless m is an int
+    >= 0, each key is a pair of length-m tuples of nonnegative ints and
+    each coefficient an int, not a bool.  Mixing family sizes in
+    arithmetic is an error.
     """
 
     __slots__ = ("m", "terms")
 
     def __init__(self, m: int, terms: dict[Key, int] | None = None):
-        if type(m) is not int or m < 0:
-            raise ValueError(f"family size must be an int >= 0: {m!r}")
+        _check_size(m)
         terms = terms or {}
         for key, c in terms.items():
             if not (
@@ -71,8 +75,16 @@ class Polynomial:
                 and all(type(a) is int and a >= 0 for a in key[0] + key[1])
             ):
                 raise ValueError(f"bad term for family size {m}: {key!r}: {c!r}")
-        self.m = m
-        self.terms = {k: c for k, c in terms.items() if c}
+        _store(self, m, terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Polynomial is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a Polynomial is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return Polynomial, (self.m, dict(self.terms))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -135,15 +147,33 @@ class Polynomial:
         return pretty(self)
 
 
+_set_m = Polynomial.m.__set__
+_set_terms = Polynomial.terms.__set__
+
+
+def _store(p: Polynomial, m: int, terms) -> Polynomial:
+    """Set the two slots of p once: m, and a read-only view of the
+    nonzero terms in which equal exponent tuples are one object."""
+    share = {}.setdefault
+    _set_m(p, m)
+    _set_terms(p, MappingProxyType({
+        (share(xe, xe), share(ye, ye)): c for (xe, ye), c in terms.items() if c
+    }))
+    return p
+
+
 def _tally(m: int, pairs: Iterable[tuple[Key, int]]) -> Polynomial:
     """Sum the (key, coefficient) pairs into a polynomial, zeros dropped.
     Unchecked: only for results of arithmetic on checked polynomials."""
     out: dict[Key, int] = {}
     for key, c in pairs:
         out[key] = out.get(key, 0) + c
-    p = Polynomial.__new__(Polynomial)
-    p.m, p.terms = m, {k: c for k, c in out.items() if c}
-    return p
+    return _store(Polynomial.__new__(Polynomial), m, out)
+
+
+def _check_size(m) -> None:
+    if type(m) is not int or m < 0:
+        raise ValueError(f"family size must be an int >= 0: {m!r}")
 
 
 def _constant(c: int, m: int) -> Polynomial:
@@ -154,7 +184,7 @@ def _constant(c: int, m: int) -> Polynomial:
 def constant(c: int, m: int) -> Polynomial:
     """The constant polynomial c in family size m.  Raises ValueError
     unless c is an int, not a bool, and m an int >= 0."""
-    Polynomial(m)  # checks m before it sizes the key
+    _check_size(m)  # before m sizes the key
     return Polynomial(m, {((0,) * m, (0,) * m): c})
 
 
@@ -170,6 +200,7 @@ def monomial(
     >>> pretty(monomial(2, (1, 2), (), 3))
     '3*x1*x2^2'
     """
+    _check_size(m)  # before m sizes the padding
     xe = tuple(x_exps) + (0,) * (m - len(x_exps))
     ye = tuple(y_exps) + (0,) * (m - len(y_exps))
     return Polynomial(m, {(xe, ye): c})
@@ -200,14 +231,16 @@ def _coerce(m: int, other) -> Polynomial:
 
 def x_var(i: int, m: int) -> Polynomial:
     """The variable x_i (1-based)."""
-    if not 1 <= i <= m:
+    _check_size(m)
+    if type(i) is not int or not 1 <= i <= m:
         raise ValueError(f"x index {i} out of range 1..{m}")
     return monomial(m, (0,) * (i - 1) + (1,))
 
 
 def y_var(i: int, m: int) -> Polynomial:
     """The variable y_i (1-based)."""
-    if not 1 <= i <= m:
+    _check_size(m)
+    if type(i) is not int or not 1 <= i <= m:
         raise ValueError(f"y index {i} out of range 1..{m}")
     return monomial(m, (), (0,) * (i - 1) + (1,))
 
@@ -260,8 +293,8 @@ def delta(i: int, f: Polynomial) -> Polynomial:
     '1'
     >>> pretty(delta(1, x_var(1, 2) ** 2 * x_var(2, 2)))
     'x1*x2'
-    >>> delta(1, x_var(1, 2) * x_var(2, 2)).terms
-    {}
+    >>> delta(1, x_var(1, 2) * x_var(2, 2)).terms == {}
+    True
     """
     return _tally(f.m, _quotients(i, f, (0,)))
 

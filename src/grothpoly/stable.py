@@ -128,15 +128,11 @@ def stable_double_via_tableaux(
 
 
 @cache
-def _schur(shape: tuple[int, ...], m: int) -> Polynomial:
-    return genfun_svt(shape, m, sum(shape))
-
-
 def schur(shape: tuple[int, ...], m: int) -> Polynomial:
     """
     Schur polynomial in m variables by column-strict fillings; zero
-    when the shape has more rows than there are variables.  Each call
-    returns its own copy of the cached value.
+    when the shape has more rows than there are variables.  The value
+    is cached, and every call returns the same immutable polynomial.
 
     >>> from .polynomials import pretty
     >>> pretty(schur((2,), 2))
@@ -144,7 +140,7 @@ def schur(shape: tuple[int, ...], m: int) -> Polynomial:
     >>> pretty(schur((1, 1, 1), 2))
     '0'
     """
-    return Polynomial(m, _schur(shape, m).terms)
+    return genfun_svt(shape, m, sum(shape))
 
 
 def _eliminate(component: dict, m: int) -> dict:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 from hypothesis import given, settings, strategies as st
@@ -492,6 +493,23 @@ ENUMERATED = [
 @given(st.sampled_from(ENUMERATED))
 def test_str_round_trip_property(f):
     assert parse_factorization(factorization_to_str(f), f.kind, f.n) == f
+
+
+def test_factorizations_are_slotted_frozen_and_hash_by_value():
+    assert len(set(ENUMERATED)) == len(ENUMERATED)
+    for f in ENUMERATED:
+        assert not hasattr(f, "__dict__")
+        g = parse_factorization(factorization_to_str(f), f.kind, f.n)
+        assert g == f and hash(g) == hash(f) and g is not f
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ENUMERATED[0].n = 5
+
+
+def test_equal_factors_of_one_search_are_one_tuple():
+    fs = enumerate_circled_bounded((4, 5, 1, 3, 2))
+    assert len(fs) == 10_935
+    factors = [fac for f in fs for fac in f.factors]
+    assert len({id(fac) for fac in factors}) == len(set(factors))
 
 
 def test_json_form():

@@ -1,3 +1,10 @@
+from collections import OrderedDict
+from functools import cache
+import random
+
+import pytest
+
+from grothpoly import grothendieck
 from grothpoly.grothendieck import (
     grothendieck_double,
     grothendieck_single,
@@ -81,3 +88,86 @@ def test_reduced_word_independence():
         }
         assert len(results) == 1
         assert results.pop() == grothendieck_single(w)
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty descent memo for one test; the shared one comes back after."""
+    monkeypatch.setattr(grothendieck, "_memo", OrderedDict())
+    monkeypatch.setattr(grothendieck, "_memo_terms", 0)
+
+
+def held_terms() -> int:
+    return sum(len(p.terms) for p in grothendieck._memo.values())
+
+
+@cache
+def staircase(n, double):
+    return staircase_product(n) if double else staircase_monomial(n)
+
+
+def per_w_route(w, double):
+    """The operator definition applied to w alone, with no memo."""
+    return pi_word(operator_word(w), staircase(len(w) - 1, double))
+
+
+@pytest.mark.parametrize("size", [4, 5])
+def test_memo_equals_the_per_w_route_in_any_order(fresh_memo, size):
+    perms = list(all_permutations(size))
+    random.Random(size).shuffle(perms)
+    for w in perms:
+        assert grothendieck_single(w) == per_w_route(w, False)
+        assert grothendieck_double(w) == per_w_route(w, True)
+        assert grothendieck._memo_terms == held_terms()
+        assert held_terms() <= grothendieck._MEMO_TERM_BUDGET
+
+
+@pytest.mark.parametrize("budget", [0, 40, 300])
+def test_a_tiny_budget_gives_the_same_polynomials(fresh_memo, monkeypatch, budget):
+    monkeypatch.setattr(grothendieck, "_MEMO_TERM_BUDGET", budget)
+    perms = list(all_permutations(4))
+    random.Random(budget).shuffle(perms)
+    for w in perms:
+        for double in (False, True):
+            g = grothendieck_double(w) if double else grothendieck_single(w)
+            assert g == per_w_route(w, double)
+            assert grothendieck._memo_terms == held_terms() <= budget
+    if budget:
+        assert grothendieck._memo  # small entries are kept
+
+
+def test_an_entry_over_the_budget_is_not_kept_and_evicts_nothing(
+    fresh_memo, monkeypatch
+):
+    monkeypatch.setattr(grothendieck, "_MEMO_TERM_BUDGET", 40)
+    grothendieck_single((1, 2, 3, 4))
+    kept = dict(grothendieck._memo)
+    assert ((1, 2, 3, 4), False) in kept
+    w0 = (4, 3, 2, 1)
+    assert len(grothendieck_double(w0).terms) > 40
+    assert (w0, True) not in grothendieck._memo
+    assert kept.items() <= dict(grothendieck._memo).items()
+
+
+def test_a_non_permutation_raises_on_a_warm_memo():
+    for w in all_permutations(3):
+        grothendieck_double(w)
+        grothendieck_single(w)
+    for bad in ((1, 1, 3), (2, 3), (0, 1, 2), ()):
+        with pytest.raises(ValueError):
+            grothendieck_double(bad)
+        with pytest.raises(ValueError):
+            grothendieck_single(bad)
+    assert grothendieck_double([2, 1, 3]) == grothendieck_double((2, 1, 3))
+
+
+def test_a_returned_polynomial_cannot_be_changed():
+    w = (1, 3, 2)
+    for g in (grothendieck_double, grothendieck_single):
+        p = g(w)
+        before = dict(p.terms)
+        with pytest.raises(TypeError):
+            p.terms[((0, 0, 0), (0, 0, 0))] = 7
+        with pytest.raises(AttributeError):
+            p.m = 9
+        assert dict(g(w).terms) == before

@@ -1,7 +1,9 @@
 from collections import Counter
+import copy
 from functools import reduce
 import json
 import operator
+import pickle
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -249,6 +251,66 @@ def test_constructor_rejects_malformed_terms():
         with pytest.raises(ValueError):
             Polynomial(m, terms)
     assert Polynomial(2, {((1, 0), (0, 2)): -3}) == -3 * x_var(1, 2) * y_var(2, 2) ** 2
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: monomial(1.5, (1,)),
+        lambda: x_var(1, 1.5),
+        lambda: y_var(1, 1.5),
+        lambda: monomial("2"),
+        lambda: x_var(1.5, 2),
+    ],
+    ids=["monomial_float", "x_var_float", "y_var_float", "monomial_str", "x_index"],
+)
+def test_a_bad_family_size_or_index_raises_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_polynomials_are_immutable():
+    p = x_var(1, 2) * y_var(2, 2) + 3
+    key = ((1, 0), (0, 1))
+    with pytest.raises(TypeError):
+        p.terms[key] = 5
+    with pytest.raises(AttributeError):
+        p.terms.clear()
+    for attempt in (
+        lambda: setattr(p, "m", 3),
+        lambda: setattr(p, "terms", {}),
+        lambda: delattr(p, "terms"),
+    ):
+        with pytest.raises(AttributeError):
+            attempt()
+    assert p.m == 2 and dict(p.terms) == {key: 1, ((0, 0), (0, 0)): 3}
+
+
+def test_a_copy_is_equal_and_as_immutable():
+    p = x_var(1, 2) * y_var(2, 2) - 2
+    for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert q == p
+        with pytest.raises(AttributeError):
+            q.m = 3
+
+
+def shares_equal_exponents(p: Polynomial) -> bool:
+    vectors = [e for key in p.terms for e in key]
+    return len({id(e) for e in vectors}) == len(set(vectors))
+
+
+def test_equal_exponent_tuples_are_one_object():
+    m = 3
+    x1, x2, y1 = x_var(1, m), x_var(2, m), y_var(1, m)
+    built = [
+        (x1 + x2 + y1 + x1 * y1) ** 3,
+        pi(1, (x1 + y1) ** 2 * x2),
+        Polynomial(m, {(tuple([1, 0, 0]), tuple([0, 0, 0])): 1,
+                       (tuple([1, 0, 0]), tuple([1, 0, 0])): 2}),
+    ]
+    for p in built:
+        assert len(p.terms) > 1
+        assert shares_equal_exponents(p)
 
 
 def test_zero_terms_never_stored():

@@ -132,8 +132,15 @@ def test_schur_values_and_expansion():
 
 
 def test_schur_cache_cannot_be_changed_through_a_result():
-    schur((1,), 2).terms.clear()
+    s = schur((1,), 2)
+    with pytest.raises(AttributeError):
+        s.terms.clear()
+    with pytest.raises(TypeError):
+        s.terms[((1, 0), (0, 0))] = 5
+    with pytest.raises(AttributeError):
+        s.m = 3
     assert pretty(schur((1,), 2)) == "x1 + x2"
+    assert schur((1,), 2) is s  # the cached value itself, not a copy
 
 
 def test_involution_conjugates_schur_components():
