@@ -28,6 +28,7 @@ from .factorizations import (
     enumerate_bounded_plain,
     enumerate_circled_bounded,
     enumerate_double_bounded,
+    enumerate_double_unbounded,
     enumerate_hook,
     genfun,
     parse_factorization,
@@ -38,8 +39,13 @@ from .grothendieck import (
     grothendieck_single,
     staircase_product,
 )
-from .insertion import insert_word
-from .permutations import all_permutations, eval_hecke_word_ltr, perm_from_str
+from .insertion import insert_word, phi
+from .permutations import (
+    all_permutations,
+    eval_hecke_word_ltr,
+    inverse,
+    perm_from_str,
+)
 from .polynomials import (
     Polynomial,
     coefficient,
@@ -84,6 +90,7 @@ from .tableaux import (
     partitions_of,
     q_schur,
     tableau,
+    weight_of,
 )
 
 __all__ = ["main"]
@@ -381,6 +388,24 @@ def suite_insertion(b: argparse.Namespace) -> list[Check]:
     groups: dict[tuple, list] = {}
     for w in words:
         groups.setdefault((len(w), eval_hecke_word_ltr(w, n)), []).append(w)
+
+    def padded(v):
+        return tuple(v) + (0,) * (2 - len(v))
+
+    def phi_failures():
+        # two factors a side, at most `length` letters, over S_{n+1}
+        for perm in all_permutations(n + 1):
+            family = enumerate_double_unbounded(perm, 2, length)
+            images = [phi(f) for f in family]
+            perm_inv = inverse(perm)
+            for f, (P, Q) in zip(family, images):
+                qx, qy = weight_of(Q)
+                if not is_hecke_tableau(P, perm_inv) or (
+                    (padded(qx), padded(qy)) != weight(f)
+                ):
+                    yield f"w={perm} f={f}"
+            if len(set(images)) != len(images):
+                yield f"w={perm}: two factorizations share an image"
     return [
         _check(
             "insertion_lands_on_the_word_of_the_input",
@@ -410,6 +435,7 @@ def suite_insertion(b: argparse.Namespace) -> list[Check]:
                 if len({pairs[w] for w in ws}) != len(ws)
             ),
         ),
+        _check("phi_is_an_injection_into_hecke_pairs", phi_failures()),
     ]
 
 

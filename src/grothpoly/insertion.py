@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 
 from .factorizations import Factorization
-from .tableaux import Entry, Tableau, pretty_tableau, tableau
+from .tableaux import Entry, Tableau, outer_shape, pretty_tableau, tableau
 
 __all__ = [
     "insert_row",
@@ -107,11 +108,16 @@ def _unpair(P: Tableau, Q: Tableau):
     return p_rows, q_rows
 
 
+def _check_letter(a) -> None:
+    if isinstance(a, bool) or not isinstance(a, int) or a < 1:
+        raise ValueError(f"letter {a!r} is not a positive int")
+
+
 def insert_word(word) -> tuple[Tableau, Tableau]:
     """
     Insert a word letter by letter.  P accumulates the letters; box
     i of Q (new box, or a mark added to an old one) shows where step
-    i ended.
+    i ended.  A letter that is not a positive int raises ValueError.
 
     >>> P, Q = insert_word((1, 3, 2, 2))
     >>> print(pretty_tableau(P))
@@ -124,6 +130,7 @@ def insert_word(word) -> tuple[Tableau, Tableau]:
     p_rows: list[tuple[int, ...]] = []
     q_rows: list[list[tuple[Entry, ...]]] = []
     for step, a in enumerate(word, start=1):
+        _check_letter(a)
         _insert_one(p_rows, q_rows, a, Entry(step))
     return _pair(p_rows, q_rows)
 
@@ -133,13 +140,18 @@ def insert_into_pair(
 ) -> tuple[Tableau, Tableau]:
     """
     One further insertion into an existing pair: a goes into P and the
-    box ending its bump path gets the label in Q.
+    box ending its bump path gets the label in Q.  A letter that is not
+    a positive int, a skew P or Q, or P and Q of different shapes raise
+    ValueError.
 
     >>> P, Q = insert_word((1, 3, 2))
     >>> P2, Q2 = insert_into_pair(P, Q, 2, 4)
     >>> (P2, Q2) == insert_word((1, 3, 2, 2))
     True
     """
+    _check_letter(a)
+    if any(P.inner) or any(Q.inner) or outer_shape(P) != outer_shape(Q):
+        raise ValueError("P and Q must share one straight shape")
     p_rows, q_rows = _unpair(P, Q)
     if not isinstance(label, Entry):
         label = Entry(label)
@@ -195,6 +207,31 @@ def transpose(T: Tableau) -> Tableau:
     return Tableau(tuple(_transpose_rows(T.rows)))
 
 
+# The left half of a two-sided factorization is inserted the same way
+# whatever stands right of center, and a family repeats a few hundred
+# left halves thousands of times.  The cached columns are tuples, which
+# phi copies into fresh lists before the right half goes in; a left half
+# that breaks the bump path raises on every call, since a raise is never
+# cached.
+_LEFT_HALF_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_LEFT_HALF_CACHE_SIZE)
+def _left_half(left):
+    """Insert the reversed left half with factor labels, then transpose,
+    priming the labels."""
+    p_rows: list[tuple[int, ...]] = []
+    q_rows: list[list[tuple[Entry, ...]]] = []
+    for i, fac in enumerate(reversed(left), start=1):
+        for letter in reversed(fac):
+            _insert_one(p_rows, q_rows, letter.value, Entry(i))
+    q_cols = tuple(
+        tuple(tuple(Entry(e.value, True) for e in box) for box in col)
+        for col in _transpose_rows(q_rows)
+    )
+    return tuple(_transpose_rows(p_rows)), q_cols
+
+
 def phi(f: Factorization) -> tuple[Tableau, Tableau]:
     """
     Insert a two-sided factorization.  The left half is reversed
@@ -218,18 +255,10 @@ def phi(f: Factorization) -> tuple[Tableau, Tableau]:
     """
     if f.kind not in ("double_bounded", "double_unbounded"):
         raise ValueError("phi needs a two-sided factorization")
-    left, right = f.factors[: f.split], f.factors[f.split :]
-    p_rows: list[tuple[int, ...]] = []
-    q_rows: list[list[tuple[Entry, ...]]] = []
-    for i, fac in enumerate(reversed(left), start=1):
-        for letter in reversed(fac):
-            _insert_one(p_rows, q_rows, letter.value, Entry(i))
-    p_rows = _transpose_rows(p_rows)
-    q_rows = [
-        [tuple(Entry(e.value, True) for e in box) for box in col]
-        for col in _transpose_rows(q_rows)
-    ]
-    for i, fac in enumerate(right, start=1):
+    p_cols, q_cols = _left_half(f.factors[: f.split])
+    p_rows = list(p_cols)
+    q_rows = [list(col) for col in q_cols]
+    for i, fac in enumerate(f.factors[f.split :], start=1):
         for letter in fac:
             _insert_one(p_rows, q_rows, letter.value, Entry(i))
     return _pair(p_rows, q_rows)

@@ -17,7 +17,7 @@ True
 """
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 import itertools
 import operator
 import re
@@ -579,6 +579,20 @@ def _genfun(boxes, budget, choices, m: int) -> Polynomial:
     return Polynomial(m, counts)
 
 
+# The tableau model asks for the same few skew shapes once per Hecke
+# tableau and per partition inside it, so each fill is kept.  Unlike the
+# keys of schur and _f_tally, these carry the degree cap and an inner
+# shape, so a long run over many permutations keeps meeting new ones: a
+# fixed bound keeps the memory flat.  genfun_svt checks its arguments
+# before the lookup, and a raise is never cached.
+_SVT_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_SVT_CACHE_SIZE)
+def _svt_series(outer, m, D, inner) -> Polynomial:
+    return _genfun(_boxes_of(outer, inner), D, _svt_choices(m), m)
+
+
 def genfun_svt(
     outer: tuple[int, ...],
     m: int,
@@ -602,7 +616,7 @@ def genfun_svt(
         check_partition(inner)
         if not contains(outer, inner):
             raise ValueError(f"{inner} not inside {outer}")
-    return _genfun(_boxes_of(outer, inner), D, _svt_choices(m), m)
+    return _svt_series(tuple(outer), m, D, tuple(inner))
 
 
 def genfun_psvt(outer: tuple[int, ...], m: int, D: int) -> Polynomial:

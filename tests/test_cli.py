@@ -187,6 +187,7 @@ VERIFY_ALL_CHECKS = """
     insertion.insertion_lands_on_the_word_of_the_input
     insertion.word_descents_appear_in_the_record
     insertion.insertion_is_injective_on_each_word_class
+    insertion.phi_is_an_injection_into_hecke_pairs
     bijections.ladder_descent_matches_the_worked_pair
     bijections.factor_move_matches_the_worked_example
     bijections.rewrite_chain_reaches_the_worked_output

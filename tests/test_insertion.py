@@ -18,7 +18,12 @@ from grothpoly.insertion import (
     semistandard_insert,
     transpose,
 )
-from grothpoly.permutations import all_permutations, eval_hecke_word_ltr, inverse
+from grothpoly.permutations import (
+    all_permutations,
+    eval_hecke_word_ltr,
+    inverse,
+    inversions,
+)
 from grothpoly.tableaux import (
     Entry,
     Tableau,
@@ -69,6 +74,30 @@ def test_insert_row_rejects_letters_off_the_bump_path():
         insert_row((1, 2), (3, 4), 5)
     with pytest.raises(RuntimeError):
         insert_row((2, 4), (), 2)
+
+
+@pytest.mark.parametrize("word", [(0, 1), (-1,), (True, 2), (1.5,), ("1",)])
+def test_insert_word_rejects_letters_that_are_not_positive_ints(word):
+    with pytest.raises(ValueError):
+        insert_word(word)
+
+
+@pytest.mark.parametrize("letter", [0, -1, True, 1.5, "1"])
+def test_insert_into_pair_rejects_letters_that_are_not_positive_ints(letter):
+    P, Q = insert_word((1, 2))
+    with pytest.raises(ValueError):
+        insert_into_pair(P, Q, letter, 3)
+
+
+def test_insert_into_pair_rejects_pairs_of_different_or_skew_shapes():
+    straight, _ = insert_word((1, 2))
+    for P, Q in [
+        (straight, tableau([[1]])),
+        (tableau([[2]], inner=(1,)), tableau([[1]], inner=(1,))),
+        (straight, tableau([[2]], inner=(1,))),
+    ]:
+        with pytest.raises(ValueError):
+            insert_into_pair(P, Q, 3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +299,38 @@ def test_two_sided_insertion_worked_example():
     P, Q = phi(f)
     assert P == tableau([[1, 2, 3, 4], [2, 3, 4], [4]])
     assert Q == tableau([["1'", "1'", "2'", 1], ["2'", "2'1", 2], [1]])
+
+
+def phi_by_public_insertion(f):
+    """phi built from insert_into_pair and transpose alone."""
+    left, right = f.factors[: f.split], f.factors[f.split :]
+    P = Q = Tableau(())
+    for i, fac in enumerate(reversed(left), start=1):
+        for letter in reversed(fac):
+            P, Q = insert_into_pair(P, Q, letter.value, i)
+    P = transpose(P)
+    Q = Tableau(
+        tuple(
+            tuple(tuple(Entry(e.value, True) for e in box) for box in row)
+            for row in transpose(Q).rows
+        )
+    )
+    for i, fac in enumerate(right, start=1):
+        for letter in fac:
+            P, Q = insert_into_pair(P, Q, letter.value, i)
+    return P, Q
+
+
+def test_phi_matches_public_insertion_forwards_then_backwards():
+    # the backward walk reads left halves the forward walk cached, so a
+    # cached state changed by a later call would show here
+    cases = [
+        (f, phi_by_public_insertion(f))
+        for w in all_permutations(4)
+        for f in enumerate_double_unbounded(w, 2, inversions(w) + 2)
+    ]
+    for f, pair in cases + cases[::-1]:
+        assert phi(f) == pair, f
 
 
 def test_two_sided_insertion_rejects_one_sided_input():

@@ -303,6 +303,33 @@ def test_genfun_svt_pinned():
     assert pretty(genfun_svt((), 3, 2)) == "1"
 
 
+def test_genfun_svt_cache_matches_an_uncached_fill():
+    tableaux._svt_series.cache_clear()
+    for n in range(6):
+        for outer in partitions_of(n):
+            for inner in partitions_inside(outer):
+                for m in range(1, 4):
+                    for D in range(n + 3):
+                        fill = tableaux._genfun(
+                            tableaux._boxes_of(outer, inner),
+                            D,
+                            tableaux._svt_choices(m),
+                            m,
+                        )
+                        assert genfun_svt(outer, m, D, inner) == fill
+                        assert genfun_svt(list(outer), m, D, list(inner)) == fill
+
+
+@pytest.mark.parametrize(
+    "outer, inner",
+    [((1, 2), ()), ((2, 0), ()), ((2, 1), (0,)), ((2, 1), (3,)), ((2,), (1, 1))],
+)
+def test_genfun_svt_rejects_bad_shapes_on_every_call(outer, inner):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            genfun_svt(outer, 2, 3, inner)
+
+
 def test_genfun_svt_skew_factors():
     # the two boxes of (2,1)/(1) are independent
     one = genfun_svt((1,), 2, 3)
