@@ -209,7 +209,8 @@ def _check_moving_pair(j, factor, extra, circled_cap, extra_floor) -> None:
 def psi(j: int, k: int, f_j, f_ex) -> tuple[tuple[int, ...], tuple[Letter, ...]]:
     """Move an increasing extra factor from the right of a decreasing
     factor to its left.  The letter s = j+k-1 is pivotal: a circled s
-    leaves the factor and rides along as an uncircled s.
+    leaves the factor and rides along as an uncircled s.  Equal moves
+    are computed once and share their result tuples.
 
     >>> from .factorizations import parse_factorization
     >>> fj = parse_factorization("(9 7 6 4 4o 3o 2 2o)", "circled", 9).factors[0]
@@ -219,13 +220,22 @@ def psi(j: int, k: int, f_j, f_ex) -> tuple[tuple[int, ...], tuple[Letter, ...]]
     >>> " ".join(str(l) for l in fj2)
     '9 8 6 5 3o 2 2o'
     """
+    return _psi(j, k, tuple(f_j), tuple(f_ex))
+
+
+# Rewrite chains repeat a few hundred distinct moves thousands of times
+# (228 distinct among the 24,576 moves that rewrite every circled
+# factorization of S_4), so psi shares the rides' bound.  A bad factor
+# raises on every call, since a raise is never cached.
+@lru_cache(maxsize=_RIDE_CACHE_SIZE)
+def _psi(j: int, k: int, f_j: tuple, f_ex: tuple):
     s = j + k - 1
     _check_moving_pair(j, f_j, f_ex, circled_cap=s, extra_floor=s + 1)
     bar = 2 * s - 1
     above = tuple(l.value for l in f_j if l.rank > bar)
     pivot = any(l.rank == bar for l in f_j)
     below = tuple(l for l in f_j if l.rank < bar)
-    g1, g2 = arrow_up((above, ((s,) if pivot else ()) + tuple(f_ex)))
+    g1, g2 = arrow_up((above, ((s,) if pivot else ()) + f_ex))
     return g1, tuple(Letter(v) for v in g2) + below
 
 

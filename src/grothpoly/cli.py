@@ -459,7 +459,7 @@ def suite_bijections(b: argparse.Namespace) -> list[Check]:
     chain = circled_to_double_chain(parse_factorization(start, "circled_bounded", 3))
 
     def rewrite_failures():
-        for w in sorted(all_permutations(3)):
+        for w in sorted(all_permutations(cap - 1)):
             image = {}
             for f in enumerate_circled_bounded(w):
                 g = circled_to_double(f)

@@ -103,7 +103,13 @@ def _pair(p_rows, q_rows) -> tuple[Tableau, Tableau]:
 
 
 def _unpair(P: Tableau, Q: Tableau):
+    if any(len(box) != 1 or box[0].primed for row in P.rows for box in row):
+        raise ValueError("every box of P must hold one unprimed entry")
     p_rows = [tuple(box[0].value for box in row) for row in P.rows]
+    if any(a >= b for row in p_rows for a, b in zip(row, row[1:])) or any(
+        a >= b for up, down in zip(p_rows, p_rows[1:]) for a, b in zip(up, down)
+    ):
+        raise ValueError("P must strictly increase along rows and columns")
     q_rows = [list(row) for row in Q.rows]
     return p_rows, q_rows
 
@@ -141,8 +147,9 @@ def insert_into_pair(
     """
     One further insertion into an existing pair: a goes into P and the
     box ending its bump path gets the label in Q.  A letter that is not
-    a positive int, a skew P or Q, or P and Q of different shapes raise
-    ValueError.
+    a positive int, a skew P or Q, P and Q of different shapes, or a P
+    that is no Hecke tableau (one unprimed entry per box, strictly
+    increasing along rows and columns) raise ValueError.
 
     >>> P, Q = insert_word((1, 3, 2))
     >>> P2, Q2 = insert_into_pair(P, Q, 2, 4)

@@ -384,6 +384,11 @@ def hecke_distance(
 # still be completed to the target within both the letter budget and the
 # residual capacity of the remaining factor slots, measured by the
 # hecke_distance table, so the search never walks a dead subtree.
+#
+# What a slot may hold next depends only on the state (slot index, the
+# factor closed just before, the permutation reached, the letters left),
+# and many prefixes reach the same state.  So the search expands each
+# state once, into its live closings, and then walks those edges.
 
 
 class FactorSpec(NamedTuple):
@@ -396,6 +401,55 @@ class FactorSpec(NamedTuple):
     candidates: Callable[[Any, tuple], Iterable[tuple[Any, int, int]]]
     size: int
     least: Callable[[tuple], int] = lambda below: 0
+
+
+class _Closings(dict):
+    """The live closings of each search state (idx, below, u, budget),
+    expanded on first lookup: every (factor, next state) that closes slot
+    idx, in search order, where next is None after the last slot.  An
+    edge is kept only if its next state has closings of its own.  A dict
+    with __missing__ rather than a recursive closure, which would be a
+    reference cycle: the table goes as soon as the search returns."""
+
+    def __init__(self, specs, dist, apply_fn, far):
+        super().__init__()
+        self.specs = specs
+        self.dist = dist
+        self.apply_fn = apply_fn
+        self.far = far
+        self.tail = [sum(s.size for s in specs[i:]) for i in range(len(specs) + 1)]
+        self.share = {}.setdefault
+
+    def __missing__(self, state):
+        idx, below, u, budget = state
+        spec, dist, apply_fn, far = self.specs[idx], self.dist, self.apply_fn, self.far
+        rest = self.tail[idx + 1]
+        last = idx + 1 == len(self.specs)
+        least = spec.least(below)
+        edges = []
+        # grow the factor letter by letter, depth first, shortest first
+        stack = [((), None, u, budget)]
+        while stack:
+            letters, prev, u, left = stack.pop()
+            need = dist.get(u, far)
+            if len(letters) >= least and need <= rest and need <= left:
+                factor = self.share(letters, letters)
+                if last:
+                    edges.append((factor, None))
+                else:
+                    nxt = (idx + 1, factor, u, left)
+                    if self[nxt]:
+                        edges.append((factor, nxt))
+            if left:
+                grown = []
+                for letter, generator, room in spec.candidates(prev, below):
+                    u2 = apply_fn(u, generator)
+                    need = dist.get(u2, far)
+                    if need < left and need <= room + rest:
+                        grown.append((letters + (letter,), letter, u2, left - 1))
+                stack.extend(reversed(grown))
+        self[state] = edges
+        return edges
 
 
 def hecke_search(
@@ -412,6 +466,10 @@ def hecke_search(
     search are one tuple object.  A negative max_letters or a side
     other than "right" or "left" raises ValueError.
 
+    Each state of the search (slot, factor closed before it, permutation
+    reached, letters left) is expanded once into its live closings; a
+    second walk then follows those edges depth first to list the tuples.
+
     >>> letters = [(i, i, 3) for i in (1, 2)]
     >>> spec = FactorSpec(lambda prev, below: letters, 3)
     >>> hecke_search((3, 2, 1), [spec], "right")
@@ -419,45 +477,24 @@ def hecke_search(
     """
     dist = hecke_distance(target, side)
     apply_fn = hecke_apply_right if side == "right" else hecke_apply
-    tail = [sum(spec.size for spec in specs[idx:]) for idx in range(len(specs) + 1)]
     if max_letters is None:
-        max_letters = tail[0]
+        max_letters = sum(spec.size for spec in specs)
     if max_letters < 0:
         raise ValueError(f"max_letters must be at least 0: {max_letters}")
-    far = max_letters + 1
-    out: list[tuple[tuple, ...]] = []
-    factors: list[tuple] = []
-    share = {}.setdefault
-
-    def fill(idx, below, least, letters, prev, u, used) -> None:
-        # close factor idx here, if u can still reach target in what is left
-        rest = tail[idx + 1]
-        need = dist.get(u, far)
-        if len(letters) >= least and need <= rest and need <= max_letters - used:
-            closed = tuple(letters)
-            factors.append(share(closed, closed))
-            if idx + 1 == len(specs):
-                out.append(tuple(factors))
-            else:
-                fewest = specs[idx + 1].least(factors[-1])
-                fill(idx + 1, factors[-1], fewest, [], None, u, used)
-            factors.pop()
-        left = max_letters - used - 1
-        if left < 0:
-            return
-        for letter, generator, room in specs[idx].candidates(prev, below):
-            u2 = apply_fn(u, generator)
-            need = dist.get(u2, far)
-            if need <= left and need <= room + rest:
-                letters.append(letter)
-                fill(idx, below, least, letters, letter, u2, used + 1)
-                letters.pop()
-
     start = identity(len(target))
     if not specs:
         return [()] if start == target else []
-    if dist.get(start, far) <= min(tail[0], max_letters):
-        fill(0, (), specs[0].least(()), [], None, start, 0)
+    table = _Closings(specs, dist, apply_fn, max_letters + 1)
+    out: list[tuple[tuple, ...]] = []
+    last = len(specs) - 1
+    stack = [((), (0, (), start, max_letters))]
+    while stack:
+        factors, state = stack.pop()
+        edges = table[state]
+        if state[0] == last:
+            out.extend([factors + (f,) for f, _ in edges])
+        else:
+            stack.extend([(factors + (f,), nxt) for f, nxt in reversed(edges)])
     return out
 
 

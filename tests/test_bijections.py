@@ -4,6 +4,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from grothpoly import bijections
 from grothpoly.bijections import (
     LADDER_TABLE,
     WQuadruple,
@@ -229,6 +230,32 @@ def test_factor_move_rejects_constraint_violations():
         psi_inv(2, 3, (), (Letter(4, True),))
     with pytest.raises(ValueError):
         psi_inv(2, 3, (3,), ())
+
+
+def test_cached_factor_moves_equal_an_uncached_move(monkeypatch):
+    steps = set()
+
+    def record(j, k, f_j, f_ex):
+        steps.add((j, k, tuple(f_j), tuple(f_ex)))
+        return psi(j, k, f_j, f_ex)
+
+    monkeypatch.setattr(bijections, "psi", record)
+    for w in permutations((1, 2, 3, 4)):
+        for f in enumerate_circled_bounded(w):
+            circled_to_double(f)
+    monkeypatch.undo()
+    assert len(steps) > 100
+    for j, k, f_j, f_ex in steps:
+        assert psi(j, k, f_j, f_ex) == bijections._psi.__wrapped__(j, k, f_j, f_ex)
+        assert psi(j, k, list(f_j), list(f_ex)) == psi(j, k, f_j, f_ex)
+
+
+def test_a_bad_factor_move_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            psi(2, 3, (Letter(1), Letter(3)), ())
+        with pytest.raises(ValueError):
+            psi(2, 3, (), (5, 5))
 
 
 def replayed_chain_pairs(f):

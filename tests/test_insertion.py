@@ -100,6 +100,18 @@ def test_insert_into_pair_rejects_pairs_of_different_or_skew_shapes():
             insert_into_pair(P, Q, 3, 3)
 
 
+def test_insert_into_pair_rejects_a_p_that_is_no_hecke_tableau():
+    for P, Q in [
+        (tableau([[[1, 2]]]), tableau([[1]])),
+        (tableau([["1'"]]), tableau([[1]])),
+        (tableau([[3, 1]]), tableau([[1, 2]])),
+        (tableau([[1, 1]]), tableau([[1, 2]])),
+        (tableau([[1], [1]]), tableau([[1], [2]])),
+    ]:
+        with pytest.raises(ValueError):
+            insert_into_pair(P, Q, 2, 3)
+
+
 # ---------------------------------------------------------------------------
 # full words: pinned traces
 

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from grothpoly import factorizations, tableaux
 from grothpoly.permutations import (
     FactorSpec,
     all_permutations,
@@ -164,11 +165,10 @@ def test_enumerate_hecke_words_rejects_negative_length():
         enumerate_hecke_words((1, 2), -1)
 
 
-@pytest.mark.parametrize("side", ["right", "left"])
-def test_hecke_search_matches_brute_force(side):
-    # two strictly increasing factors: the second holds at least as many
-    # letters as the first and does not start with its first letter
-    n = 3
+def increasing_spec(n):
+    """A strictly increasing factor over 1..n that reads below: it holds
+    at least as many letters as the factor before it and does not start
+    with that factor's first letter."""
 
     def candidates(prev, below):
         lo = 1 if prev is None else prev + 1
@@ -178,7 +178,13 @@ def test_hecke_search_matches_brute_force(side):
             if prev is not None or below[:1] != (i,)
         ]
 
-    spec = FactorSpec(candidates, n, len)
+    return FactorSpec(candidates, n, len)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_hecke_search_matches_brute_force(side):
+    n = 3
+    spec = increasing_spec(n)
     words = [
         w
         for k in range(n + 1)
@@ -204,6 +210,96 @@ def test_hecke_search_matches_brute_force(side):
     assert hecke_search((2, 1), [], side) == []
     with pytest.raises(ValueError):
         hecke_search((1, 2), [spec], side, -1)
+
+
+def letter_by_letter_search(target, specs, side, max_letters=None):
+    """Oracle: hecke_search as one depth-first walk that grows each
+    prefix letter by letter and re-expands every state it reaches."""
+    dist = hecke_distance(target, side)
+    apply_fn = hecke_apply_right if side == "right" else hecke_apply
+    tail = [sum(spec.size for spec in specs[idx:]) for idx in range(len(specs) + 1)]
+    if max_letters is None:
+        max_letters = tail[0]
+    far = max_letters + 1
+    out = []
+    factors = []
+    share = {}.setdefault
+
+    def fill(idx, below, least, letters, prev, u, used):
+        rest = tail[idx + 1]
+        need = dist.get(u, far)
+        if len(letters) >= least and need <= rest and need <= max_letters - used:
+            closed = tuple(letters)
+            factors.append(share(closed, closed))
+            if idx + 1 == len(specs):
+                out.append(tuple(factors))
+            else:
+                fewest = specs[idx + 1].least(factors[-1])
+                fill(idx + 1, factors[-1], fewest, [], None, u, used)
+            factors.pop()
+        left = max_letters - used - 1
+        if left < 0:
+            return
+        for letter, generator, room in specs[idx].candidates(prev, below):
+            u2 = apply_fn(u, generator)
+            need = dist.get(u2, far)
+            if need <= left and need <= room + rest:
+                letters.append(letter)
+                fill(idx, below, least, letters, letter, u2, used + 1)
+                letters.pop()
+
+    start = identity(len(target))
+    if not specs:
+        return [()] if start == target else []
+    if dist.get(start, far) <= min(tail[0], max_letters):
+        fill(0, (), specs[0].least(()), [], None, start, 0)
+    return out
+
+
+def searched_specs(monkeypatch):
+    """The (name, specs, side) that the six factorization families and
+    the Hecke tableaux of S_4 hand to hecke_search."""
+    seen = []
+
+    def record(target, specs, side, max_letters=None):
+        seen.append((specs, side))
+        return []
+
+    monkeypatch.setattr(factorizations, "hecke_search", record)
+    monkeypatch.setattr(tableaux, "hecke_search", record)
+    w = (4, 3, 2, 1)
+    calls = {
+        "bounded_plain": lambda: factorizations.enumerate_bounded_plain(w),
+        "circled_bounded": lambda: factorizations.enumerate_circled_bounded(w),
+        "double_bounded": lambda: factorizations.enumerate_double_bounded(w),
+        "double_unbounded": lambda: factorizations.enumerate_double_unbounded(w, 2, 8),
+        "plain_unbounded": lambda: factorizations.enumerate_plain_unbounded(w, 3, 8),
+        "hook": lambda: factorizations.enumerate_hook(w, 2, 3),
+        "hecke_tableaux": lambda: tableaux.enumerate_hecke_tableaux(w),
+    }
+    out = []
+    for name, call in calls.items():
+        call()
+        (specs, side), = seen
+        seen.clear()
+        out.append((name, specs, side))
+    monkeypatch.undo()
+    return out
+
+
+def test_hecke_search_keeps_the_letter_by_letter_order(monkeypatch):
+    cases = searched_specs(monkeypatch)
+    cases += [(side, [increasing_spec(3)] * 2, side) for side in ("right", "left")]
+    for name, specs, side in cases:
+        for target in all_permutations(4):
+            for budget in (None, *range(inversions(target) + 3)):
+                found = hecke_search(target, specs, side, budget)
+                want = letter_by_letter_search(target, specs, side, budget)
+                assert found == want, (name, target, budget)
+                shared = {}
+                for factors in found:
+                    for factor in factors:
+                        assert shared.setdefault(factor, factor) is factor
 
 
 def action_graph_distances(size, side):
