@@ -10,6 +10,7 @@ invocations print identical bytes.
 
 import argparse
 from collections import Counter
+from functools import cache
 import itertools
 import json
 import random
@@ -95,14 +96,16 @@ from .tableaux import (
 
 __all__ = ["main"]
 
-COMPUTE_TARGETS = (
-    "single",
-    "double",
-    "stable-single",
-    "stable-double",
-    "halfweak",
-    "qschur",
-)
+# each compute target with the flags it reads besides --perm and --json;
+# any other flag is a usage error, never silently ignored
+COMPUTE_TARGETS = {
+    "single": ("n",),
+    "double": ("n",),
+    "stable-single": ("m", "degree", "n"),
+    "stable-double": ("m", "degree", "n"),
+    "halfweak": ("m", "degree", "n"),
+    "qschur": ("degree",),
+}
 SUITE_ORDER = (
     "relations",
     "cauchy",
@@ -179,6 +182,10 @@ def _stratum_text(stratum: dict[tuple[int, ...], int]) -> str:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
+    reads = COMPUTE_TARGETS[args.what]
+    for flag in ("n", "m", "degree"):
+        if getattr(args, flag) is not None and flag not in reads:
+            raise UsageError(f"compute {args.what} does not read --{flag}")
     w = parse_perm(args.perm)
     degree = _bound(args.degree, 4, "degree", 0)
     window = _bound(args.m, 2, "m", 1)
@@ -622,21 +629,23 @@ def suite_qp(b: argparse.Namespace) -> list[Check]:
                     yield f"w={w} degree={d}"
                     return
 
-    strict = [
-        lam
-        for size in range(5)
-        for lam in partitions_of(size)
-        if all(a > b for a, b in zip(lam, lam[1:]))
-    ]
+    # sizes up to min(D, 6), never fewer than 4; four variables see every
+    # strict partition of these sizes
+    sizes = range(max(min(D, 6), 4) + 1)
 
     def stembridge_failures():
-        for size in range(5):
+        for size in sizes:
+            q = {
+                lam: q_schur(lam, 4, size)
+                for lam in partitions_of(size)
+                if all(a > b for a, b in zip(lam, lam[1:]))
+            }
             for mu in partitions_of(size):
                 lhs = set_y_equal_x(genfun_pt(mu, 4))
                 terms = (
-                    q_schur(lam, 4, size) * c
-                    for lam in strict
-                    if sum(lam) == size and (c := f_coefficient(mu, lam))
+                    q_lam * c
+                    for lam, q_lam in q.items()
+                    if (c := f_coefficient(mu, lam))
                 )
                 if lhs != poly_sum(4, terms):
                     yield f"mu={mu}"
@@ -812,8 +821,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reuses: parsing leaves it unchanged, and building
+    it costs about as much as a small compute."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "compute":
             return cmd_compute(args)

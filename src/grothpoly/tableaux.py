@@ -652,13 +652,19 @@ def _pt_fillings(shape: tuple[int, ...], max_value: int) -> list[Tableau]:
     out: list[Tableau] = []
 
     def leaf(filled):
-        out.append(Tableau(tuple(
-            tuple(filled[(r, c)] for c in range(length))
-            for r, length in enumerate(shape)
-        )))
+        out.append(_filled_tableau(shape, filled))
 
     _fill(boxes, len(boxes), _psmt_choices(max_value), leaf)
     return out
+
+
+def _filled_tableau(shape: tuple[int, ...], filled: dict) -> Tableau:
+    """The straight tableau of the shape whose box (r, c) holds
+    filled[(r, c)]."""
+    return Tableau(tuple(
+        tuple(filled[(r, c)] for c in range(length))
+        for r, length in enumerate(shape)
+    ))
 
 
 def genfun_pt(shape: tuple[int, ...], m: int) -> Polynomial:
@@ -754,12 +760,6 @@ def _rows_bottom_up(T: Tableau) -> Iterable[Entry]:
             yield box[0]
 
 
-def _rows_top_down_reversed(T: Tableau) -> Iterable[Entry]:
-    for row in T.rows:
-        for box in reversed(row):
-            yield box[0]
-
-
 def has_i_starting(T: Tableau, i: int) -> bool:
     """
     Scan rows left to right, bottom row to top: the first i or i' seen
@@ -789,19 +789,36 @@ def has_i_lattice(T: Tableau, i: int) -> bool:
     return _lattice(T, i)
 
 
+def _top_down_scan(rows, i: int) -> tuple[int, int] | None:
+    """
+    The first lattice scan for i >= 2 over the given rows, top row
+    first, each row right to left: the (above, below) tallies it ends
+    with, or None as soon as a prefix breaks it.  Because it reads the
+    rows in order, its verdict on the top rows of a tableau is the
+    verdict of the same prefix of the scan of the whole tableau.
+    """
+    above = below = 0
+    for row in rows:
+        for box in reversed(row):
+            e = box[0]
+            if not e.primed and e.value == i:
+                above += 1
+            elif not e.primed and e.value == i - 1:
+                below += 1
+            if above > below:
+                return None
+            if above == below and e.primed and e.value == i:
+                return None
+    return above, below
+
+
 def _lattice(T: Tableau, i: int) -> bool:
     if i == 1:
         return True
-    above = below = 0
-    for e in _rows_top_down_reversed(T):
-        if not e.primed and e.value == i:
-            above += 1
-        elif not e.primed and e.value == i - 1:
-            below += 1
-        if above > below:
-            return False
-        if above == below and e.primed and e.value == i:
-            return False
+    tallies = _top_down_scan(T.rows, i)
+    if tallies is None:
+        return False
+    above, below = tallies
     for e in _rows_bottom_up(T):
         if e.primed and e.value == i:
             above += 1
@@ -816,17 +833,36 @@ def _lattice(T: Tableau, i: int) -> bool:
 
 @cache
 def _f_tally(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """One pass over the primed tableaux of shape mu: the qualifying
-    fillings (every starting and lattice scan passes) counted by
-    combined weight, as (weight, count) pairs."""
+    """The primed tableaux of shape mu with values up to |mu| that pass
+    every starting and lattice scan, counted by combined weight, as
+    (weight, count) pairs in the order the fill first meets each weight.
+
+    The fill places the rows top first, so at the first box of row r the
+    rows above are final.  The first lattice scan for i >= 2 reads those
+    rows before any other box: if it already breaks on them, it breaks
+    on every completion, and the branch is cut there.  The starting scan
+    and the second lattice scan read the bottom row first, which is not
+    placed yet, so they cannot cut; every leaf is still scanned in full.
+    Cutting drops only fillings that fail, so the surviving ones, and
+    the tally's order, are those of the whole list _pt_fillings(mu, cap).
+    """
     cap = max(sum(mu), 1)
+    values = range(1, cap + 1)
+    fill_choices = _psmt_choices(cap)
+
+    def choices(r, c, filled, room, used):
+        if c == 0 and r > 0:
+            top = [[filled[(q, k)] for k in range(mu[q])] for q in range(r)]
+            if any(_top_down_scan(top, i) is None for i in values[1:]):
+                return ()
+        return fill_choices(r, c, filled, room, used)
+
     counts: dict[tuple[int, ...], int] = {}
-    for T in _pt_fillings(mu, cap):  # valid by construction: scan unchecked
-        if not all(
-            _starts_unprimed(T, i) and _lattice(T, i)
-            for i in range(1, cap + 1)
-        ):
-            continue
+
+    def leaf(filled):
+        T = _filled_tableau(mu, filled)  # valid by construction: scan unchecked
+        if not all(_starts_unprimed(T, i) and _lattice(T, i) for i in values):
+            return
         x, y = weight_of(T)
         combined = tuple(a + b for a, b in zip(x, y))
         while combined and combined[-1] == 0:
@@ -837,6 +873,8 @@ def _f_tally(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
                 f"{T}"
             )
         counts[combined] = counts.get(combined, 0) + 1
+
+    _fill(_boxes_of(mu), sum(mu), choices, leaf)
     return tuple(counts.items())
 
 
@@ -845,8 +883,9 @@ def f_coefficient(mu: tuple[int, ...], lam: tuple[int, ...]) -> int:
     The number of primed tableaux of shape mu having every starting and
     lattice property whose combined x- and y-weight is lam.  Qualifying
     weights are checked to be strict partitions; a violation raises.
-    The count is read from a tally cached per shape, built by one pass
-    over the primed tableaux of shape mu that counts every lam at once.
+    The count is read from a tally cached per shape that counts every
+    lam at once; the fill behind it cuts a branch as soon as its
+    complete top rows fail a lattice scan (see _f_tally).
 
     >>> f_coefficient((3, 1), (4,))
     1

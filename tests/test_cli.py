@@ -1,9 +1,13 @@
 """Front-end behaviour: pinned outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import grothpoly
 from grothpoly import cli
 from grothpoly.grothendieck import grothendieck_double
 from grothpoly.polynomials import Polynomial, delta, from_json, x_var
@@ -81,6 +85,71 @@ def test_malformed_permutation_exits_two(capsys):
         assert code == 2
         assert out == ""
         assert "not a permutation" in err
+
+
+def test_compute_qschur_degree_seven_pin(capsys):
+    code, out, _ = run(
+        capsys, "compute", "qschur", "--perm", "3,1,2,5,4", "--degree", "7", "--json"
+    )
+    assert code == 0
+    assert out == '{"[7]":30,"[6,1]":25,"[5,2]":15,"[4,3]":5}\n'
+
+
+@pytest.mark.parametrize(
+    "what, flag",
+    [
+        ("qschur", "--m"),
+        ("qschur", "--n"),
+        ("single", "--m"),
+        ("single", "--degree"),
+        ("double", "--m"),
+        ("double", "--degree"),
+    ],
+)
+def test_compute_flag_the_target_ignores_exits_two(capsys, what, flag):
+    code, out, err = run(capsys, "compute", what, "--perm", "2,1", flag, "3")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: compute {what} does not read {flag}\n"
+
+
+def fresh_process(argv):
+    src = os.path.dirname(os.path.dirname(grothpoly.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        PYTHONPATH=src if not path else src + os.pathsep + path,
+        COLUMNS="80",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "grothpoly", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
+    # main keeps its parser between calls; each call prints what a fresh
+    # process prints, usage errors included
+    monkeypatch.setenv("COLUMNS", "80")
+    qschur = ["compute", "qschur", "--perm", "3,1,2,5,4", "--degree", "5"]
+    calls = [
+        ["compute", "qschur", "--perm", "3,1,2,5,4", "--degree", "x"],
+        [*qschur, "--m", "3"],
+        [*qschur, "--json"],
+        qschur,
+        ["verify", "qp"],
+    ]
+    for argv in calls:
+        try:
+            code = cli.main(argv)
+        except SystemExit as stop:
+            code = stop.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == fresh_process(argv), argv
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_unknown_target_is_an_argparse_error(capsys):

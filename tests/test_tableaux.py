@@ -51,7 +51,12 @@ from grothpoly.tableaux import (
     weight_of,
 )
 from grothpoly import tableaux
-from grothpoly.tableaux import _f_tally, _pt_fillings
+from grothpoly.tableaux import (
+    _f_tally,
+    _lattice,
+    _pt_fillings,
+    _top_down_scan,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -609,17 +614,35 @@ def test_f_coefficient_cap_is_saturated():
 
 def test_f_coefficient_matches_public_scans():
     # every lam of the same size, strict or not, against a count made
-    # through the public scans; repeat calls agree and the cached tally
-    # is immutable all the way down (hashable)
+    # through the public scans of every filling; the tally, whose fill
+    # cuts branches, lists the same weights in the same order; repeat
+    # calls agree and the cached tally is immutable all the way down
+    # (hashable)
     for n in range(6):
         for mu in partitions_of(n):
             brute = qualifying_weights(mu, max(n, 1))
+            assert _f_tally(mu) == tuple(brute.items()), mu
             for lam in partitions_of(n):
                 value = f_coefficient(mu, lam)
                 assert type(value) is int
                 assert value == brute.get(lam, 0), (mu, lam)
                 assert f_coefficient(mu, lam) == value
             hash(_f_tally(mu))
+
+
+def test_a_scan_broken_on_the_top_rows_fails_the_lattice():
+    # the cut's argument: once the first lattice scan breaks on complete
+    # top rows, no bottom rows can save the tableau
+    cuts = 0
+    for n in range(5):
+        for mu in partitions_of(n):
+            for T in _pt_fillings(mu, 4):
+                for r in range(1, len(mu)):
+                    for i in range(2, 5):
+                        if _top_down_scan(T.rows[:r], i) is None:
+                            cuts += 1
+                            assert not _lattice(T, i), (T, r, i)
+    assert cuts > 0
 
 
 def test_f_coefficient_takes_lists():
