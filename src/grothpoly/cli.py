@@ -25,6 +25,7 @@ from .bijections import (
     psi_inv,
 )
 from .factorizations import (
+    _series,
     cauchy_sum,
     enumerate_bounded_plain,
     enumerate_circled_bounded,
@@ -106,6 +107,19 @@ COMPUTE_TARGETS = {
     "halfweak": ("m", "degree", "n"),
     "qschur": ("degree",),
 }
+# each verify suite with the flags it reads besides --json and --suite;
+# a suite named alone rejects any other flag, and all reads every flag
+# that some suite reads
+SUITE_FLAGS = {
+    "relations": ("n", "degree", "trials", "seed"),
+    "cauchy": ("n", "trials", "seed"),
+    "insertion": ("n", "degree"),
+    "bijections": ("n",),
+    "tabt": ("m", "degree"),
+    "qp": ("degree",),
+    "tabtopi": ("n",),
+    "stability": ("degree",),
+}
 SUITE_ORDER = (
     "relations",
     "cauchy",
@@ -141,6 +155,11 @@ def _bound(value: int | None, default: int | None, flag: str, least: int) -> int
     if value is not None and value < least:
         raise UsageError(f"--{flag} must be at least {least}")
     return default if value is None else value
+
+
+def _seed(b: argparse.Namespace) -> int:
+    """The value of --seed, 0 when it is unset."""
+    return 0 if b.seed is None else b.seed
 
 
 def _in_window(p: Polynomial, m: int) -> Polynomial:
@@ -251,7 +270,7 @@ def suite_relations(b: argparse.Namespace) -> list[Check]:
     m = min(_bound(b.n, 4, "n", 2), 8)
     degree = _bound(b.degree, 4, "degree", 0)
     trials = _bound(b.trials, 50, "trials", 1)
-    rng = random.Random(b.seed)
+    rng = random.Random(_seed(b))
     polys = [_random_poly(rng, m, degree) for _ in range(trials)]
     zero = Polynomial(m, {})
     ops = (("delta", delta), ("pi", pi))
@@ -321,7 +340,7 @@ def suite_relations(b: argparse.Namespace) -> list[Check]:
 def suite_cauchy(b: argparse.Namespace) -> list[Check]:
     rank = _bound(b.n, 2, "n", 1)
     trials = _bound(b.trials, 10, "trials", 1)
-    rng = random.Random(b.seed)
+    rng = random.Random(_seed(b))
     perms = sorted(all_permutations(min(rank, 2) + 1))
     if rank >= 3:
         pool = sorted(all_permutations(rank + 1))
@@ -370,6 +389,22 @@ def suite_cauchy(b: argparse.Namespace) -> list[Check]:
         _check(
             "longest_element_series_is_the_staircase_product",
             [] if ok else [f"n={n0}, count={len(circled)}"],
+        ),
+        _check(
+            "double_equals_circled_path_sum",
+            (
+                f"w={w}"
+                for w in perms
+                if _series("circled_bounded", w) != grothendieck_double(w)
+            ),
+        ),
+        _check(
+            "double_equals_split_path_sum",
+            (
+                f"w={w}"
+                for w in perms
+                if _series("double_bounded", w) != grothendieck_double(w)
+            ),
         ),
     ]
 
@@ -746,6 +781,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise UsageError("suite named twice, with different names")
         chosen = args.suite
     names = list(SUITE_ORDER) if chosen in (None, "all") else [chosen]
+    reads = {flag for nm in names for flag in SUITE_FLAGS[nm]}
+    for flag in ("n", "m", "degree", "trials", "seed"):
+        if getattr(args, flag) is not None and flag not in reads:
+            raise UsageError(f"verify {chosen} does not read --{flag}")
     rows = [(nm, check) for nm in names for check in SUITES[nm](args)]
     if args.json:
         payload = [
@@ -817,7 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ver.add_argument("--suite", choices=(*SUITE_ORDER, "all"))
     ver.add_argument("--trials", type=int, default=None)
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=int, default=None)
     return parser
 
 

@@ -22,6 +22,7 @@ evaluate leftmost first.
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import add, itemgetter
 import re
 from typing import NamedTuple
 
@@ -32,6 +33,7 @@ from .permutations import (
     eval_hecke_word,
     eval_hecke_word_ltr,
     hecke_distance,
+    hecke_path_sum,
     hecke_search,
     inverse,
 )
@@ -100,10 +102,6 @@ class Factorization:
 
     def __str__(self) -> str:
         return factorization_to_str(self)
-
-
-def _canonical_key(f: Factorization):
-    return (f.flat_word(), f.circle_mask(), tuple(len(x) for x in f.factors))
 
 
 def evaluation(f: Factorization) -> tuple[int, ...]:
@@ -184,39 +182,92 @@ def is_valid_factorization(f: Factorization) -> bool:
     )
 
 
+def _slot_weight(kind: str, split: int | None, slot: int, factor) -> tuple:
+    """
+    The exponents one factor adds in its slot: (x, y), each a tuple of
+    (index, amount) pairs.  A factor's weight depends only on its slot
+    and its letters, so weight, genfun and the series share this one
+    rule; genfun and the series weigh each distinct (slot, factor) once.
+    """
+    if kind in ("plain", "bounded_plain"):
+        return ((slot, len(factor)),), ()
+    if kind in ("double_bounded", "double_unbounded"):
+        if slot < split:
+            return (), ((split - 1 - slot, len(factor)),)
+        return ((slot - split, len(factor)),), ()
+    circled = [l.value for l in factor if l.circled]
+    x = ((slot, len(factor) - len(circled)),)
+    if kind == "hook":
+        return x, ((slot, len(circled)),)
+    if kind == "circled_bounded":
+        # a circled v in factor k = slot + 1 weighs y_i with i = v - k + 1
+        return x, tuple((v - slot - 1, 1) for v in circled)
+    raise ValueError(f"no weight defined for kind {kind!r}")
+
+
+_WEIGHED_KINDS = _BOUNDED_KINDS + ("plain", "double_unbounded", "hook")
+
+
 def weight(f: Factorization) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
-    The (x-weight, y-weight) pair of vectors for f, per its kind.
+    The (x-weight, y-weight) pair of vectors for f, per its kind: the
+    double kinds weigh the right half in x and the left half, read
+    outward from the center, in y; every other kind has one x and one
+    y exponent per factor.
 
     >>> h = parse_factorization("(3o 2o 2 3 3)(1o 2 2)(3o 2o 1 1 3 3)", "hook", 3)
     >>> weight(h)
     ((3, 2, 4), (2, 1, 2))
     """
-    sizes = tuple(len(fac) for fac in f.factors)
-    if f.kind in ("plain", "bounded_plain"):
-        return sizes, (0,) * len(sizes)
-    if f.kind == "circled_bounded":
-        x = tuple(sum(1 for l in fac if not l.circled) for fac in f.factors)
-        y = [0] * len(f.factors)
-        for k, fac in enumerate(f.factors, start=1):
-            for l in fac:
-                if l.circled:
-                    y[l.value - k] += 1  # slot i = value - k + 1
-        return x, tuple(y)
-    if f.kind in ("double_bounded", "double_unbounded"):
-        left, right = f.factors[: f.split], f.factors[f.split :]
-        x = tuple(len(fac) for fac in right)
-        y = tuple(len(fac) for fac in reversed(left))
-        return x, y
-    if f.kind == "hook":
-        x = tuple(sum(1 for l in fac if not l.circled) for fac in f.factors)
-        y = tuple(sum(1 for l in fac if l.circled) for fac in f.factors)
-        return x, y
-    raise ValueError(f"no weight defined for kind {f.kind!r}")
+    if f.kind not in _WEIGHED_KINDS:
+        raise ValueError(f"no weight defined for kind {f.kind!r}")
+    slots = len(f.factors)
+    split = f.split if f.kind.startswith("double") else None
+    x = [0] * (slots if split is None else slots - split)
+    y = [0] * (slots if split is None else split)
+    for slot, factor in enumerate(f.factors):
+        xs, ys = _slot_weight(f.kind, split, slot, factor)
+        for i, a in xs:
+            x[i] += a
+        for i, a in ys:
+            y[i] += a
+    return tuple(x), tuple(y)
+
+
+def _packer(kind: str, split: int | None, width: int, most: int):
+    """
+    weigh(slot, factor) for a family of the given kind: the factor's
+    exponents packed into one int, a field of bits per exponent, x1..xm
+    then y1..ym, so that adding packed weights adds exponent vectors.
+    most bounds every exponent of a sum, so no field overflows into the
+    next; an index past the width raises ValueError.  unpack turns a
+    packed sum back into a polynomial key.
+    """
+    bits = max(most, 1).bit_length()
+
+    def weigh(slot, factor):
+        xs, ys = _slot_weight(kind, split, slot, factor)
+        packed = 0
+        for offset, pairs in ((0, xs), (width, ys)):
+            for i, a in pairs:
+                if not 0 <= i < width:
+                    raise ValueError(f"a weight is wider than the width {width}")
+                packed += a << bits * (offset + i)
+        return packed
+
+    mask = (1 << bits) - 1
+
+    def unpack(packed):
+        fields = [(packed >> bits * i) & mask for i in range(2 * width)]
+        return tuple(fields[:width]), tuple(fields[width:])
+
+    return weigh, unpack
 
 
 # ---------------------------------------------------------------------------
-# enumeration: every family is a list of FactorSpec slots for hecke_search
+# enumeration: every family is a list of FactorSpec slots for hecke_search,
+# built once by _family; _enumerate_factors lists the family and _series
+# sums its generating polynomial over the same search graph
 
 
 def _chain_spec(letters: list[Letter]) -> FactorSpec:
@@ -226,7 +277,10 @@ def _chain_spec(letters: list[Letter]) -> FactorSpec:
         (letter, letter.value, len(letters) - k - 1)
         for k, letter in enumerate(letters)
     ]
-    return FactorSpec(lambda prev, below: triples[after.get(prev, 0):], len(letters))
+    return FactorSpec(
+        lambda prev, below: triples[after.get(prev, 0):], len(letters),
+        reads_below=False,
+    )
 
 
 def _descending(bound: int, n: int, circled: bool = False) -> list[Letter]:
@@ -250,7 +304,34 @@ def _hook_spec(n: int, budget: int) -> FactorSpec:
         for v in range(lo, n + 1):
             yield Letter(v, False), v, budget
 
-    return FactorSpec(candidates, budget)
+    return FactorSpec(candidates, budget, reads_below=False)
+
+
+def _family(
+    kind: str, n: int, parts: int | None = None, max_letters: int | None = None
+) -> tuple[list[FactorSpec], str, int | None]:
+    """
+    The hecke_search slots of a family over S_{n+1}, the side its words
+    act on and its split: the bounded kinds have n+1 factors a side,
+    double_unbounded has parts a side, plain and hook have parts.
+    """
+    if kind in ("bounded_plain", "circled_bounded"):
+        circled = kind == "circled_bounded"
+        specs = [_chain_spec(_descending(i, n, circled)) for i in range(1, n + 2)]
+        return specs, "right", None
+    if kind == "double_bounded":
+        specs = [_chain_spec(_descending(i, n)[::-1]) for i in range(n + 1, 0, -1)]
+        specs += [_chain_spec(_descending(i, n)) for i in range(1, n + 2)]
+        return specs, "right", n + 1
+    if kind == "double_unbounded":
+        specs = [_chain_spec(_descending(1, n)[::-1])] * parts
+        specs += [_chain_spec(_descending(1, n))] * parts
+        return specs, "right", parts
+    if kind == "plain":
+        return [_chain_spec(_descending(1, n))] * parts, "right", None
+    if kind == "hook":
+        return [_hook_spec(n, max_letters) for _ in range(parts)], "left", None
+    raise ValueError(f"no family of kind {kind!r}")
 
 
 def _enumerate_factors(
@@ -261,14 +342,74 @@ def _enumerate_factors(
     max_letters: int | None,
     split: int | None = None,
 ) -> list[Factorization]:
+    """
+    The Factorizations that hecke_search finds, sorted by flat word,
+    then circle mask, then factor lengths.  Each key is joined from
+    pieces computed once per distinct factor: within one search, equal
+    factors are one object, and they stay alive while the keys are made,
+    so a factor's id names it.
+    """
     n = len(w) - 1
-    return sorted(
-        (
-            Factorization(kind, factors, n, split)
-            for factors in hecke_search(w, specs, side, max_letters)
-        ),
-        key=_canonical_key,
-    )
+    found = hecke_search(w, specs, side, max_letters)
+    distinct = {id(factor): factor for factors in found for factor in factors}
+    pieces = {
+        k: (tuple(l.value for l in factor), tuple(l.circled for l in factor))
+        for k, factor in distinct.items()
+    }
+    if any(any(marks) for _, marks in pieces.values()):
+
+        def key(factors):
+            flat = mask = ()
+            for factor in factors:
+                values, marks = pieces[id(factor)]
+                flat += values
+                mask += marks
+            return flat, mask, tuple(map(len, factors))
+
+    else:
+        # every mask is all False, so equal flat words have equal masks
+        # and the mask can be left out of the key
+        words = {k: values for k, (values, _) in pieces.items()}
+
+        def key(factors):
+            flat = ()
+            for factor in factors:
+                flat += words[id(factor)]
+            return flat, tuple(map(len, factors))
+
+    return [Factorization(kind, factors, n, split) for factors in sorted(found, key=key)]
+
+
+def _listed(
+    kind: str, w: tuple[int, ...], parts: int | None = None, max_letters: int | None = None
+) -> list[Factorization]:
+    """The family of the given kind for w, listed and sorted."""
+    specs, side, split = _family(kind, len(w) - 1, parts, max_letters)
+    return _enumerate_factors(w, kind, specs, side, max_letters, split)
+
+
+def _series(
+    kind: str,
+    w: tuple[int, ...],
+    parts: int | None = None,
+    max_letters: int | None = None,
+    m: int | None = None,
+) -> Polynomial:
+    """
+    genfun of the family _listed would give, in m variables per family
+    (default: one per x slot), summed over the search graph by
+    hecke_path_sum instead of listed: each slot's factor adds its
+    _slot_weight, packed into one int.
+    """
+    specs, side, split = _family(kind, len(w) - 1, parts, max_letters)
+    natural = len(specs) if split is None else split
+    width = m or natural
+    if width < natural:
+        raise ValueError(f"width {width} is narrower than the {natural} x slots")
+    most = sum(spec.size for spec in specs) if max_letters is None else max_letters
+    weigh, unpack = _packer(kind, split, width, most)
+    sums = hecke_path_sum(w, specs, side, weigh, max_letters)
+    return Polynomial(width, {unpack(key): c for key, c in sums.items()})
 
 
 def enumerate_bounded_plain(
@@ -284,9 +425,7 @@ def enumerate_bounded_plain(
     >>> [factorization_to_str(f) for f in enumerate_bounded_plain((3, 1, 2))]
     ['(2 1)()()']
     """
-    n = len(w) - 1
-    specs = [_chain_spec(_descending(i, n)) for i in range(1, n + 2)]
-    return _enumerate_factors(w, "bounded_plain", specs, "right", max_letters)
+    return _listed("bounded_plain", w, max_letters=max_letters)
 
 
 def enumerate_circled_bounded(
@@ -299,11 +438,7 @@ def enumerate_circled_bounded(
     >>> len(enumerate_circled_bounded((3, 2, 1)))
     27
     """
-    n = len(w) - 1
-    specs = [
-        _chain_spec(_descending(i, n, circled=True)) for i in range(1, n + 2)
-    ]
-    return _enumerate_factors(w, "circled_bounded", specs, "right", max_letters)
+    return _listed("circled_bounded", w, max_letters=max_letters)
 
 
 def enumerate_double_bounded(
@@ -315,12 +450,7 @@ def enumerate_double_bounded(
     decreasing, with the i-th factor outward from center on each side
     bounded below by i.
     """
-    n = len(w) - 1
-    specs = [_chain_spec(_descending(i, n)[::-1]) for i in range(n + 1, 0, -1)]
-    specs += [_chain_spec(_descending(i, n)) for i in range(1, n + 2)]
-    return _enumerate_factors(
-        w, "double_bounded", specs, "right", max_letters, split=n + 1
-    )
+    return _listed("double_bounded", w, max_letters=max_letters)
 
 
 def enumerate_double_unbounded(
@@ -336,12 +466,7 @@ def enumerate_double_unbounded(
     """
     if half_parts < 0:
         raise ValueError(f"half_parts must be at least 0: {half_parts}")
-    n = len(w) - 1
-    specs = [_chain_spec(_descending(1, n)[::-1])] * half_parts
-    specs += [_chain_spec(_descending(1, n))] * half_parts
-    return _enumerate_factors(
-        w, "double_unbounded", specs, "right", max_letters, split=half_parts
-    )
+    return _listed("double_unbounded", w, half_parts, max_letters)
 
 
 def enumerate_plain_unbounded(
@@ -356,9 +481,7 @@ def enumerate_plain_unbounded(
     """
     if parts < 0:
         raise ValueError(f"parts must be at least 0: {parts}")
-    n = len(w) - 1
-    specs = [_chain_spec(_descending(1, n))] * parts
-    return _enumerate_factors(w, "plain", specs, "right", max_letters)
+    return _listed("plain", w, parts, max_letters)
 
 
 def enumerate_hook(
@@ -375,15 +498,15 @@ def enumerate_hook(
     """
     if parts < 0:
         raise ValueError(f"parts must be at least 0: {parts}")
-    n = len(w) - 1
-    specs = [_hook_spec(n, max_letters) for _ in range(parts)]
-    return _enumerate_factors(w, "hook", specs, "left", max_letters)
+    return _listed("hook", w, parts, max_letters)
 
 
 def genfun(factorizations, m: int | None = None) -> Polynomial:
     """
     The generating polynomial: the sum of x^(x-weight) y^(y-weight)
     over the given factorizations, which must share kind and shape.
+    Each distinct (slot, factor) is weighed once, and a factorization's
+    weight is the sum of its slots' packed weights.
 
     >>> from grothpoly.polynomials import pretty
     >>> pretty(genfun(enumerate_bounded_plain((3, 1, 2))))
@@ -392,16 +515,33 @@ def genfun(factorizations, m: int | None = None) -> Polynomial:
     items = list(factorizations)
     if not items:
         return constant(0, m or 1)
-    kinds = {f.kind for f in items}
+    shapes = {(f.kind, f.split, len(f.factors)) for f in items}
+    kinds = {shape[0] for shape in shapes}
     if len(kinds) > 1:
         raise ValueError(f"mixed kinds {sorted(kinds)}")
-    first_x, first_y = weight(items[0])
+    if len(shapes) > 1:
+        raise ValueError(f"mixed shapes {sorted(shapes, key=str)}")
+    first = items[0]
+    first_x, first_y = weight(first)
     width = m or max(len(first_x), len(first_y))
-
-    def pad(e):
-        return e + (0,) * (width - len(e))
-
-    return Polynomial(width, Counter((pad(x), pad(y)) for x, y in map(weight, items)))
+    split = first.split if first.kind.startswith("double") else None
+    rows = [f.factors for f in items]
+    # equal factors of one search are one object, alive while rows is, so
+    # a factor's id names it: weigh each distinct factor of a slot once,
+    # then add up the packed weights slot by slot
+    columns = [
+        {id(factor): factor for factor in map(itemgetter(slot), rows)}
+        for slot in range(len(rows[0]))
+    ]
+    most = sum(max(map(len, column.values())) for column in columns)
+    weigh, unpack = _packer(first.kind, split, width, most)
+    totals = [0] * len(rows)
+    for slot, column in enumerate(columns):
+        packed = {key: weigh(slot, factor) for key, factor in column.items()}
+        ids = map(id, map(itemgetter(slot), rows))
+        totals = list(map(add, totals, map(packed.__getitem__, ids)))
+    counts = Counter(totals)
+    return Polynomial(width, {unpack(key): c for key, c in counts.items()})
 
 
 def enumerate_X(w: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

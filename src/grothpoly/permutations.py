@@ -35,6 +35,7 @@ __all__ = [
     "hecke_distance",
     "FactorSpec",
     "hecke_search",
+    "hecke_path_sum",
     "demazure_product",
     "bruhat_leq",
     "reduced_words",
@@ -146,9 +147,11 @@ def hecke_apply(p: tuple[int, ...], i: int) -> tuple[int, ...]:
     """
     if not 1 <= i <= len(p) - 1:
         raise ValueError(f"generator index {i} out of range 1..{len(p) - 1}")
-    if p.index(i) < p.index(i + 1):
-        swap = {i: i + 1, i + 1: i}
-        return tuple(swap.get(v, v) for v in p)
+    a, b = p.index(i), p.index(i + 1)
+    if a < b:
+        q = list(p)
+        q[a], q[b] = i + 1, i
+        return tuple(q)
     return p
 
 
@@ -378,7 +381,7 @@ def hecke_distance(
 # ---------------------------------------------------------------------------
 # the pruned Hecke search
 #
-# Hecke words, factorizations and Hecke tableaux are all listed the same
+# Hecke words, factorizations and Hecke tableaux are all found the same
 # way: factor by factor, letter by letter, carrying the evaluation of the
 # prefix as a permutation.  A branch survives only while the prefix can
 # still be completed to the target within both the letter budget and the
@@ -387,8 +390,14 @@ def hecke_distance(
 #
 # What a slot may hold next depends only on the state (slot index, the
 # factor closed just before, the permutation reached, the letters left),
-# and many prefixes reach the same state.  So the search expands each
-# state once, into its live closings, and then walks those edges.
+# and many prefixes reach the same state; a slot whose spec does not read
+# the factor before it keys its states without that factor, which merges
+# states with equal closings.  So the search is a graph: each state is
+# expanded once, into its live closings, and two readers walk its edges.
+# hecke_search lists every path depth first; hecke_path_sum adds up the
+# weights of all paths with one memo per state, the transfer-matrix
+# method (Stanley, Enumerative Combinatorics I, 4.7), without listing
+# them.
 
 
 class FactorSpec(NamedTuple):
@@ -396,20 +405,25 @@ class FactorSpec(NamedTuple):
     (letter, generator, room) triple for each letter that may follow prev
     (None at the factor's start), given below, the factor finished just
     before: room bounds how many more letters the factor can take after
-    it.  size bounds the factor's length, least(below) is its fewest."""
+    it.  size bounds the factor's length, least(below) is its fewest.
+    reads_below says whether candidates or least reads below; a spec
+    that reads neither sets it False, so that states differing only in
+    below are one state of the search."""
 
     candidates: Callable[[Any, tuple], Iterable[tuple[Any, int, int]]]
     size: int
     least: Callable[[tuple], int] = lambda below: 0
+    reads_below: bool = True
 
 
 class _Closings(dict):
     """The live closings of each search state (idx, below, u, budget),
     expanded on first lookup: every (factor, next state) that closes slot
-    idx, in search order, where next is None after the last slot.  An
-    edge is kept only if its next state has closings of its own.  A dict
-    with __missing__ rather than a recursive closure, which would be a
-    reference cycle: the table goes as soon as the search returns."""
+    idx, in search order, where next is None after the last slot.  below
+    is () when spec idx does not read it.  An edge is kept only if its
+    next state has closings of its own.  A dict with __missing__ rather
+    than a recursive closure, which would be a reference cycle: the table
+    goes as soon as the search returns."""
 
     def __init__(self, specs, dist, apply_fn, far):
         super().__init__()
@@ -425,6 +439,7 @@ class _Closings(dict):
         spec, dist, apply_fn, far = self.specs[idx], self.dist, self.apply_fn, self.far
         rest = self.tail[idx + 1]
         last = idx + 1 == len(self.specs)
+        keyed = not last and self.specs[idx + 1].reads_below
         least = spec.least(below)
         edges = []
         # grow the factor letter by letter, depth first, shortest first
@@ -437,7 +452,7 @@ class _Closings(dict):
                 if last:
                     edges.append((factor, None))
                 else:
-                    nxt = (idx + 1, factor, u, left)
+                    nxt = (idx + 1, factor if keyed else (), u, left)
                     if self[nxt]:
                         edges.append((factor, nxt))
             if left:
@@ -450,6 +465,21 @@ class _Closings(dict):
                 stack.extend(reversed(grown))
         self[state] = edges
         return edges
+
+
+def _search_graph(target, specs, side, max_letters):
+    """The closings table of a search and its root state, or None when
+    there are no slots."""
+    dist = hecke_distance(target, side)
+    apply_fn = hecke_apply_right if side == "right" else hecke_apply
+    if max_letters is None:
+        max_letters = sum(spec.size for spec in specs)
+    if max_letters < 0:
+        raise ValueError(f"max_letters must be at least 0: {max_letters}")
+    if not specs:
+        return None
+    table = _Closings(specs, dist, apply_fn, max_letters + 1)
+    return table, (0, (), identity(len(target)), max_letters)
 
 
 def hecke_search(
@@ -468,26 +498,20 @@ def hecke_search(
 
     Each state of the search (slot, factor closed before it, permutation
     reached, letters left) is expanded once into its live closings; a
-    second walk then follows those edges depth first to list the tuples.
+    depth-first walk then follows those edges to list the tuples.
 
     >>> letters = [(i, i, 3) for i in (1, 2)]
     >>> spec = FactorSpec(lambda prev, below: letters, 3)
     >>> hecke_search((3, 2, 1), [spec], "right")
     [((1, 2, 1),), ((2, 1, 2),)]
     """
-    dist = hecke_distance(target, side)
-    apply_fn = hecke_apply_right if side == "right" else hecke_apply
-    if max_letters is None:
-        max_letters = sum(spec.size for spec in specs)
-    if max_letters < 0:
-        raise ValueError(f"max_letters must be at least 0: {max_letters}")
-    start = identity(len(target))
-    if not specs:
-        return [()] if start == target else []
-    table = _Closings(specs, dist, apply_fn, max_letters + 1)
+    graph = _search_graph(target, specs, side, max_letters)
+    if graph is None:
+        return [()] if target == identity(len(target)) else []
+    table, root = graph
     out: list[tuple[tuple, ...]] = []
     last = len(specs) - 1
-    stack = [((), (0, (), start, max_letters))]
+    stack = [((), root)]
     while stack:
         factors, state = stack.pop()
         edges = table[state]
@@ -496,6 +520,72 @@ def hecke_search(
         else:
             stack.extend([(factors + (f,), nxt) for f, nxt in reversed(edges)])
     return out
+
+
+class _PathSums(dict):
+    """The path sum of each search state, computed on first lookup from
+    the sums of the states its closings lead to.  Like _Closings, a dict
+    with __missing__, dropped when the call returns."""
+
+    def __init__(self, table, weigh):
+        super().__init__()
+        self.table = table
+        self.weigh = weigh
+        self.weights = {}
+
+    def __missing__(self, state):
+        idx = state[0]
+        weights = self.weights
+        # edges that reach one next state are added up before the shift
+        shifts: dict = {}
+        for factor, nxt in self.table[state]:
+            seen = (idx, id(factor))  # equal factors of a search are one object
+            w = weights.get(seen)
+            if w is None:
+                w = weights[seen] = self.weigh(idx, factor)
+            by_weight = shifts.setdefault(nxt, {})
+            by_weight[w] = by_weight.get(w, 0) + 1
+        out: dict[int, int] = {}
+        for nxt, by_weight in shifts.items():
+            tail = {0: 1} if nxt is None else self[nxt]
+            for w, k in by_weight.items():
+                for key, c in tail.items():
+                    key += w
+                    out[key] = out.get(key, 0) + c * k
+        self[state] = out
+        return out
+
+
+def hecke_path_sum(
+    target: tuple[int, ...],
+    specs: list[FactorSpec],
+    side: str,
+    weigh: Callable[[int, tuple], int],
+    max_letters: int | None = None,
+) -> dict[int, int]:
+    """
+    The tuples that hecke_search lists, counted by weight: a map from
+    each total weight to the number of tuples that have it.  A tuple's
+    weight is the sum of weigh(slot, factor) over its factors, so the
+    sum is read off the search graph, one memo per state, without
+    listing a tuple:
+
+        P(state) = sum over the closings (factor, next) of state of
+                   weigh(slot, factor) added to each weight of P(next).
+
+    weigh returns an int; a packed exponent vector adds fieldwise as long
+    as no field overflows.  Each (slot, factor) is weighed once.
+
+    >>> letters = [(i, i, 3) for i in (1, 2)]
+    >>> spec = FactorSpec(lambda prev, below: letters, 3)
+    >>> hecke_path_sum((3, 2, 1), [spec], "right", lambda slot, factor: len(factor))
+    {3: 2}
+    """
+    graph = _search_graph(target, specs, side, max_letters)
+    if graph is None:
+        return {0: 1} if target == identity(len(target)) else {}
+    table, root = graph
+    return _PathSums(table, weigh)[root]
 
 
 def enumerate_hecke_words(
@@ -514,7 +604,7 @@ def enumerate_hecke_words(
     [(1, 2, 1), (2, 1, 2)]
     """
     letters = [(i, i, max_len) for i in range(1, len(p))]
-    spec = FactorSpec(lambda prev, below: letters, max_len)
+    spec = FactorSpec(lambda prev, below: letters, max_len, reads_below=False)
     words = (word for (word,) in hecke_search(p, [spec], "right", max_len))
     return sorted(words, key=lambda w: (len(w), w))
 

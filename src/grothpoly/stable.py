@@ -8,12 +8,7 @@ from collections import Counter
 from functools import cache
 from typing import NamedTuple
 
-from .factorizations import (
-    enumerate_double_unbounded,
-    enumerate_hook,
-    enumerate_plain_unbounded,
-    genfun,
-)
+from .factorizations import _series
 from .polynomials import (
     Polynomial,
     exchange_families,
@@ -67,7 +62,8 @@ def stable_single(w: tuple[int, ...], t: TruncationSpec) -> Polynomial:
     """
     Truncated stable polynomial of w: the generating polynomial of all
     factorizations of its Hecke words into t.m strictly decreasing
-    factors using at most t.D letters.
+    factors using at most t.D letters, summed over their search graph
+    (genfun of enumerate_plain_unbounded lists them).
 
     >>> from .polynomials import pretty
     >>> pretty(stable_single((2, 1), TruncationSpec(2, 2)))
@@ -76,21 +72,22 @@ def stable_single(w: tuple[int, ...], t: TruncationSpec) -> Polynomial:
     '1'
     """
     _check_spec(t)
-    return genfun(enumerate_plain_unbounded(w, t.m, t.D), t.m)
+    return _series("plain", w, t.m, t.D, t.m)
 
 
 def stable_double(w: tuple[int, ...], t: TruncationSpec) -> Polynomial:
     """
     Truncated two-sided stable polynomial of w, generated by the
     factorizations with t.m increasing factors left of center and t.m
-    decreasing ones right of it.
+    decreasing ones right of it, summed over their search graph (genfun
+    of enumerate_double_unbounded lists them).
 
     >>> from .polynomials import pretty
     >>> pretty(stable_double((2, 1), TruncationSpec(1, 2)))
     'x1 + y1 + x1*y1'
     """
     _check_spec(t)
-    return genfun(enumerate_double_unbounded(w, t.m, t.D), t.m)
+    return _series("double_unbounded", w, t.m, t.D, t.m)
 
 
 def _one_box_per_line(mu: tuple[int, ...], rho: tuple[int, ...]) -> bool:
@@ -231,14 +228,15 @@ def halfweak_stable(w: tuple[int, ...], t: TruncationSpec) -> Polynomial:
     """
     Truncated generating polynomial of the hook factorizations of w:
     each factor a circled decreasing set followed by an uncircled
-    weakly increasing multiset.
+    weakly increasing multiset, summed over their search graph (genfun
+    of enumerate_hook lists them).
 
     >>> from .polynomials import pretty
     >>> pretty(halfweak_stable((1, 2, 3), TruncationSpec(2, 3)))
     '1'
     """
     _check_spec(t)
-    return genfun(enumerate_hook(w, t.m, t.D), t.m)
+    return _series("hook", w, t.m, t.D, t.m)
 
 
 def qschur_expansion(w: tuple[int, ...], t: TruncationSpec) -> dict:

@@ -1,5 +1,6 @@
 """Front-end behaviour: pinned outputs, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -253,6 +254,8 @@ VERIFY_ALL_CHECKS = """
     cauchy.double_equals_split_series
     cauchy.double_equals_pairing_sum
     cauchy.longest_element_series_is_the_staircase_product
+    cauchy.double_equals_circled_path_sum
+    cauchy.double_equals_split_path_sum
     insertion.insertion_lands_on_the_word_of_the_input
     insertion.word_descents_appear_in_the_record
     insertion.insertion_is_injective_on_each_word_class
@@ -299,3 +302,41 @@ def test_verify_bounds_below_their_minimum_exit_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert f"{argv[1]} must be at least" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("qp", "--n", "3"),
+        ("qp", "--m", "9"),
+        ("qp", "--trials", "4"),
+        ("tabt", "--seed", "1"),
+        ("tabtopi", "--degree", "3"),
+        ("bijections", "--m", "2"),
+        ("insertion", "--trials", "2"),
+        ("cauchy", "--degree", "2"),
+        ("stability", "--n", "2"),
+    ],
+)
+def test_verify_rejects_a_flag_the_suite_does_not_read(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"does not read {argv[1]}" in err
+
+
+class ReadFlags(argparse.Namespace):
+    """Arguments that note which of the verify flags a suite reads."""
+
+    def __getattribute__(self, name):
+        if name in ("n", "m", "degree", "trials", "seed"):
+            object.__getattribute__(self, "read").add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_each_suite_reads_exactly_the_flags_of_its_table():
+    for name in cli.SUITE_ORDER:
+        args = ReadFlags(**vars(cli.build_parser().parse_args(["verify", name])))
+        args.read = set()
+        cli.SUITES[name](args)
+        assert args.read == set(cli.SUITE_FLAGS[name]), name

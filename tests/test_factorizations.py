@@ -23,7 +23,12 @@ from grothpoly.factorizations import (
     parse_factorization,
     weight,
 )
-from grothpoly.factorizations import _chain_spec, _descending, _enumerate_factors
+from grothpoly.factorizations import (
+    _chain_spec,
+    _descending,
+    _enumerate_factors,
+    _series,
+)
 from grothpoly.grothendieck import (
     grothendieck_double,
     grothendieck_single,
@@ -33,6 +38,7 @@ from grothpoly.permutations import (
     all_permutations,
     demazure_product,
     eval_hecke_word,
+    inversions,
 )
 from grothpoly.polynomials import monomial, poly_sum, pretty
 
@@ -315,6 +321,51 @@ def test_genfun_pads_weights_to_the_width_and_rejects_a_narrower_one():
         assert genfun(family, width).m == width
     with pytest.raises(ValueError):
         genfun(enumerate_bounded_plain((2, 1)), 1)
+
+
+# every kind the series reads: (kind, its enumerator, parts, letters
+# beyond the length, largest symmetric group).  No parts means a bounded
+# kind, whose whole finite family is listed.
+SUMMED_KINDS = [
+    ("plain", enumerate_plain_unbounded, 3, 1, 5),
+    ("double_unbounded", enumerate_double_unbounded, 2, 1, 5),
+    ("hook", enumerate_hook, 2, 1, 5),
+    ("bounded_plain", enumerate_bounded_plain, None, None, 4),
+    ("circled_bounded", enumerate_circled_bounded, None, None, 4),
+    ("double_bounded", enumerate_double_bounded, None, None, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, enumerate_kind, parts, extra, top",
+    SUMMED_KINDS,
+    ids=[case[0] for case in SUMMED_KINDS],
+)
+def test_path_sum_equals_genfun_of_the_listed_family(
+    kind, enumerate_kind, parts, extra, top
+):
+    for size in range(1, top + 1):
+        for w in all_permutations(size):
+            if parts is None:
+                budget, width = None, len(w)
+                family = enumerate_kind(w)
+            else:
+                budget, width = inversions(w) + extra, parts
+                family = enumerate_kind(w, parts, budget)
+            # padded to one more variable on the smaller groups
+            for m in (width, width + 1) if size < top else (width,):
+                assert _series(kind, w, parts, budget, m) == genfun(family, m), (w, m)
+
+
+def test_path_sum_and_genfun_reject_what_they_cannot_weigh():
+    with pytest.raises(ValueError):
+        _series("plain", (2, 1), 3, 2, 2)  # narrower than the three x slots
+    with pytest.raises(ValueError):
+        _series("circled", (2, 1), 3, 2)  # the unbounded circled kind
+    a = enumerate_plain_unbounded((2, 1), 2, 2)[0]
+    b = enumerate_plain_unbounded((2, 1), 3, 2)[0]
+    with pytest.raises(ValueError):
+        genfun([a, b])  # one kind, two shapes
 
 
 def test_parse_rejects_stray_characters():

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from grothpoly import factorizations, tableaux
+from grothpoly.permutations import _search_graph
 from grothpoly.permutations import (
     FactorSpec,
     all_permutations,
@@ -16,6 +17,7 @@ from grothpoly.permutations import (
     hecke_apply_right,
     hecke_distance,
     hecke_equivalent,
+    hecke_path_sum,
     hecke_search,
     identity,
     inverse,
@@ -300,6 +302,54 @@ def test_hecke_search_keeps_the_letter_by_letter_order(monkeypatch):
                 for factors in found:
                     for factor in factors:
                         assert shared.setdefault(factor, factor) is factor
+
+
+def test_hecke_path_sum_counts_what_hecke_search_lists(monkeypatch):
+    # any weight of the slot and the factor's letters; no field is packed,
+    # so the totals are plain sums
+    def weigh(slot, factor):
+        return hash((slot, factor)) % 1009
+
+    cases = searched_specs(monkeypatch)
+    cases += [(side, [increasing_spec(3)] * 2, side) for side in ("right", "left")]
+    for name, specs, side in cases:
+        for target in all_permutations(4):
+            for budget in (None, *range(inversions(target) + 3)):
+                found = hecke_search(target, specs, side, budget)
+                want = {}
+                for factors in found:
+                    total = sum(weigh(slot, f) for slot, f in enumerate(factors))
+                    want[total] = want.get(total, 0) + 1
+                got = hecke_path_sum(target, specs, side, weigh, budget)
+                assert got == want, (name, target, budget)
+    assert hecke_path_sum((1, 2), [], "right", weigh) == {0: 1}
+    assert hecke_path_sum((2, 1), [], "right", weigh) == {}
+    with pytest.raises(ValueError):
+        hecke_path_sum((1, 2), [increasing_spec(1)], "right", weigh, -1)
+
+
+def search_states(target, specs, side):
+    table, root = _search_graph(target, specs, side, None)
+    table[root]
+    return len(table)
+
+
+def test_specs_that_ignore_below_merge_states_with_equal_closings(monkeypatch):
+    # keyed with below, the same specs list the same tuples over more states
+    by_name = {name: (specs, side) for name, specs, side in searched_specs(monkeypatch)}
+    w = (3, 5, 4, 1, 2)
+    for name, states, keyed_states in (
+        ("circled_bounded", 133, 751),
+        ("double_bounded", 270, 758),
+    ):
+        specs, side, _ = factorizations._family(name, len(w) - 1)
+        assert not any(spec.reads_below for spec in specs)
+        keyed = [spec._replace(reads_below=True) for spec in specs]
+        assert search_states(w, specs, side) == states
+        assert search_states(w, keyed, side) == keyed_states
+        assert hecke_search(w, specs, side) == hecke_search(w, keyed, side)
+    specs, side = by_name["hecke_tableaux"]
+    assert all(spec.reads_below for spec in specs)
 
 
 def action_graph_distances(size, side):
