@@ -22,7 +22,6 @@ evaluate leftmost first.
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import add, itemgetter
 import re
 from typing import NamedTuple
 
@@ -186,8 +185,9 @@ def _slot_weight(kind: str, split: int | None, slot: int, factor) -> tuple:
     """
     The exponents one factor adds in its slot: (x, y), each a tuple of
     (index, amount) pairs.  A factor's weight depends only on its slot
-    and its letters, so weight, genfun and the series share this one
-    rule; genfun and the series weigh each distinct (slot, factor) once.
+    and its letters, which is what lets the series be summed over the
+    search graph; weight computes the same exponents a whole
+    factorization at a time.
     """
     if kind in ("plain", "bounded_plain"):
         return ((slot, len(factor)),), ()
@@ -205,33 +205,35 @@ def _slot_weight(kind: str, split: int | None, slot: int, factor) -> tuple:
     raise ValueError(f"no weight defined for kind {kind!r}")
 
 
-_WEIGHED_KINDS = _BOUNDED_KINDS + ("plain", "double_unbounded", "hook")
-
-
 def weight(f: Factorization) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
-    The (x-weight, y-weight) pair of vectors for f, per its kind: the
-    double kinds weigh the right half in x and the left half, read
-    outward from the center, in y; every other kind has one x and one
-    y exponent per factor.
+    The (x-weight, y-weight) pair of vectors for f, per its kind.
 
     >>> h = parse_factorization("(3o 2o 2 3 3)(1o 2 2)(3o 2o 1 1 3 3)", "hook", 3)
     >>> weight(h)
     ((3, 2, 4), (2, 1, 2))
     """
-    if f.kind not in _WEIGHED_KINDS:
-        raise ValueError(f"no weight defined for kind {f.kind!r}")
-    slots = len(f.factors)
-    split = f.split if f.kind.startswith("double") else None
-    x = [0] * (slots if split is None else slots - split)
-    y = [0] * (slots if split is None else split)
-    for slot, factor in enumerate(f.factors):
-        xs, ys = _slot_weight(f.kind, split, slot, factor)
-        for i, a in xs:
-            x[i] += a
-        for i, a in ys:
-            y[i] += a
-    return tuple(x), tuple(y)
+    sizes = tuple(len(fac) for fac in f.factors)
+    if f.kind in ("plain", "bounded_plain"):
+        return sizes, (0,) * len(sizes)
+    if f.kind == "circled_bounded":
+        x = tuple(sum(1 for l in fac if not l.circled) for fac in f.factors)
+        y = [0] * len(f.factors)
+        for k, fac in enumerate(f.factors, start=1):
+            for l in fac:
+                if l.circled:
+                    y[l.value - k] += 1  # slot i = value - k + 1
+        return x, tuple(y)
+    if f.kind in ("double_bounded", "double_unbounded"):
+        left, right = f.factors[: f.split], f.factors[f.split :]
+        x = tuple(len(fac) for fac in right)
+        y = tuple(len(fac) for fac in reversed(left))
+        return x, y
+    if f.kind == "hook":
+        x = tuple(sum(1 for l in fac if not l.circled) for fac in f.factors)
+        y = tuple(sum(1 for l in fac if l.circled) for fac in f.factors)
+        return x, y
+    raise ValueError(f"no weight defined for kind {f.kind!r}")
 
 
 def _packer(kind: str, split: int | None, width: int, most: int):
@@ -356,26 +358,14 @@ def _enumerate_factors(
         k: (tuple(l.value for l in factor), tuple(l.circled for l in factor))
         for k, factor in distinct.items()
     }
-    if any(any(marks) for _, marks in pieces.values()):
 
-        def key(factors):
-            flat = mask = ()
-            for factor in factors:
-                values, marks = pieces[id(factor)]
-                flat += values
-                mask += marks
-            return flat, mask, tuple(map(len, factors))
-
-    else:
-        # every mask is all False, so equal flat words have equal masks
-        # and the mask can be left out of the key
-        words = {k: values for k, (values, _) in pieces.items()}
-
-        def key(factors):
-            flat = ()
-            for factor in factors:
-                flat += words[id(factor)]
-            return flat, tuple(map(len, factors))
+    def key(factors):
+        flat = mask = ()
+        for factor in factors:
+            values, marks = pieces[id(factor)]
+            flat += values
+            mask += marks
+        return flat, mask, tuple(map(len, factors))
 
     return [Factorization(kind, factors, n, split) for factors in sorted(found, key=key)]
 
@@ -505,8 +495,6 @@ def genfun(factorizations, m: int | None = None) -> Polynomial:
     """
     The generating polynomial: the sum of x^(x-weight) y^(y-weight)
     over the given factorizations, which must share kind and shape.
-    Each distinct (slot, factor) is weighed once, and a factorization's
-    weight is the sum of its slots' packed weights.
 
     >>> from grothpoly.polynomials import pretty
     >>> pretty(genfun(enumerate_bounded_plain((3, 1, 2))))
@@ -515,33 +503,16 @@ def genfun(factorizations, m: int | None = None) -> Polynomial:
     items = list(factorizations)
     if not items:
         return constant(0, m or 1)
-    shapes = {(f.kind, f.split, len(f.factors)) for f in items}
-    kinds = {shape[0] for shape in shapes}
+    kinds = {f.kind for f in items}
     if len(kinds) > 1:
         raise ValueError(f"mixed kinds {sorted(kinds)}")
-    if len(shapes) > 1:
-        raise ValueError(f"mixed shapes {sorted(shapes, key=str)}")
-    first = items[0]
-    first_x, first_y = weight(first)
+    first_x, first_y = weight(items[0])
     width = m or max(len(first_x), len(first_y))
-    split = first.split if first.kind.startswith("double") else None
-    rows = [f.factors for f in items]
-    # equal factors of one search are one object, alive while rows is, so
-    # a factor's id names it: weigh each distinct factor of a slot once,
-    # then add up the packed weights slot by slot
-    columns = [
-        {id(factor): factor for factor in map(itemgetter(slot), rows)}
-        for slot in range(len(rows[0]))
-    ]
-    most = sum(max(map(len, column.values())) for column in columns)
-    weigh, unpack = _packer(first.kind, split, width, most)
-    totals = [0] * len(rows)
-    for slot, column in enumerate(columns):
-        packed = {key: weigh(slot, factor) for key, factor in column.items()}
-        ids = map(id, map(itemgetter(slot), rows))
-        totals = list(map(add, totals, map(packed.__getitem__, ids)))
-    counts = Counter(totals)
-    return Polynomial(width, {unpack(key): c for key, c in counts.items()})
+
+    def pad(e):
+        return e + (0,) * (width - len(e))
+
+    return Polynomial(width, Counter((pad(x), pad(y)) for x, y in map(weight, items)))
 
 
 def enumerate_X(w: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -604,7 +604,7 @@ def enumerate_hecke_words(
     [(1, 2, 1), (2, 1, 2)]
     """
     letters = [(i, i, max_len) for i in range(1, len(p))]
-    spec = FactorSpec(lambda prev, below: letters, max_len, reads_below=False)
+    spec = FactorSpec(lambda prev, below: letters, max_len)
     words = (word for (word,) in hecke_search(p, [spec], "right", max_len))
     return sorted(words, key=lambda w: (len(w), w))
 
