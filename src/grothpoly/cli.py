@@ -97,39 +97,37 @@ from .tableaux import (
 
 __all__ = ["main"]
 
-# each compute target with the flags it reads besides --perm and --json;
-# any other flag is a usage error, never silently ignored
+# each compute target with the flags it reads besides --perm and --json, as
+# flag: (default, least, greatest), where None leaves the flag unset or that
+# side unbounded; any other flag is a usage error, never silently ignored
+_WINDOW = {"n": (None, 0, None)}
+_SERIES = {"degree": (4, 0, None), "m": (2, 1, None), **_WINDOW}
 COMPUTE_TARGETS = {
-    "single": ("n",),
-    "double": ("n",),
-    "stable-single": ("m", "degree", "n"),
-    "stable-double": ("m", "degree", "n"),
-    "halfweak": ("m", "degree", "n"),
-    "qschur": ("degree",),
+    "single": _WINDOW,
+    "double": _WINDOW,
+    "stable-single": _SERIES,
+    "stable-double": _SERIES,
+    "halfweak": _SERIES,
+    "qschur": {"degree": (4, 0, None)},
 }
-# each verify suite with the flags it reads besides --json and --suite;
-# a suite named alone rejects any other flag, and all reads every flag
-# that some suite reads
+# each verify suite with the flags it reads besides --json, in the same
+# form; a suite named alone rejects any other flag, and all reads every
+# flag that some suite reads
 SUITE_FLAGS = {
-    "relations": ("n", "degree", "trials", "seed"),
-    "cauchy": ("n", "trials", "seed"),
-    "insertion": ("n", "degree"),
-    "bijections": ("n",),
-    "tabt": ("m", "degree"),
-    "qp": ("degree",),
-    "tabtopi": ("n",),
-    "stability": ("degree",),
+    "relations": {
+        "n": (4, 2, 8),
+        "degree": (4, 0, None),
+        "trials": (50, 1, None),
+        "seed": (0, None, None),
+    },
+    "cauchy": {"n": (2, 1, None), "trials": (10, 1, None), "seed": (0, None, None)},
+    "insertion": {"n": (3, 1, 4), "degree": (5, 1, 7)},
+    "bijections": {"n": (4, 2, 5)},
+    "tabt": {"m": (3, 1, None), "degree": (5, 1, None)},
+    "qp": {"degree": (4, 1, None)},
+    "tabtopi": {"n": (4, 0, 6)},
+    "stability": {"degree": (3, 1, None)},
 }
-SUITE_ORDER = (
-    "relations",
-    "cauchy",
-    "insertion",
-    "bijections",
-    "tabt",
-    "qp",
-    "tabtopi",
-    "stability",
-)
 
 
 class UsageError(ValueError):
@@ -149,17 +147,32 @@ def parse_perm(text: str) -> tuple[int, ...]:
         raise UsageError(f"not a permutation: {text!r}") from None
 
 
-def _bound(value: int | None, default: int | None, flag: str, least: int) -> int | None:
-    """The value of --flag, or default when it is unset; a value below
-    least is a usage error."""
-    if value is not None and value < least:
-        raise UsageError(f"--{flag} must be at least {least}")
-    return default if value is None else value
+def _reject_unread(
+    args: argparse.Namespace, tables: dict, names: list[str], command: str
+) -> None:
+    """A usage error for a flag that some table reads, set on the command
+    line although none of the named tables reads it."""
+    known = {flag for table in tables.values() for flag in table}
+    unread = known - {flag for name in names for flag in tables[name]}
+    for flag, value in vars(args).items():
+        if flag in unread and value is not None:
+            raise UsageError(f"{command} does not read --{flag}")
 
 
-def _seed(b: argparse.Namespace) -> int:
-    """The value of --seed, 0 when it is unset."""
-    return 0 if b.seed is None else b.seed
+def _resolve(args: argparse.Namespace, table: dict) -> argparse.Namespace:
+    """The flags of one table, each set to its value on the command line or
+    to its default; a value outside its range is a usage error."""
+    values = {}
+    for flag, (default, least, greatest) in table.items():
+        value = getattr(args, flag)
+        if value is None:
+            value = default
+        elif least is not None and value < least:
+            raise UsageError(f"--{flag} must be at least {least}")
+        elif greatest is not None and value > greatest:
+            raise UsageError(f"--{flag} must be at most {greatest}")
+        values[flag] = value
+    return argparse.Namespace(**values)
 
 
 def _in_window(p: Polynomial, m: int) -> Polynomial:
@@ -201,16 +214,11 @@ def _stratum_text(stratum: dict[tuple[int, ...], int]) -> str:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    reads = COMPUTE_TARGETS[args.what]
-    for flag in ("n", "m", "degree"):
-        if getattr(args, flag) is not None and flag not in reads:
-            raise UsageError(f"compute {args.what} does not read --{flag}")
+    _reject_unread(args, COMPUTE_TARGETS, [args.what], f"compute {args.what}")
     w = parse_perm(args.perm)
-    degree = _bound(args.degree, 4, "degree", 0)
-    window = _bound(args.m, 2, "m", 1)
-    n = _bound(args.n, None, "n", 0)
+    b = _resolve(args, COMPUTE_TARGETS[args.what])
     if args.what == "qschur":
-        stratum = _stratum(w, degree)
+        stratum = _stratum(w, b.degree)
         if args.json:
             out = {_partition_label(lam): c for lam, c in stratum.items()}
             print(json.dumps(out, separators=(",", ":")))
@@ -227,9 +235,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
             "stable-double": stable_double,
             "halfweak": halfweak_stable,
         }[args.what]
-        p = model(w, TruncationSpec(window, degree))
-    if n is not None:
-        p = _in_window(p, n)
+        p = model(w, TruncationSpec(b.m, b.degree))
+    if b.n is not None:
+        p = _in_window(p, b.n)
     if args.json:
         print(json.dumps(to_json(p), separators=(",", ":")))
     else:
@@ -267,11 +275,9 @@ def _random_poly(rng: random.Random, m: int, degree: int) -> Polynomial:
 
 
 def suite_relations(b: argparse.Namespace) -> list[Check]:
-    m = min(_bound(b.n, 4, "n", 2), 8)
-    degree = _bound(b.degree, 4, "degree", 0)
-    trials = _bound(b.trials, 50, "trials", 1)
-    rng = random.Random(_seed(b))
-    polys = [_random_poly(rng, m, degree) for _ in range(trials)]
+    m = b.n
+    rng = random.Random(b.seed)
+    polys = [_random_poly(rng, m, b.degree) for _ in range(b.trials)]
     zero = Polynomial(m, {})
     ops = (("delta", delta), ("pi", pi))
     return [
@@ -338,9 +344,8 @@ def suite_relations(b: argparse.Namespace) -> list[Check]:
 
 
 def suite_cauchy(b: argparse.Namespace) -> list[Check]:
-    rank = _bound(b.n, 2, "n", 1)
-    trials = _bound(b.trials, 10, "trials", 1)
-    rng = random.Random(_seed(b))
+    rank, trials = b.n, b.trials
+    rng = random.Random(b.seed)
     perms = sorted(all_permutations(min(rank, 2) + 1))
     if rank >= 3:
         pool = sorted(all_permutations(rank + 1))
@@ -410,8 +415,7 @@ def suite_cauchy(b: argparse.Namespace) -> list[Check]:
 
 
 def suite_insertion(b: argparse.Namespace) -> list[Check]:
-    n = min(_bound(b.n, 3, "n", 1), 4)
-    length = min(_bound(b.degree, 5, "degree", 1), 7)
+    n, length = b.n, b.degree
     words = [
         w
         for size in range(length + 1)
@@ -490,8 +494,7 @@ def _increasing_subsets(values: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def suite_bijections(b: argparse.Namespace) -> list[Check]:
-    cap = min(_bound(b.n, 4, "n", 2), 5)
-    subs = _increasing_subsets(tuple(range(1, cap + 1)))
+    subs = _increasing_subsets(tuple(range(1, b.n + 1)))
     pair = ((1, 2, 3, 5, 6, 8), (8, 7, 5, 2))
     down = arrow_down(pair)
     f_j = parse_factorization("(9 7 6 4 4o 3o 2 2o)", "circled", 9).factors[0]
@@ -501,7 +504,7 @@ def suite_bijections(b: argparse.Namespace) -> list[Check]:
     chain = circled_to_double_chain(parse_factorization(start, "circled_bounded", 3))
 
     def rewrite_failures():
-        for w in sorted(all_permutations(cap - 1)):
+        for w in sorted(all_permutations(b.n - 1)):
             image = {}
             for f in enumerate_circled_bounded(w):
                 g = circled_to_double(f)
@@ -577,10 +580,8 @@ def _hecke_expansion_matches(w: tuple[int, ...], t: TruncationSpec) -> bool:
 
 
 def suite_tabt(b: argparse.Namespace) -> list[Check]:
-    m = _bound(b.m, 3, "m", 1)
-    D = _bound(b.degree, 5, "degree", 1)
-    t = TruncationSpec(m, D)
-    t_weak = TruncationSpec(m, max(D - 1, 1))
+    t = TruncationSpec(b.m, b.degree)
+    t_weak = TruncationSpec(b.m, max(b.degree - 1, 1))
     shapes = sorted(
         outer_shape(T) for T in enumerate_hecke_tableaux((3, 1, 2, 5, 4))
     )
@@ -634,7 +635,6 @@ ONE_FACTOR_HOOKS = (
 
 
 def suite_qp(b: argparse.Namespace) -> list[Check]:
-    D = _bound(b.degree, 4, "degree", 1)
     running = (3, 1, 2, 5, 4)
     stratum = _stratum(running, 4)
     merged = set_y_equal_x(halfweak_stable(running, TruncationSpec(1, 4)))
@@ -646,7 +646,7 @@ def suite_qp(b: argparse.Namespace) -> list[Check]:
     )
 
     def pipeline_failures():
-        t = TruncationSpec(2, D)
+        t = TruncationSpec(2, b.degree)
         for w in [*sorted(all_permutations(3)), running]:
             out = qschur_expansion(w, t)
             bad = next((lam for lam, c in out.items() if c <= 0), None)
@@ -664,9 +664,9 @@ def suite_qp(b: argparse.Namespace) -> list[Check]:
                     yield f"w={w} degree={d}"
                     return
 
-    # sizes up to min(D, 6), never fewer than 4; four variables see every
-    # strict partition of these sizes
-    sizes = range(max(min(D, 6), 4) + 1)
+    # sizes up to min(degree, 6), never fewer than 4; four variables see
+    # every strict partition of these sizes
+    sizes = range(max(min(b.degree, 6), 4) + 1)
 
     def stembridge_failures():
         for size in sizes:
@@ -718,13 +718,12 @@ def suite_qp(b: argparse.Namespace) -> list[Check]:
 
 
 def suite_tabtopi(b: argparse.Namespace) -> list[Check]:
-    top = min(_bound(b.n, 4, "n", 0), 6)
     return [
         _check(
             "two_letter_columns_match_the_operator_image",
             (
                 f"lengths={(l1, l2)}"
-                for l1 in range(top + 1)
+                for l1 in range(b.n + 1)
                 for l2 in range(l1 + 1)
                 if genfun_svt(
                     tuple(p for p in (l1, l2) if p), 2, 2 * (l1 + l2) + 2
@@ -736,12 +735,11 @@ def suite_tabtopi(b: argparse.Namespace) -> list[Check]:
 
 
 def suite_stability(b: argparse.Namespace) -> list[Check]:
-    degree = _bound(b.degree, 3, "degree", 1)
     wide = [
-        ("stable_single", (2, 1), TruncationSpec(2, degree)),
-        ("stable_double", (2, 1), TruncationSpec(1, degree)),
-        ("stable_double_via_tableaux", (2, 1), TruncationSpec(1, degree)),
-        ("halfweak_stable", (3, 1, 2), TruncationSpec(2, degree)),
+        ("stable_single", (2, 1), TruncationSpec(2, b.degree)),
+        ("stable_double", (2, 1), TruncationSpec(1, b.degree)),
+        ("stable_double_via_tableaux", (2, 1), TruncationSpec(1, b.degree)),
+        ("halfweak_stable", (3, 1, 2), TruncationSpec(2, b.degree)),
         ("weak_stable_double", (2, 1), TruncationSpec(3, 2)),
         ("weak_symmetric", (1,), TruncationSpec(2, 2)),
     ]
@@ -775,17 +773,11 @@ SUITES = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    chosen = args.suite_pos
-    if args.suite is not None:
-        if chosen is not None and chosen != args.suite:
-            raise UsageError("suite named twice, with different names")
-        chosen = args.suite
-    names = list(SUITE_ORDER) if chosen in (None, "all") else [chosen]
-    reads = {flag for nm in names for flag in SUITE_FLAGS[nm]}
-    for flag in ("n", "m", "degree", "trials", "seed"):
-        if getattr(args, flag) is not None and flag not in reads:
-            raise UsageError(f"verify {chosen} does not read --{flag}")
-    rows = [(nm, check) for nm in names for check in SUITES[nm](args)]
+    names = list(SUITES) if args.suite in (None, "all") else [args.suite]
+    _reject_unread(args, SUITE_FLAGS, names, f"verify {args.suite}")
+    # every named suite's flags are checked before any suite runs
+    bounds = {nm: _resolve(args, SUITE_FLAGS[nm]) for nm in names}
+    rows = [(nm, check) for nm, b in bounds.items() for check in SUITES[nm](b)]
     if args.json:
         payload = [
             {"suite": nm, "check": cname, "ok": ok, "detail": detail}
@@ -848,13 +840,12 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", parents=[shared], help="replay an identity suite"
     )
     ver.add_argument(
-        "suite_pos",
+        "suite",
         nargs="?",
-        choices=(*SUITE_ORDER, "all"),
+        choices=(*SUITES, "all"),
         metavar="suite",
         help="suite name (default: all)",
     )
-    ver.add_argument("--suite", choices=(*SUITE_ORDER, "all"))
     ver.add_argument("--trials", type=int, default=None)
     ver.add_argument("--seed", type=int, default=None)
     return parser

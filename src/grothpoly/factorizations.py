@@ -93,9 +93,6 @@ class Factorization:
     def flat_word(self) -> tuple[int, ...]:
         return tuple(l.value for f in self.factors for l in f)
 
-    def circle_mask(self) -> tuple[bool, ...]:
-        return tuple(l.circled for f in self.factors for l in f)
-
     def letter_count(self) -> int:
         return sum(len(f) for f in self.factors)
 

@@ -5,14 +5,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 
-from .factorizations import Factorization
 from .tableaux import Entry, Tableau, outer_shape, pretty_tableau, tableau
 
 __all__ = [
     "insert_row",
     "insert_word",
     "insert_into_pair",
-    "semistandard_insert",
     "transpose",
     "phi",
 ]
@@ -163,33 +161,6 @@ def insert_into_pair(
     if not isinstance(label, Entry):
         label = Entry(label)
     _insert_one(p_rows, q_rows, a, label)
-    return _pair(p_rows, q_rows)
-
-
-def semistandard_insert(f: Factorization) -> tuple[Tableau, Tableau]:
-    """
-    Insert the letters of a decreasing factorization in reading order,
-    labelling each step in Q by the index of its factor.
-
-    >>> from .factorizations import parse_factorization
-    >>> f = parse_factorization("(3 1)(4 2 1)", "plain", 9)
-    >>> P, Q = semistandard_insert(f)
-    >>> print(pretty_tableau(P))
-    1 2
-    2 4
-    3
-    >>> print(pretty_tableau(Q))
-    1 2
-    1 2
-    2
-    """
-    if f.kind not in ("plain", "bounded_plain"):
-        raise ValueError("semistandard insertion needs decreasing factors")
-    p_rows: list[tuple[int, ...]] = []
-    q_rows: list[list[tuple[Entry, ...]]] = []
-    for i, fac in enumerate(f.factors, start=1):
-        for letter in fac:
-            _insert_one(p_rows, q_rows, letter.value, Entry(i))
     return _pair(p_rows, q_rows)
 
 

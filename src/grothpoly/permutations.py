@@ -31,13 +31,11 @@ __all__ = [
     "hecke_apply_right",
     "eval_hecke_word",
     "eval_hecke_word_ltr",
-    "hecke_equivalent",
     "hecke_distance",
     "FactorSpec",
     "hecke_search",
     "hecke_path_sum",
     "demazure_product",
-    "bruhat_leq",
     "reduced_words",
     "lex_min_reduced_word",
     "enumerate_hecke_words",
@@ -213,20 +211,6 @@ def eval_hecke_word_ltr(word: tuple[int, ...], n: int) -> tuple[int, ...]:
     return p
 
 
-def hecke_equivalent(w1: tuple[int, ...], w2: tuple[int, ...], n: int) -> bool:
-    """
-    True iff the two words evaluate to the same permutation.
-
-    >>> hecke_equivalent((1, 1), (1,), 1)
-    True
-    >>> hecke_equivalent((1, 2, 1), (2, 1, 2), 2)
-    True
-    >>> hecke_equivalent((1, 3), (3, 1), 3)
-    True
-    """
-    return eval_hecke_word(w1, n) == eval_hecke_word(w2, n)
-
-
 def demazure_product(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     """
     The permutation represented by concatenating words for u and v.
@@ -245,40 +229,6 @@ def demazure_product(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     for i in lex_min_reduced_word(v):
         p = hecke_apply_right(p, i)
     return p
-
-
-def bruhat_leq(u: tuple[int, ...], w: tuple[int, ...]) -> bool:
-    """
-    Bruhat order comparison u <= w, by the rank-matrix criterion:
-    u <= w iff for all i, j the count of k <= i with u(k) <= j is at
-    least the corresponding count for w.
-
-    >>> bruhat_leq((1, 3, 2), (3, 2, 1))
-    True
-    >>> bruhat_leq((3, 1, 2), (2, 3, 1))
-    False
-    """
-    if len(u) != len(w):
-        raise ValueError("size mismatch")
-    size = len(u)
-    ranks_u = _rank_table(u)
-    ranks_w = _rank_table(w)
-    return all(
-        ranks_u[i][j] >= ranks_w[i][j]
-        for i in range(size)
-        for j in range(size)
-    )
-
-
-def _rank_table(p: tuple[int, ...]) -> list[list[int]]:
-    """rank[i][j] = #{k <= i+1 : p(k) <= j+1}."""
-    size = len(p)
-    table = [[0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            acc = table[i - 1][j] if i else 0
-            table[i][j] = acc + (1 if p[i] <= j + 1 else 0)
-    return table
 
 
 @lru_cache(maxsize=None)

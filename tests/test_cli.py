@@ -209,26 +209,17 @@ def test_relations_suite_catches_a_pi_without_its_delta_term(capsys, monkeypatch
     assert failed == ["FAIL relations.pi_is_delta_of_the_raised_polynomial"]
 
 
-def test_verify_suite_flag_and_positional_must_agree(capsys):
-    code, _, err = run(capsys, "verify", "qp", "--suite", "cauchy")
-    assert code == 2
-    assert "twice" in err
-    code, out, _ = run(capsys, "verify", "qp", "--suite", "qp")
-    assert code == 0
-    assert out.startswith("ok qp.")
-
-
 def test_verify_order_is_fixed(capsys, monkeypatch):
     quick = {
         name: (lambda nm: (lambda b: [(f"{nm}_probe", True, "")]))(name)
-        for name in cli.SUITE_ORDER
+        for name in cli.SUITES
     }
     for name, fn in quick.items():
         monkeypatch.setitem(cli.SUITES, name, fn)
     code, out, _ = run(capsys, "verify")
     assert code == 0
     assert [line.split()[1] for line in out.splitlines()] == [
-        f"{name}.{name}_probe" for name in cli.SUITE_ORDER
+        f"{name}.{name}_probe" for name in cli.SUITES
     ]
 
 
@@ -307,6 +298,47 @@ def test_verify_bounds_below_their_minimum_exit_two(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("relations", "--n", "9"),
+        ("insertion", "--n", "5"),
+        ("insertion", "--degree", "8"),
+        ("bijections", "--n", "6"),
+        ("tabtopi", "--n", "7"),
+    ],
+)
+def test_verify_bounds_above_their_cap_exit_two(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{argv[1]} must be at most" in err
+
+
+def test_verify_all_checks_every_suites_flags_before_any_suite_runs(
+    capsys, monkeypatch
+):
+    # relations and cauchy take --degree 0; insertion's floor is 1
+    ran = []
+    for name, suite in list(cli.SUITES.items()):
+
+        def probe(b, name=name, suite=suite):
+            ran.append(name)
+            return suite(b)
+
+        monkeypatch.setitem(cli.SUITES, name, probe)
+    code, out, err = run(capsys, "verify", "all", "--degree", "0")
+    assert (code, out, ran) == (2, "", [])
+    assert "--degree must be at least 1" in err
+
+
+def test_verify_names_a_suite_by_position_only(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--suite", "qp"])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("qp", "--n", "3"),
         ("qp", "--m", "9"),
         ("qp", "--trials", "4"),
@@ -326,7 +358,8 @@ def test_verify_rejects_a_flag_the_suite_does_not_read(capsys, argv):
 
 
 class ReadFlags(argparse.Namespace):
-    """Arguments that note which of the verify flags a suite reads."""
+    """A suite's resolved flags, noting which of them the suite reads; a
+    flag outside its table is missing, so reading it raises."""
 
     def __getattribute__(self, name):
         if name in ("n", "m", "degree", "trials", "seed"):
@@ -335,8 +368,9 @@ class ReadFlags(argparse.Namespace):
 
 
 def test_each_suite_reads_exactly_the_flags_of_its_table():
-    for name in cli.SUITE_ORDER:
-        args = ReadFlags(**vars(cli.build_parser().parse_args(["verify", name])))
+    for name in cli.SUITES:
+        parsed = cli.build_parser().parse_args(["verify", name])
+        args = ReadFlags(**vars(cli._resolve(parsed, cli.SUITE_FLAGS[name])))
         args.read = set()
         cli.SUITES[name](args)
         assert args.read == set(cli.SUITE_FLAGS[name]), name

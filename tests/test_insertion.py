@@ -6,7 +6,6 @@ import pytest
 
 from grothpoly.factorizations import (
     enumerate_double_unbounded,
-    enumerate_plain_unbounded,
     parse_factorization,
     weight,
 )
@@ -15,7 +14,6 @@ from grothpoly.insertion import (
     insert_row,
     insert_word,
     phi,
-    semistandard_insert,
     transpose,
 )
 from grothpoly.permutations import (
@@ -249,36 +247,6 @@ def test_insertion_counts_tableau_pairs():
                 for Q in standard_svts(outer_shape(P), size)
             }
             assert image == universe
-
-
-# ---------------------------------------------------------------------------
-# semistandard labels
-
-
-def test_semistandard_insert_pinned_pair():
-    f = parse_factorization("(3 1)(4 2 1)", "plain", 9)
-    P, Q = semistandard_insert(f)
-    assert P == tableau([[1, 2], [2, 4], [3]])
-    assert Q == tableau([[1, 2], [1, 2], [2]])
-
-
-def test_semistandard_insert_rejects_increasing_factors():
-    f = parse_factorization("(1 2)|(2 1)", "double_bounded", 2)
-    with pytest.raises(ValueError):
-        semistandard_insert(f)
-
-
-def test_semistandard_labels_count_factor_sizes():
-    for w in all_permutations(3):
-        for f in enumerate_plain_unbounded(w, 3, 6):
-            P, Q = semistandard_insert(f)
-            wx, wy = weight_of(Q)
-            fx, fy = weight(f)
-            assert not any(e.primed for e in Q.all_entries())
-            assert strip(wx) == strip(fx)
-            # a factor's letters decrease, so its copies of the label
-            # land in distinct rows and no box mark ever collides
-            assert sum(len(b) for row in Q.rows for b in row) == f.letter_count()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from grothpoly.permutations import _search_graph
 from grothpoly.permutations import (
     FactorSpec,
     all_permutations,
-    bruhat_leq,
     demazure_product,
     enumerate_hecke_words,
     eval_hecke_word,
@@ -16,7 +15,6 @@ from grothpoly.permutations import (
     hecke_apply,
     hecke_apply_right,
     hecke_distance,
-    hecke_equivalent,
     hecke_path_sum,
     hecke_search,
     identity,
@@ -92,7 +90,7 @@ def test_letter_doubling_never_changes_eval():
         word = tuple(rng.randrange(1, 4) for _ in range(rng.randrange(1, 6)))
         pos = rng.randrange(len(word))
         doubled = word[: pos + 1] + (word[pos],) + word[pos + 1 :]
-        assert hecke_equivalent(word, doubled, 3)
+        assert eval_hecke_word(word, 3) == eval_hecke_word(doubled, 3)
 
 
 def test_braid_and_commutation_exhaustive():
@@ -111,10 +109,9 @@ def test_braid_and_commutation_exhaustive():
 
 
 def test_hecke_equivalent_small():
-    assert hecke_equivalent((1, 1), (1,), 1)
-    assert hecke_equivalent((1, 2, 1), (2, 1, 2), 2)
-    assert hecke_equivalent((1, 3), (3, 1), 3)
-    assert not hecke_equivalent((1,), (2,), 2)
+    # doubling, braid and commutation are covered above; distinct
+    # generators never evaluate alike
+    assert eval_hecke_word((1,), 2) != eval_hecke_word((2,), 2)
 
 
 def test_inversions():
@@ -417,25 +414,6 @@ def test_demazure_product_associative():
         assert demazure_product(demazure_product(u, v), w) == demazure_product(
             u, demazure_product(v, w)
         )
-
-
-def test_bruhat_leq():
-    assert bruhat_leq((1, 3, 2), (3, 2, 1))
-    assert not bruhat_leq((3, 1, 2), (2, 3, 1))
-    # subword characterization as oracle on S_4
-    for u in all_permutations(4):
-        wu = set(reduced_words(u))
-        for w in all_permutations(4):
-            some_word = next(iter(reduced_words(w)))
-            expected = any(
-                _is_subword(x, some_word) for x in wu
-            )
-            assert bruhat_leq(u, w) == expected
-
-
-def _is_subword(x, y):
-    it = iter(y)
-    return all(letter in it for letter in x)
 
 
 def test_support():
