@@ -210,8 +210,8 @@ def weight(f: Factorization) -> tuple[tuple[int, ...], tuple[int, ...]]:
     >>> weight(h)
     ((3, 2, 4), (2, 1, 2))
     """
-    sizes = tuple(len(fac) for fac in f.factors)
     if f.kind in ("plain", "bounded_plain"):
+        sizes = tuple(len(fac) for fac in f.factors)
         return sizes, (0,) * len(sizes)
     if f.kind == "circled_bounded":
         x = tuple(sum(1 for l in fac if not l.circled) for fac in f.factors)
@@ -233,40 +233,10 @@ def weight(f: Factorization) -> tuple[tuple[int, ...], tuple[int, ...]]:
     raise ValueError(f"no weight defined for kind {f.kind!r}")
 
 
-def _packer(kind: str, split: int | None, width: int, most: int):
-    """
-    weigh(slot, factor) for a family of the given kind: the factor's
-    exponents packed into one int, a field of bits per exponent, x1..xm
-    then y1..ym, so that adding packed weights adds exponent vectors.
-    most bounds every exponent of a sum, so no field overflows into the
-    next; an index past the width raises ValueError.  unpack turns a
-    packed sum back into a polynomial key.
-    """
-    bits = max(most, 1).bit_length()
-
-    def weigh(slot, factor):
-        xs, ys = _slot_weight(kind, split, slot, factor)
-        packed = 0
-        for offset, pairs in ((0, xs), (width, ys)):
-            for i, a in pairs:
-                if not 0 <= i < width:
-                    raise ValueError(f"a weight is wider than the width {width}")
-                packed += a << bits * (offset + i)
-        return packed
-
-    mask = (1 << bits) - 1
-
-    def unpack(packed):
-        fields = [(packed >> bits * i) & mask for i in range(2 * width)]
-        return tuple(fields[:width]), tuple(fields[width:])
-
-    return weigh, unpack
-
-
 # ---------------------------------------------------------------------------
 # enumeration: every family is a list of FactorSpec slots for hecke_search,
-# built once by _family; _enumerate_factors lists the family and _series
-# sums its generating polynomial over the same search graph
+# built once by _family; _listed lists the family and _series sums its
+# generating polynomial over the same search graph
 
 
 def _chain_spec(letters: list[Letter]) -> FactorSpec:
@@ -312,8 +282,11 @@ def _family(
     """
     The hecke_search slots of a family over S_{n+1}, the side its words
     act on and its split: the bounded kinds have n+1 factors a side,
-    double_unbounded has parts a side, plain and hook have parts.
+    double_unbounded has parts a side, plain and hook have parts.  A
+    negative parts raises ValueError.
     """
+    if parts is not None and parts < 0:
+        raise ValueError(f"parts must be at least 0: {parts}")
     if kind in ("bounded_plain", "circled_bounded"):
         circled = kind == "circled_bounded"
         specs = [_chain_spec(_descending(i, n, circled)) for i in range(1, n + 2)]
@@ -333,22 +306,18 @@ def _family(
     raise ValueError(f"no family of kind {kind!r}")
 
 
-def _enumerate_factors(
-    w: tuple[int, ...],
-    kind: str,
-    specs: list[FactorSpec],
-    side: str,
-    max_letters: int | None,
-    split: int | None = None,
+def _listed(
+    kind: str, w: tuple[int, ...], parts: int | None = None, max_letters: int | None = None
 ) -> list[Factorization]:
     """
-    The Factorizations that hecke_search finds, sorted by flat word,
-    then circle mask, then factor lengths.  Each key is joined from
-    pieces computed once per distinct factor: within one search, equal
-    factors are one object, and they stay alive while the keys are made,
-    so a factor's id names it.
+    The family of the given kind for w, as hecke_search finds it, sorted
+    by flat word, then circle mask, then factor lengths.  Each key is
+    joined from pieces computed once per distinct factor: within one
+    search, equal factors are one object, and they stay alive while the
+    keys are made, so a factor's id names it.
     """
     n = len(w) - 1
+    specs, side, split = _family(kind, n, parts, max_letters)
     found = hecke_search(w, specs, side, max_letters)
     distinct = {id(factor): factor for factors in found for factor in factors}
     pieces = {
@@ -367,36 +336,42 @@ def _enumerate_factors(
     return [Factorization(kind, factors, n, split) for factors in sorted(found, key=key)]
 
 
-def _listed(
-    kind: str, w: tuple[int, ...], parts: int | None = None, max_letters: int | None = None
-) -> list[Factorization]:
-    """The family of the given kind for w, listed and sorted."""
-    specs, side, split = _family(kind, len(w) - 1, parts, max_letters)
-    return _enumerate_factors(w, kind, specs, side, max_letters, split)
-
-
 def _series(
     kind: str,
     w: tuple[int, ...],
     parts: int | None = None,
     max_letters: int | None = None,
-    m: int | None = None,
 ) -> Polynomial:
     """
-    genfun of the family _listed would give, in m variables per family
-    (default: one per x slot), summed over the search graph by
-    hecke_path_sum instead of listed: each slot's factor adds its
-    _slot_weight, packed into one int.
+    genfun of the family _listed would give, one variable per x slot,
+    summed over the search graph by hecke_path_sum instead of listed.
+    weigh packs the _slot_weight of each slot's factor into one int, a
+    field of bits per exponent, x1..xm then y1..ym, so that adding
+    packed weights adds exponent vectors.  most bounds every exponent of
+    a sum, so no field overflows into the next; an index past the width
+    raises ValueError.
     """
     specs, side, split = _family(kind, len(w) - 1, parts, max_letters)
-    natural = len(specs) if split is None else split
-    width = m or natural
-    if width < natural:
-        raise ValueError(f"width {width} is narrower than the {natural} x slots")
+    width = len(specs) if split is None else split
     most = sum(spec.size for spec in specs) if max_letters is None else max_letters
-    weigh, unpack = _packer(kind, split, width, most)
-    sums = hecke_path_sum(w, specs, side, weigh, max_letters)
-    return Polynomial(width, {unpack(key): c for key, c in sums.items()})
+    bits = max(most, 1).bit_length()
+
+    def weigh(slot, factor):
+        xs, ys = _slot_weight(kind, split, slot, factor)
+        packed = 0
+        for offset, pairs in ((0, xs), (width, ys)):
+            for i, a in pairs:
+                if not 0 <= i < width:
+                    raise ValueError(f"a weight is wider than the width {width}")
+                packed += a << bits * (offset + i)
+        return packed
+
+    mask = (1 << bits) - 1
+    terms = {}
+    for packed, c in hecke_path_sum(w, specs, side, weigh, max_letters).items():
+        fields = [(packed >> bits * i) & mask for i in range(2 * width)]
+        terms[tuple(fields[:width]), tuple(fields[width:])] = c
+    return Polynomial(width, terms)
 
 
 def enumerate_bounded_plain(
@@ -451,8 +426,6 @@ def enumerate_double_unbounded(
     ...  for f in enumerate_double_unbounded((2, 1), 1, 2)]
     ['()|(1)', '(1)|()', '(1)|(1)']
     """
-    if half_parts < 0:
-        raise ValueError(f"half_parts must be at least 0: {half_parts}")
     return _listed("double_unbounded", w, half_parts, max_letters)
 
 
@@ -466,8 +439,6 @@ def enumerate_plain_unbounded(
     >>> [factorization_to_str(f) for f in enumerate_plain_unbounded((2, 1), 2, 2)]
     ['()(1)', '(1)()', '(1)(1)']
     """
-    if parts < 0:
-        raise ValueError(f"parts must be at least 0: {parts}")
     return _listed("plain", w, parts, max_letters)
 
 
@@ -483,8 +454,6 @@ def enumerate_hook(
     >>> [factorization_to_str(f) for f in enumerate_hook((2, 1), 1, 2)]
     ['(1)', '(1o)', '(1 1)', '(1o 1)']
     """
-    if parts < 0:
-        raise ValueError(f"parts must be at least 0: {parts}")
     return _listed("hook", w, parts, max_letters)
 
 

@@ -481,27 +481,15 @@ class _PathSums(dict):
         super().__init__()
         self.table = table
         self.weigh = weigh
-        self.weights = {}
 
     def __missing__(self, state):
         idx = state[0]
-        weights = self.weights
-        # edges that reach one next state are added up before the shift
-        shifts: dict = {}
-        for factor, nxt in self.table[state]:
-            seen = (idx, id(factor))  # equal factors of a search are one object
-            w = weights.get(seen)
-            if w is None:
-                w = weights[seen] = self.weigh(idx, factor)
-            by_weight = shifts.setdefault(nxt, {})
-            by_weight[w] = by_weight.get(w, 0) + 1
         out: dict[int, int] = {}
-        for nxt, by_weight in shifts.items():
-            tail = {0: 1} if nxt is None else self[nxt]
-            for w, k in by_weight.items():
-                for key, c in tail.items():
-                    key += w
-                    out[key] = out.get(key, 0) + c * k
+        for factor, nxt in self.table[state]:
+            w = self.weigh(idx, factor)
+            for key, c in ({0: 1} if nxt is None else self[nxt]).items():
+                key += w
+                out[key] = out.get(key, 0) + c
         self[state] = out
         return out
 
@@ -524,7 +512,7 @@ def hecke_path_sum(
                    weigh(slot, factor) added to each weight of P(next).
 
     weigh returns an int; a packed exponent vector adds fieldwise as long
-    as no field overflows.  Each (slot, factor) is weighed once.
+    as no field overflows.
 
     >>> letters = [(i, i, 3) for i in (1, 2)]
     >>> spec = FactorSpec(lambda prev, below: letters, 3)

@@ -72,7 +72,7 @@ def stable_single(w: tuple[int, ...], t: TruncationSpec) -> Polynomial:
     '1'
     """
     _check_spec(t)
-    return _series("plain", w, t.m, t.D, t.m)
+    return _series("plain", w, t.m, t.D)
 
 
 def stable_double(w: tuple[int, ...], t: TruncationSpec) -> Polynomial:
@@ -87,7 +87,7 @@ def stable_double(w: tuple[int, ...], t: TruncationSpec) -> Polynomial:
     'x1 + y1 + x1*y1'
     """
     _check_spec(t)
-    return _series("double_unbounded", w, t.m, t.D, t.m)
+    return _series("double_unbounded", w, t.m, t.D)
 
 
 def _one_box_per_line(mu: tuple[int, ...], rho: tuple[int, ...]) -> bool:
@@ -236,7 +236,7 @@ def halfweak_stable(w: tuple[int, ...], t: TruncationSpec) -> Polynomial:
     '1'
     """
     _check_spec(t)
-    return _series("hook", w, t.m, t.D, t.m)
+    return _series("hook", w, t.m, t.D)
 
 
 def qschur_expansion(w: tuple[int, ...], t: TruncationSpec) -> dict:

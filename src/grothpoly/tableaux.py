@@ -396,11 +396,7 @@ def is_hecke_tableau(T: Tableau, w: tuple[int, ...]) -> bool:
 
 
 def _tableau_key(T: Tableau):
-    return (
-        outer_shape(T),
-        T.inner,
-        tuple(tuple(box for box in row) for row in T.rows),
-    )
+    return outer_shape(T), T.rows
 
 
 def enumerate_hecke_tableaux(

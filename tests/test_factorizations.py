@@ -26,7 +26,6 @@ from grothpoly.factorizations import (
 from grothpoly.factorizations import (
     _chain_spec,
     _descending,
-    _enumerate_factors,
     _series,
 )
 from grothpoly.grothendieck import (
@@ -38,6 +37,7 @@ from grothpoly.permutations import (
     all_permutations,
     demazure_product,
     eval_hecke_word,
+    hecke_search,
     inversions,
 )
 from grothpoly.polynomials import monomial, poly_sum, pretty
@@ -352,16 +352,15 @@ def test_path_sum_equals_genfun_of_the_listed_family(
             else:
                 budget, width = inversions(w) + extra, parts
                 family = enumerate_kind(w, parts, budget)
-            # padded to one more variable on the smaller groups
-            for m in (width, width + 1) if size < top else (width,):
-                assert _series(kind, w, parts, budget, m) == genfun(family, m), (w, m)
+            assert _series(kind, w, parts, budget) == genfun(family, width), w
 
 
 def test_path_sum_and_genfun_reject_what_they_cannot_weigh():
     with pytest.raises(ValueError):
-        _series("plain", (2, 1), 3, 2, 2)  # narrower than the three x slots
-    with pytest.raises(ValueError):
         _series("circled", (2, 1), 3, 2)  # the unbounded circled kind
+    for kind in ("plain", "double_unbounded", "hook"):
+        with pytest.raises(ValueError, match="parts must be at least 0"):
+            _series(kind, (1, 2), -1, 3)
     a = enumerate_plain_unbounded((2, 1), 2, 2)[0]
     b = enumerate_plain_unbounded((2, 1), 3, 2)[0]
     with pytest.raises(ValueError):
@@ -580,6 +579,6 @@ def test_letter_order():
 
 def test_enumerate_factors_rejects_unknown_side():
     specs = [_chain_spec(_descending(1, 2))]
-    assert _enumerate_factors((2, 1, 3), "plain", specs, "left", None)
+    assert hecke_search((2, 1, 3), specs, "left")
     with pytest.raises(ValueError):
-        _enumerate_factors((2, 1, 3), "plain", specs, "rigth", None)
+        hecke_search((2, 1, 3), specs, "rigth")

@@ -108,7 +108,7 @@ def test_braid_and_commutation_exhaustive():
                 )
 
 
-def test_hecke_equivalent_small():
+def test_distinct_generators_evaluate_differently():
     # doubling, braid and commutation are covered above; distinct
     # generators never evaluate alike
     assert eval_hecke_word((1,), 2) != eval_hecke_word((2,), 2)
