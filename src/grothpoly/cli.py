@@ -590,7 +590,8 @@ def suite_tabt(b: argparse.Namespace) -> list[Check]:
             "skew_tableau_series_match_the_split_model",
             (
                 f"w={w}"
-                for w in sorted(all_permutations(3))
+                for size in (3, 4)
+                for w in sorted(all_permutations(size))
                 if stable_double_via_tableaux(w, t) != stable_double(w, t)
             ),
         ),

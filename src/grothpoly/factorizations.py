@@ -22,6 +22,7 @@ evaluate leftmost first.
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 import re
 from typing import NamedTuple
 
@@ -32,9 +33,10 @@ from .permutations import (
     eval_hecke_word,
     eval_hecke_word_ltr,
     hecke_distance,
-    hecke_path_sum,
-    hecke_search,
     inverse,
+    _path_sum,
+    _search_graph,
+    _tuples,
 )
 from .polynomials import (
     Polynomial,
@@ -235,8 +237,8 @@ def weight(f: Factorization) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 # ---------------------------------------------------------------------------
 # enumeration: every family is a list of FactorSpec slots for hecke_search,
-# built once by _family; _listed lists the family and _series sums its
-# generating polynomial over the same search graph
+# built by _family; _graph builds the family's search graph, _listed lists
+# the family from it and _series sums its generating polynomial over it
 
 
 def _chain_spec(letters: list[Letter]) -> FactorSpec:
@@ -306,6 +308,22 @@ def _family(
     raise ValueError(f"no family of kind {kind!r}")
 
 
+# A tableaux run asks for one double_unbounded family three times: the
+# series for stable_double, again inside weak_stable_double, and the list
+# for phi.  So the search graphs of the last few families are kept.  A
+# graph of a bounded family over S_5 holds thousands of states, and a
+# run over many permutations rarely comes back to an old one, so the
+# bound is small.  The graph is read-only, and a raise is never cached.
+_GRAPH_CACHE_SIZE = 4
+
+
+@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
+def _graph(kind: str, w: tuple[int, ...], parts: int | None, max_letters: int | None):
+    """The slots, split and search graph of a family; w is a tuple."""
+    specs, side, split = _family(kind, len(w) - 1, parts, max_letters)
+    return tuple(specs), split, _search_graph(w, specs, side, max_letters)
+
+
 def _listed(
     kind: str, w: tuple[int, ...], parts: int | None = None, max_letters: int | None = None
 ) -> list[Factorization]:
@@ -313,12 +331,12 @@ def _listed(
     The family of the given kind for w, as hecke_search finds it, sorted
     by flat word, then circle mask, then factor lengths.  Each key is
     joined from pieces computed once per distinct factor: within one
-    search, equal factors are one object, and they stay alive while the
-    keys are made, so a factor's id names it.
+    search graph, equal factors are one object, and they stay alive
+    while the keys are made, so a factor's id names it.
     """
-    n = len(w) - 1
-    specs, side, split = _family(kind, n, parts, max_letters)
-    found = hecke_search(w, specs, side, max_letters)
+    w = tuple(w)
+    _, split, graph = _graph(kind, w, parts, max_letters)
+    found = _tuples(graph)
     distinct = {id(factor): factor for factors in found for factor in factors}
     pieces = {
         k: (tuple(l.value for l in factor), tuple(l.circled for l in factor))
@@ -333,6 +351,7 @@ def _listed(
             mask += marks
         return flat, mask, tuple(map(len, factors))
 
+    n = len(w) - 1
     return [Factorization(kind, factors, n, split) for factors in sorted(found, key=key)]
 
 
@@ -344,14 +363,14 @@ def _series(
 ) -> Polynomial:
     """
     genfun of the family _listed would give, one variable per x slot,
-    summed over the search graph by hecke_path_sum instead of listed.
-    weigh packs the _slot_weight of each slot's factor into one int, a
-    field of bits per exponent, x1..xm then y1..ym, so that adding
-    packed weights adds exponent vectors.  most bounds every exponent of
-    a sum, so no field overflows into the next; an index past the width
-    raises ValueError.
+    summed over the same search graph by hecke_path_sum's reader instead
+    of listed.  weigh packs the _slot_weight of each slot's factor into
+    one int, a field of bits per exponent, x1..xm then y1..ym, so that
+    adding packed weights adds exponent vectors.  most bounds every
+    exponent of a sum, so no field overflows into the next; an index
+    past the width raises ValueError.
     """
-    specs, side, split = _family(kind, len(w) - 1, parts, max_letters)
+    specs, split, graph = _graph(kind, tuple(w), parts, max_letters)
     width = len(specs) if split is None else split
     most = sum(spec.size for spec in specs) if max_letters is None else max_letters
     bits = max(most, 1).bit_length()
@@ -368,7 +387,7 @@ def _series(
 
     mask = (1 << bits) - 1
     terms = {}
-    for packed, c in hecke_path_sum(w, specs, side, weigh, max_letters).items():
+    for packed, c in _path_sum(graph, weigh).items():
         fields = [(packed >> bits * i) & mask for i in range(2 * width)]
         terms[tuple(fields[:width]), tuple(fields[width:])] = c
     return Polynomial(width, terms)
@@ -460,7 +479,9 @@ def enumerate_hook(
 def genfun(factorizations, m: int | None = None) -> Polynomial:
     """
     The generating polynomial: the sum of x^(x-weight) y^(y-weight)
-    over the given factorizations, which must share kind and shape.
+    over the given factorizations, which must share kind and shape.  An
+    empty family carries no width, so it raises ValueError unless m is
+    given.
 
     >>> from grothpoly.polynomials import pretty
     >>> pretty(genfun(enumerate_bounded_plain((3, 1, 2))))
@@ -468,12 +489,14 @@ def genfun(factorizations, m: int | None = None) -> Polynomial:
     """
     items = list(factorizations)
     if not items:
-        return constant(0, m or 1)
+        if m is None:
+            raise ValueError("an empty family needs its width m")
+        return constant(0, m)
     kinds = {f.kind for f in items}
     if len(kinds) > 1:
         raise ValueError(f"mixed kinds {sorted(kinds)}")
     first_x, first_y = weight(items[0])
-    width = m or max(len(first_x), len(first_y))
+    width = max(len(first_x), len(first_y)) if m is None else m
 
     def pad(e):
         return e + (0,) * (width - len(e))
@@ -495,6 +518,7 @@ def enumerate_X(w: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ..
     >>> enumerate_X((2, 1))
     [((1, 2), (2, 1)), ((2, 1), (1, 2)), ((2, 1), (2, 1))]
     """
+    w = tuple(w)
     below_right = hecke_distance(w, "right")
     below_left = hecke_distance(w, "left")
     return sorted(

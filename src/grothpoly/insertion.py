@@ -94,10 +94,19 @@ def _insert_one(
         return
 
 
+# The words of one family insert to a few dozen distinct P, each met
+# hundreds of times, so each P is built once from its rows of letters.
+# A Tableau is immutable; the bound keeps a long run's memory flat.
+_P_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_P_CACHE_SIZE)
+def _p_tableau(p_rows: tuple[tuple[int, ...], ...]) -> Tableau:
+    return Tableau(tuple(tuple((Entry(v),) for v in row) for row in p_rows))
+
+
 def _pair(p_rows, q_rows) -> tuple[Tableau, Tableau]:
-    p = Tableau(tuple(tuple((Entry(v),) for v in row) for row in p_rows))
-    q = Tableau(tuple(tuple(row) for row in q_rows))
-    return p, q
+    return _p_tableau(tuple(p_rows)), Tableau(tuple(map(tuple, q_rows)))
 
 
 def _unpair(P: Tableau, Q: Tableau):
@@ -185,19 +194,26 @@ def transpose(T: Tableau) -> Tableau:
     return Tableau(tuple(_transpose_rows(T.rows)))
 
 
-# The left half of a two-sided factorization is inserted the same way
-# whatever stands right of center, and a family repeats a few hundred
-# left halves thousands of times.  The cached columns are tuples, which
-# phi copies into fresh lists before the right half goes in; a left half
-# that breaks the bump path raises on every call, since a raise is never
-# cached.
-_LEFT_HALF_CACHE_SIZE = 4096
+# Insertion reads its word left to right, so the pair after a prefix of
+# a two-sided factorization does not depend on what follows it, and a
+# family repeats a few thousand prefixes tens of thousands of times.  So
+# the pair after the left half and all right factors but the last is
+# kept, and each phi inserts only its last factor.  The cached rows are
+# tuples, which are copied into fresh lists before a factor goes in; a
+# prefix that breaks the bump path raises on every call, since a raise is
+# never cached.
+_PREFIX_CACHE_SIZE = 4096
 
 
-@lru_cache(maxsize=_LEFT_HALF_CACHE_SIZE)
-def _left_half(left):
-    """Insert the reversed left half with factor labels, then transpose,
-    priming the labels."""
+@lru_cache(maxsize=_PREFIX_CACHE_SIZE)
+def _prefix(left, right):
+    """The rows of P and Q, as tuples, after the left half and then the
+    right factors given.  The left half goes in reversed (factor order
+    and letters) with factor labels, and the pair is transposed with
+    those labels primed; right factor i then goes in with the label i."""
+    if right:
+        p_rows, q_rows = _with_factor(_prefix(left, right[:-1]), right[-1], len(right))
+        return tuple(p_rows), tuple(map(tuple, q_rows))
     p_rows: list[tuple[int, ...]] = []
     q_rows: list[list[tuple[Entry, ...]]] = []
     for i, fac in enumerate(reversed(left), start=1):
@@ -208,6 +224,16 @@ def _left_half(left):
         for col in _transpose_rows(q_rows)
     )
     return tuple(_transpose_rows(p_rows)), q_cols
+
+
+def _with_factor(rows, fac, label: int):
+    """Fresh lists of the given rows of P and Q, with the letters of one
+    more factor inserted under the label."""
+    p_rows, q_rows = list(rows[0]), [list(row) for row in rows[1]]
+    entry = Entry(label)
+    for letter in fac:
+        _insert_one(p_rows, q_rows, letter.value, entry)
+    return p_rows, q_rows
 
 
 def phi(f: Factorization) -> tuple[Tableau, Tableau]:
@@ -233,10 +259,6 @@ def phi(f: Factorization) -> tuple[Tableau, Tableau]:
     """
     if f.kind not in ("double_bounded", "double_unbounded"):
         raise ValueError("phi needs a two-sided factorization")
-    p_cols, q_cols = _left_half(f.factors[: f.split])
-    p_rows = list(p_cols)
-    q_rows = [list(col) for col in q_cols]
-    for i, fac in enumerate(f.factors[f.split :], start=1):
-        for letter in fac:
-            _insert_one(p_rows, q_rows, letter.value, Entry(i))
-    return _pair(p_rows, q_rows)
+    left, right = f.factors[: f.split], f.factors[f.split :]
+    last = right[-1] if right else ()
+    return _pair(*_with_factor(_prefix(left, right[:-1]), last, len(right)))

@@ -17,6 +17,7 @@ when they evaluate to the same permutation.
 
 from functools import lru_cache
 from itertools import permutations as _itertools_permutations
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, NamedTuple
 
 __all__ = [
@@ -306,6 +307,7 @@ def hecke_distance(
     >>> sorted(hecke_distance((2, 3, 1), "left").items())
     [((1, 2, 3), 2), ((1, 3, 2), 1), ((2, 3, 1), 0)]
     """
+    target = tuple(target)
     check_permutation(target)
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left': {side!r}")
@@ -368,12 +370,12 @@ class FactorSpec(NamedTuple):
 
 class _Closings(dict):
     """The live closings of each search state (idx, below, u, budget),
-    expanded on first lookup: every (factor, next state) that closes slot
-    idx, in search order, where next is None after the last slot.  below
-    is () when spec idx does not read it.  An edge is kept only if its
-    next state has closings of its own.  A dict with __missing__ rather
-    than a recursive closure, which would be a reference cycle: the table
-    goes as soon as the search returns."""
+    expanded on first lookup: a tuple of every (factor, next state) that
+    closes slot idx, in search order, where next is None after the last
+    slot.  below is () when spec idx does not read it.  An edge is kept
+    only if its next state has closings of its own.  A dict with
+    __missing__ rather than a recursive closure, which would be a
+    reference cycle: _search_graph copies out the states and drops it."""
 
     def __init__(self, specs, dist, apply_fn, far):
         super().__init__()
@@ -413,13 +415,21 @@ class _Closings(dict):
                     if need < left and need <= room + rest:
                         grown.append((letters + (letter,), letter, u2, left - 1))
                 stack.extend(reversed(grown))
-        self[state] = edges
+        self[state] = edges = tuple(edges)
         return edges
 
 
 def _search_graph(target, specs, side, max_letters):
-    """The closings table of a search and its root state, or None when
-    there are no slots."""
+    """
+    The whole search graph of hecke_search, as (closings, root): a
+    read-only map from every state reached to its tuple of closings, and
+    the state the search starts from.  A path ends where an edge leads
+    to None; with no slots the root is None when target is the identity
+    (one empty tuple of factors) and a state with no closings otherwise.
+    Nothing in it can be changed, so a caller may keep it and read it
+    again.
+    """
+    target = tuple(target)
     dist = hecke_distance(target, side)
     apply_fn = hecke_apply_right if side == "right" else hecke_apply
     if max_letters is None:
@@ -427,9 +437,28 @@ def _search_graph(target, specs, side, max_letters):
     if max_letters < 0:
         raise ValueError(f"max_letters must be at least 0: {max_letters}")
     if not specs:
-        return None
+        root = None if target == identity(len(target)) else ()
+        return MappingProxyType({(): ()}), root
     table = _Closings(specs, dist, apply_fn, max_letters + 1)
-    return table, (0, (), identity(len(target)), max_letters)
+    root = (0, (), identity(len(target)), max_letters)
+    table[root]
+    return MappingProxyType(dict(table)), root
+
+
+def _tuples(graph) -> list[tuple[tuple, ...]]:
+    """Every path of a search graph as its tuple of factors, depth first
+    in search order."""
+    closings, root = graph
+    out: list[tuple[tuple, ...]] = []
+    stack = [((), root)]
+    while stack:
+        factors, state = stack.pop()
+        if state is None:
+            out.append(factors)
+        else:
+            edges = reversed(closings[state])
+            stack.extend([(factors + (f,), nxt) for f, nxt in edges])
+    return out
 
 
 def hecke_search(
@@ -455,43 +484,36 @@ def hecke_search(
     >>> hecke_search((3, 2, 1), [spec], "right")
     [((1, 2, 1),), ((2, 1, 2),)]
     """
-    graph = _search_graph(target, specs, side, max_letters)
-    if graph is None:
-        return [()] if target == identity(len(target)) else []
-    table, root = graph
-    out: list[tuple[tuple, ...]] = []
-    last = len(specs) - 1
-    stack = [((), root)]
-    while stack:
-        factors, state = stack.pop()
-        edges = table[state]
-        if state[0] == last:
-            out.extend([factors + (f,) for f, _ in edges])
-        else:
-            stack.extend([(factors + (f,), nxt) for f, nxt in reversed(edges)])
-    return out
+    return _tuples(_search_graph(target, specs, side, max_letters))
 
 
 class _PathSums(dict):
     """The path sum of each search state, computed on first lookup from
-    the sums of the states its closings lead to.  Like _Closings, a dict
-    with __missing__, dropped when the call returns."""
+    the sums of the states its closings lead to; None, the end of every
+    path, sums to {0: 1}.  Like _Closings, a dict with __missing__,
+    dropped when the call returns."""
 
-    def __init__(self, table, weigh):
-        super().__init__()
-        self.table = table
+    def __init__(self, closings, weigh):
+        super().__init__({None: {0: 1}})
+        self.closings = closings
         self.weigh = weigh
 
     def __missing__(self, state):
-        idx = state[0]
         out: dict[int, int] = {}
-        for factor, nxt in self.table[state]:
-            w = self.weigh(idx, factor)
-            for key, c in ({0: 1} if nxt is None else self[nxt]).items():
+        for factor, nxt in self.closings[state]:
+            w = self.weigh(state[0], factor)
+            for key, c in self[nxt].items():
                 key += w
                 out[key] = out.get(key, 0) + c
         self[state] = out
         return out
+
+
+def _path_sum(graph, weigh) -> dict[int, int]:
+    """The weights of the paths of a search graph, counted; see
+    hecke_path_sum."""
+    closings, root = graph
+    return _PathSums(closings, weigh)[root]
 
 
 def hecke_path_sum(
@@ -509,21 +531,17 @@ def hecke_path_sum(
     listing a tuple:
 
         P(state) = sum over the closings (factor, next) of state of
-                   weigh(slot, factor) added to each weight of P(next).
+                   weigh(slot, factor) added to each weight of P(next),
 
-    weigh returns an int; a packed exponent vector adds fieldwise as long
-    as no field overflows.
+    with P(None) = {0: 1} at the end of a path.  weigh returns an int; a
+    packed exponent vector adds fieldwise as long as no field overflows.
 
     >>> letters = [(i, i, 3) for i in (1, 2)]
     >>> spec = FactorSpec(lambda prev, below: letters, 3)
     >>> hecke_path_sum((3, 2, 1), [spec], "right", lambda slot, factor: len(factor))
     {3: 2}
     """
-    graph = _search_graph(target, specs, side, max_letters)
-    if graph is None:
-        return {0: 1} if target == identity(len(target)) else {}
-    table, root = graph
-    return _PathSums(table, weigh)[root]
+    return _path_sum(_search_graph(target, specs, side, max_letters), weigh)
 
 
 def enumerate_hecke_words(

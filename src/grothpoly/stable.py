@@ -5,14 +5,13 @@ Q-basis expansion pipeline."""
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 from .factorizations import _series
 from .polynomials import (
     Polynomial,
     exchange_families,
-    monomial,
     poly_sum,
     restrict_variables,
     truncate_degree,
@@ -102,6 +101,30 @@ def _one_box_per_line(mu: tuple[int, ...], rho: tuple[int, ...]) -> bool:
     return len(cols) == len(set(cols))
 
 
+# The summand of stable_double_via_tableaux reads only the shape of its
+# Hecke tableau, and a tableaux run meets the same few shapes over and
+# over, for one permutation and across permutations.  Like the fills of
+# genfun_svt, the keys carry the window, so the bound is fixed; a raise
+# is never cached.
+_SHAPE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _shape_series(shape: tuple[int, ...], m: int, D: int) -> Polynomial:
+    """The summand of one Hecke tableau of the given shape: the sum over
+    nested partitions rho inside mu inside the shape, with mu/rho
+    scattered, of the set-valued polynomial of shape/rho in x times that
+    of the conjugate of mu in y, truncated at degree D."""
+    products = (
+        truncate_degree(genfun_svt(shape, m, D, inner=rho) * y_part, D)
+        for mu in partitions_inside(shape)
+        for y_part in [exchange_families(genfun_svt(conjugate(mu), m, D))]
+        for rho in partitions_inside(mu)
+        if _one_box_per_line(mu, rho)
+    )
+    return poly_sum(m, products)
+
+
 def stable_double_via_tableaux(
     w: tuple[int, ...], t: TruncationSpec
 ) -> Polynomial:
@@ -112,16 +135,13 @@ def stable_double_via_tableaux(
     that of the conjugate of mu in y.
     """
     _check_spec(t)
-    products = (
-        truncate_degree(genfun_svt(shape, t.m, t.D, inner=rho) * y_part, t.D)
-        for T in enumerate_hecke_tableaux(w, max_boxes=t.D)
-        for shape in [outer_shape(T)]
-        for mu in partitions_inside(shape)
-        for y_part in [exchange_families(genfun_svt(conjugate(mu), t.m, t.D))]
-        for rho in partitions_inside(mu)
-        if _one_box_per_line(mu, rho)
+    shapes = Counter(
+        outer_shape(T) for T in enumerate_hecke_tableaux(w, max_boxes=t.D)
     )
-    return poly_sum(t.m, products)
+    return poly_sum(
+        t.m,
+        (_shape_series(shape, t.m, t.D) * count for shape, count in shapes.items()),
+    )
 
 
 @cache
@@ -202,10 +222,15 @@ def omega(p: Polynomial, family: str) -> Polynomial:
     groups: dict = {}
     for (xe, ye), c in p.terms.items():
         groups.setdefault((ye, sum(xe)), {})[xe] = c
+    # the y-part of each partition: its coefficient in every component
+    y_parts: dict = {}
+    zero = (0,) * p.m
+    for (ye, _), component in groups.items():
+        for lam, c in _eliminate(component, p.m).items():
+            y_parts.setdefault(lam, {})[zero, ye] = c
     images = (
-        c * (schur(conjugate(lam), p.m) * monomial(p.m, (), ye))
-        for (ye, _), component in groups.items()
-        for lam, c in _eliminate(component, p.m).items()
+        schur(conjugate(lam), p.m) * Polynomial(p.m, terms)
+        for lam, terms in y_parts.items()
     )
     return poly_sum(p.m, images)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import pickle
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -26,6 +27,7 @@ from grothpoly.factorizations import (
 from grothpoly.factorizations import (
     _chain_spec,
     _descending,
+    _graph,
     _series,
 )
 from grothpoly.grothendieck import (
@@ -36,11 +38,22 @@ from grothpoly.grothendieck import (
 from grothpoly.permutations import (
     all_permutations,
     demazure_product,
+    enumerate_hecke_words,
     eval_hecke_word,
+    hecke_distance,
     hecke_search,
     inversions,
 )
 from grothpoly.polynomials import monomial, poly_sum, pretty
+from grothpoly.stable import (
+    TruncationSpec,
+    halfweak_stable,
+    stable_double,
+    stable_double_via_tableaux,
+    stable_single,
+    weak_stable_double,
+)
+from grothpoly.tableaux import enumerate_hecke_tableaux
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +324,16 @@ def test_genfun_rejects_mixed_kinds():
     assert pretty(genfun([], m=2)) == "0"
 
 
+def test_genfun_of_an_empty_family_needs_its_width():
+    w = (2, 3, 4, 5, 1)
+    family = enumerate_plain_unbounded(w, 3, 5)
+    assert family == []
+    with pytest.raises(ValueError, match="width"):
+        genfun(family)
+    assert genfun(family, 3) == _series("plain", w, 3, 5)
+    assert genfun(family, 3).m == 3
+
+
 def test_genfun_pads_weights_to_the_width_and_rejects_a_narrower_one():
     for family, width in (
         (enumerate_bounded_plain((2, 1)), 4),
@@ -353,6 +376,42 @@ def test_path_sum_equals_genfun_of_the_listed_family(
                 budget, width = inversions(w) + extra, parts
                 family = enumerate_kind(w, parts, budget)
             assert _series(kind, w, parts, budget) == genfun(family, width), w
+
+
+@pytest.mark.parametrize(
+    "kind, enumerate_kind, parts, extra, top",
+    SUMMED_KINDS,
+    ids=[case[0] for case in SUMMED_KINDS],
+)
+def test_listing_and_series_share_one_graph_in_either_order(
+    kind, enumerate_kind, parts, extra, top
+):
+    # each order against a run that starts with no graph kept, at two
+    # letter budgets for each permutation
+    for w, more in itertools.product(all_permutations(4), (0, 1)):
+        if parts is None:
+            budget = None if more else inversions(w) + 1
+            args = (w, budget)
+        else:
+            budget = inversions(w) + extra + more
+            args = (w, parts, budget)
+
+        def listed():
+            return pickle.dumps(enumerate_kind(*args))
+
+        def summed():
+            return _series(kind, w, parts, budget)
+
+        _graph.cache_clear()
+        alone = listed()
+        _graph.cache_clear()
+        series = summed()
+        for first, then, want in ((listed, summed, series), (summed, listed, alone)):
+            _graph.cache_clear()
+            first()
+            hits = _graph.cache_info().hits
+            assert then() == want, (kind, w)
+            assert _graph.cache_info().hits == hits + 1
 
 
 def test_path_sum_and_genfun_reject_what_they_cannot_weigh():
@@ -582,3 +641,37 @@ def test_enumerate_factors_rejects_unknown_side():
     assert hecke_search((2, 1, 3), specs, "left")
     with pytest.raises(ValueError):
         hecke_search((2, 1, 3), specs, "rigth")
+
+
+T = TruncationSpec(2, 5)
+TAKES_A_PERMUTATION = {
+    "enumerate_bounded_plain": enumerate_bounded_plain,
+    "enumerate_circled_bounded": enumerate_circled_bounded,
+    "enumerate_double_bounded": enumerate_double_bounded,
+    "enumerate_double_unbounded": lambda w: enumerate_double_unbounded(w, 2, 5),
+    "enumerate_plain_unbounded": lambda w: enumerate_plain_unbounded(w, 2, 5),
+    "enumerate_hook": lambda w: enumerate_hook(w, 2, 4),
+    "stable_single": lambda w: stable_single(w, T),
+    "stable_double": lambda w: stable_double(w, T),
+    "weak_stable_double": lambda w: weak_stable_double(w, T),
+    "halfweak_stable": lambda w: halfweak_stable(w, T),
+    "stable_double_via_tableaux": lambda w: stable_double_via_tableaux(w, T),
+    "cauchy_sum": cauchy_sum,
+    "enumerate_X": enumerate_X,
+    "hecke_distance_right": lambda w: hecke_distance(w, "right"),
+    "hecke_distance_left": lambda w: hecke_distance(w, "left"),
+    "enumerate_hecke_words": lambda w: enumerate_hecke_words(w, 5),
+    "grothendieck_single": grothendieck_single,
+    "grothendieck_double": grothendieck_double,
+    "enumerate_hecke_tableaux": enumerate_hecke_tableaux,
+}
+
+
+@pytest.mark.parametrize("name", TAKES_A_PERMUTATION)
+def test_a_permutation_may_be_a_list_or_a_tuple(name):
+    call = TAKES_A_PERMUTATION[name]
+    w = (3, 1, 4, 2)
+    _graph.cache_clear()
+    from_list = call(list(w))
+    assert from_list
+    assert from_list == call(w)

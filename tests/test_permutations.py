@@ -257,14 +257,21 @@ def letter_by_letter_search(target, specs, side, max_letters=None):
 
 def searched_specs(monkeypatch):
     """The (name, specs, side) that the six factorization families and
-    the Hecke tableaux of S_4 hand to hecke_search."""
+    the Hecke tableaux of S_4 hand to the search: a family builds its
+    graph with _search_graph (through the cached factorizations._graph,
+    cleared so that every family builds), the tableaux call hecke_search."""
     seen = []
 
     def record(target, specs, side, max_letters=None):
         seen.append((specs, side))
         return []
 
-    monkeypatch.setattr(factorizations, "hecke_search", record)
+    def build(target, specs, side, max_letters):
+        seen.append((specs, side))
+        return _search_graph(target, specs, side, max_letters)
+
+    factorizations._graph.cache_clear()
+    monkeypatch.setattr(factorizations, "_search_graph", build)
     monkeypatch.setattr(tableaux, "hecke_search", record)
     w = (4, 3, 2, 1)
     calls = {

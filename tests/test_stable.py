@@ -18,6 +18,7 @@ from grothpoly.polynomials import (
     set_y_equal_x,
     substitute_zero,
     truncate_degree,
+    y_var,
 )
 from grothpoly.stable import (
     TruncationSpec,
@@ -33,6 +34,7 @@ from grothpoly.stable import (
     weak_stable_double,
     weak_symmetric,
 )
+from grothpoly.stable import _shape_series
 from grothpoly.tableaux import (
     conjugate,
     enumerate_hecke_tableaux,
@@ -121,6 +123,17 @@ def test_weak_tableau_formula_matches_the_weak_double_model():
         assert weak_tableau_formula(w, t) == weak_stable_double(w, t)
 
 
+def test_tableau_models_hold_when_shape_summands_are_reused():
+    # S_4 in reverse order after S_3: later permutations read the summand
+    # of each shape that earlier ones left in the cache
+    _shape_series.cache_clear()
+    for t in (TruncationSpec(3, 5), TruncationSpec(2, 4)):
+        for w in all_permutations(3) + all_permutations(4)[::-1]:
+            assert stable_double_via_tableaux(w, t) == stable_double(w, t), w
+            assert weak_tableau_formula(w, t) == weak_stable_double(w, t), w
+    assert _shape_series.cache_info().hits > 0
+
+
 def test_schur_values_and_expansion():
     assert pretty(schur((2,), 2)) == "x1^2 + x1*x2 + x2^2"
     assert pretty(schur((1, 1), 2)) == "x1*x2"
@@ -152,6 +165,31 @@ def test_involution_conjugates_schur_components():
     assert omega(q, "y") == exchange_families(schur((1, 1), 3))
     with pytest.raises(ValueError):
         omega(monomial(2, (2,)), "x")
+
+
+def omega_per_component(p):
+    """omega with one product per (component, partition) pair: each
+    y-monomial's x-part of each degree expanded alone."""
+    zero = (0,) * p.m
+    out = constant(0, p.m)
+    for ye in {ye for _, ye in p.terms}:
+        part = Polynomial(
+            p.m, {(xe, zero): c for (xe, y), c in p.terms.items() if y == ye}
+        )
+        for d in {sum(xe) for xe, _ in part.terms}:
+            for lam, c in schur_expand(part, "x", d).items():
+                out = out + c * schur(conjugate(lam), p.m) * monomial(p.m, (), ye)
+    return out
+
+
+def test_omega_groups_the_components_that_share_a_partition():
+    y1, y2 = y_var(1, 3), y_var(2, 3)
+    y_part = y1 + y2 + y1 * y2
+    p = schur((2,), 3) * y_part
+    assert omega(p, "x") == schur((1, 1), 3) * y_part == omega_per_component(p)
+    mixed = p + 2 * schur((1, 1), 3) * y_part + schur((2, 1), 3) - schur((1,), 3)
+    assert omega(mixed, "x") == omega_per_component(mixed)
+    assert omega(omega(mixed, "x"), "x") == mixed
 
 
 def test_one_factor_hooks_of_degree_four():
