@@ -266,20 +266,22 @@ def psi_inv(j: int, k: int, f_ex, f_j) -> tuple[tuple[Letter, ...], tuple[int, .
 
 def _chain_states(f: Factorization):
     """Yield (left factors, right factors, extra factor, slot) after
-    every rewrite, the slot counting right factors left of the extra."""
+    every rewrite, the slot counting right factors left of the extra.
+    left and rights are the live lists the next rewrite changes, not
+    copies, so read a state before drawing the next one."""
     n = f.n
     rights = [tuple(fac) for fac in f.factors]
     left: list[tuple[int, ...]] = [()] if n else []
     f_ex: tuple[int, ...] = ()
-    yield tuple(left), tuple(rights), f_ex, 1 if n else 0
+    yield left, rights, f_ex, 1 if n else 0
     for k in range(n, 0, -1):
         for j in range(n - k + 1, 0, -1):
             f_ex, rights[j - 1] = psi(j, k, rights[j - 1], f_ex)
-            yield tuple(left), tuple(rights), f_ex, j - 1
+            yield left, rights, f_ex, j - 1
         if k > 1:
             left.append(f_ex)
             f_ex = ()
-            yield tuple(left), tuple(rights), f_ex, n - k + 2
+            yield left, rights, f_ex, n - k + 2
 
 
 def _check_circled_input(f: Factorization) -> None:
@@ -300,7 +302,8 @@ def circled_to_double(f: Factorization) -> Factorization:
     '()(3)(2 3)(1 2)|(2 1)(3)(3)()'
     """
     _check_circled_input(f)
-    *_, (left, rights, f_ex, slot) = _chain_states(f)
+    for left, rights, f_ex, slot in _chain_states(f):
+        pass
     if slot != 0 or any(l.circled for fac in rights for l in fac):
         raise RuntimeError("rewrite chain ended in a bad state")
     factors = tuple(

@@ -36,7 +36,6 @@ from .permutations import (
     inverse,
     _path_sum,
     _search_graph,
-    _tuples,
 )
 from .polynomials import (
     Polynomial,
@@ -206,28 +205,35 @@ def _slot_weight(kind: str, split: int | None, slot: int, factor) -> tuple:
 
 def weight(f: Factorization) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
-    The (x-weight, y-weight) pair of vectors for f, per its kind.
+    The (x-weight, y-weight) pair of vectors for f, per its kind.  A
+    circled v in factor k of a circled_bounded factorization weighs
+    y_(v-k+1); one with no such slot raises ValueError.
 
     >>> h = parse_factorization("(3o 2o 2 3 3)(1o 2 2)(3o 2o 1 1 3 3)", "hook", 3)
     >>> weight(h)
     ((3, 2, 4), (2, 1, 2))
     """
     if f.kind in ("plain", "bounded_plain"):
-        sizes = tuple(len(fac) for fac in f.factors)
+        sizes = tuple(map(len, f.factors))
         return sizes, (0,) * len(sizes)
     if f.kind == "circled_bounded":
-        x = tuple(sum(1 for l in fac if not l.circled) for fac in f.factors)
-        y = [0] * len(f.factors)
+        width = len(f.factors)
+        x, y = [], [0] * width
         for k, fac in enumerate(f.factors, start=1):
-            for l in fac:
-                if l.circled:
-                    y[l.value - k] += 1  # slot i = value - k + 1
-        return x, tuple(y)
+            plain = len(fac)
+            for value, circled in fac:
+                if circled:
+                    plain -= 1
+                    if not 0 <= value - k < width:
+                        raise ValueError(
+                            f"circled {value} in factor {k} has no y slot of {width}"
+                        )
+                    y[value - k] += 1  # slot i = value - k + 1
+            x.append(plain)
+        return tuple(x), tuple(y)
     if f.kind in ("double_bounded", "double_unbounded"):
         left, right = f.factors[: f.split], f.factors[f.split :]
-        x = tuple(len(fac) for fac in right)
-        y = tuple(len(fac) for fac in reversed(left))
-        return x, y
+        return tuple(map(len, right)), tuple(map(len, reversed(left)))
     if f.kind == "hook":
         x = tuple(sum(1 for l in fac if not l.circled) for fac in f.factors)
         y = tuple(sum(1 for l in fac if l.circled) for fac in f.factors)
@@ -310,49 +316,87 @@ def _family(
 
 # A tableaux run asks for one double_unbounded family three times: the
 # series for stable_double, again inside weak_stable_double, and the list
-# for phi.  So the search graphs of the last few families are kept.  A
-# graph of a bounded family over S_5 holds thousands of states, and a
-# run over many permutations rarely comes back to an old one, so the
-# bound is small.  The graph is read-only, and a raise is never cached.
+# for phi.  So the search graphs of the last few families are kept, each
+# with its series once summed.  A graph of a bounded family over S_5
+# holds thousands of states, and a run over many permutations rarely
+# comes back to an old one, so the bound is small.  The graph and the
+# series are read-only, and a raise is never cached.
 _GRAPH_CACHE_SIZE = 4
+
+
+@dataclass(slots=True)
+class _Kept:
+    """A family's slots, split and search graph, and its series once
+    _series has summed it (None before)."""
+
+    specs: tuple[FactorSpec, ...]
+    split: int | None
+    graph: tuple
+    series: Polynomial | None = None
 
 
 @lru_cache(maxsize=_GRAPH_CACHE_SIZE)
 def _graph(kind: str, w: tuple[int, ...], parts: int | None, max_letters: int | None):
-    """The slots, split and search graph of a family; w is a tuple."""
+    """The kept search graph of a family; w is a tuple."""
     specs, side, split = _family(kind, len(w) - 1, parts, max_letters)
-    return tuple(specs), split, _search_graph(w, specs, side, max_letters)
+    return _Kept(tuple(specs), split, _search_graph(w, specs, side, max_letters))
 
 
 def _listed(
     kind: str, w: tuple[int, ...], parts: int | None = None, max_letters: int | None = None
 ) -> list[Factorization]:
     """
-    The family of the given kind for w, as hecke_search finds it, sorted
-    by flat word, then circle mask, then factor lengths.  Each key is
-    joined from pieces computed once per distinct factor: within one
-    search graph, equal factors are one object, and they stay alive
-    while the keys are made, so a factor's id names it.
+    The family of the given kind for w, sorted by flat word, then circle
+    mask, then factor lengths.  Each path's key is one bytes: the flat
+    word, a zero field, the mask, then the lengths, each number a
+    big-endian field as wide as the family's largest value or length
+    needs.  Letter values are at least 1, so the zero field puts a flat
+    word below every longer word it begins, and the key orders like the
+    tuple (flat word, mask, lengths).  A family with no circled letter
+    has no mask to compare.  The walk is depth first, as in _tuples,
+    and each edge appends the three pieces made once for its factor:
+    within one graph equal factors are one object, so its id names it.
+    The sorted (key, factors) pairs are then overwritten in place, so
+    that no key outlives the sort.
     """
     w = tuple(w)
-    _, split, graph = _graph(kind, w, parts, max_letters)
-    found = _tuples(graph)
-    distinct = {id(factor): factor for factors in found for factor in factors}
-    pieces = {
-        k: (tuple(l.value for l in factor), tuple(l.circled for l in factor))
-        for k, factor in distinct.items()
-    }
-
-    def key(factors):
-        flat = mask = ()
-        for factor in factors:
-            values, marks = pieces[id(factor)]
-            flat += values
-            mask += marks
-        return flat, mask, tuple(map(len, factors))
-
+    kept = _graph(kind, w, parts, max_letters)
+    closings, root = kept.graph
+    distinct = {id(f): f for edges in closings.values() for f, _ in edges}
     n = len(w) - 1
-    return [Factorization(kind, factors, n, split) for factors in sorted(found, key=key)]
+    value_width = max(n.bit_length() + 7, 8) // 8
+    longest = max(map(len, distinct.values()), default=0)
+    length_width = max(longest.bit_length() + 7, 8) // 8
+    circled = any(l.circled for f in distinct.values() for l in f)
+    pieces = {
+        k: (
+            b"".join(l.value.to_bytes(value_width, "big") for l in f),
+            bytes(l.circled for l in f) if circled else b"",
+            len(f).to_bytes(length_width, "big"),
+        )
+        for k, f in distinct.items()
+    }
+    edges = {
+        state: [(f, *pieces[id(f)], nxt) for f, nxt in out]
+        for state, out in closings.items()
+    }
+    end = bytes(value_width)
+    found = []
+    stack = [((), b"", b"", b"", root)]
+    while stack:
+        factors, flat, mask, lens, state = stack.pop()
+        if state is None:
+            found.append((flat + end + mask + lens, factors))
+        else:
+            stack.extend([
+                (factors + (f,), flat + f_flat, mask + f_mask, lens + f_len, nxt)
+                for f, f_flat, f_mask, f_len, nxt in edges[state]
+            ])
+    found.sort()
+    split = kept.split
+    for i, (_, factors) in enumerate(found):
+        found[i] = Factorization(kind, factors, n, split)
+    return found
 
 
 def _series(
@@ -364,13 +408,16 @@ def _series(
     """
     genfun of the family _listed would give, one variable per x slot,
     summed over the same search graph by hecke_path_sum's reader instead
-    of listed.  weigh packs the _slot_weight of each slot's factor into
-    one int, a field of bits per exponent, x1..xm then y1..ym, so that
-    adding packed weights adds exponent vectors.  most bounds every
-    exponent of a sum, so no field overflows into the next; an index
-    past the width raises ValueError.
+    of listed, and kept beside the graph.  weigh packs the _slot_weight
+    of each slot's factor into one int, a field of bits per exponent,
+    x1..xm then y1..ym, so that adding packed weights adds exponent
+    vectors.  most bounds every exponent of a sum, so no field overflows
+    into the next; an index past the width raises ValueError.
     """
-    specs, split, graph = _graph(kind, tuple(w), parts, max_letters)
+    kept = _graph(kind, tuple(w), parts, max_letters)
+    if kept.series is not None:
+        return kept.series
+    specs, split = kept.specs, kept.split
     width = len(specs) if split is None else split
     most = sum(spec.size for spec in specs) if max_letters is None else max_letters
     bits = max(most, 1).bit_length()
@@ -387,10 +434,11 @@ def _series(
 
     mask = (1 << bits) - 1
     terms = {}
-    for packed, c in _path_sum(graph, weigh).items():
+    for packed, c in _path_sum(kept.graph, weigh).items():
         fields = [(packed >> bits * i) & mask for i in range(2 * width)]
         terms[tuple(fields[:width]), tuple(fields[width:])] = c
-    return Polynomial(width, terms)
+    kept.series = Polynomial(width, terms)
+    return kept.series
 
 
 def enumerate_bounded_plain(
@@ -501,7 +549,12 @@ def genfun(factorizations, m: int | None = None) -> Polynomial:
     def pad(e):
         return e + (0,) * (width - len(e))
 
-    return Polynomial(width, Counter((pad(x), pad(y)) for x, y in map(weight, items)))
+    # tally the weights, then pad each distinct one once; weights that
+    # pad to one key add up
+    terms = Counter()
+    for (x, y), c in Counter(map(weight, items)).items():
+        terms[pad(x), pad(y)] += c
+    return Polynomial(width, terms)
 
 
 def enumerate_X(w: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

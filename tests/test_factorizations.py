@@ -5,6 +5,7 @@ import pickle
 from hypothesis import given, settings, strategies as st
 import pytest
 
+from grothpoly import factorizations
 from grothpoly.factorizations import (
     Factorization,
     Letter,
@@ -48,6 +49,7 @@ from grothpoly.polynomials import monomial, poly_sum, pretty
 from grothpoly.stable import (
     TruncationSpec,
     halfweak_stable,
+    omega,
     stable_double,
     stable_double_via_tableaux,
     stable_single,
@@ -414,6 +416,34 @@ def test_listing_and_series_share_one_graph_in_either_order(
             assert _graph.cache_info().hits == hits + 1
 
 
+def test_genfun_adds_weights_that_pad_to_one_key():
+    # two parts and three parts, padded to three: the tallies of distinct
+    # weights of a and b meet in shared keys
+    a = enumerate_plain_unbounded((2, 1), 2, 2)
+    b = enumerate_plain_unbounded((2, 1), 3, 3)
+    assert genfun(a + b, m=3) == genfun(a, m=3) + genfun(b, m=3)
+
+
+def test_a_series_is_kept_beside_its_graph(monkeypatch):
+    sums = []
+
+    def counted(graph, weigh):
+        sums.append(graph)
+        return path_sum(graph, weigh)
+
+    path_sum = factorizations._path_sum
+    monkeypatch.setattr(factorizations, "_path_sum", counted)
+    _graph.cache_clear()
+    w, t = (3, 1, 4, 2), TruncationSpec(2, 5)
+    single = stable_double(w, t)
+    weak = weak_stable_double(w, t)
+    assert len(sums) == 1
+    assert stable_double(w, t) is single and len(sums) == 1
+    assert weak == omega(omega(_series("double_unbounded", w, 2, 5), "x"), "y")
+    _graph.cache_clear()
+    assert stable_double(w, t) == single and len(sums) == 2
+
+
 def test_path_sum_and_genfun_reject_what_they_cannot_weigh():
     with pytest.raises(ValueError):
         _series("circled", (2, 1), 3, 2)  # the unbounded circled kind
@@ -446,6 +476,17 @@ def test_weight_undefined_for_unbounded_circled():
     f = parse_factorization("(3 2 2o)(3o 2 1 1o)()(1o)", "circled", 3)
     with pytest.raises(ValueError):
         weight(f)
+
+
+def test_circled_weight_rejects_a_letter_with_no_y_slot():
+    # a circled 1 in factor 3 would weigh y_(-1), a circled 3 in factor
+    # 1 of a two-factor family y_3
+    for text, n in (("()()(1o)()", 3), ("(3o)()", 3)):
+        f = parse_factorization(text, "circled_bounded", n)
+        with pytest.raises(ValueError, match="no y slot"):
+            weight(f)
+    g = parse_factorization("(3o)()()()", "circled_bounded", 3)
+    assert weight(g) == ((0, 0, 0, 0), (0, 0, 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +660,38 @@ def test_equal_factors_of_one_search_are_one_tuple():
     assert len(fs) == 10_935
     factors = [fac for f in fs for fac in f.factors]
     assert len({id(fac) for fac in factors}) == len(set(factors))
+
+
+def _public_key(f):
+    masks = tuple(l.circled for fac in f.factors for l in fac)
+    return f.flat_word(), masks, tuple(map(len, f.factors))
+
+
+def _listed_families():
+    for w in all_permutations(3) + all_permutations(4):
+        yield enumerate_bounded_plain(w)
+        yield enumerate_circled_bounded(w)
+        yield enumerate_double_bounded(w)
+        for parts, extra in ((2, 1), (3, 2)):
+            budget = inversions(w) + extra
+            yield enumerate_plain_unbounded(w, parts, budget)
+            yield enumerate_double_unbounded(w, parts, budget)
+            yield enumerate_hook(w, parts, budget)
+    for w in ((4, 5, 1, 3, 2), (3, 5, 4, 1, 2)):
+        yield enumerate_circled_bounded(w)
+        yield enumerate_double_bounded(w)
+    # letters and factor lengths past one byte
+    s_256 = tuple(range(1, 256)) + (257, 256)
+    yield enumerate_double_unbounded(s_256, 1, 2)
+    yield enumerate_hook((2, 1), 1, 300)
+
+
+def test_listing_is_sorted_by_flat_word_then_mask_then_lengths():
+    sizes = []
+    for family in _listed_families():
+        assert family == sorted(family, key=_public_key)
+        sizes.append(len(family))
+    assert sizes[-2:] == [3, 600]
 
 
 def test_json_form():
