@@ -120,7 +120,7 @@ SUITE_FLAGS = {
         "trials": (50, 1, None),
         "seed": (0, None, None),
     },
-    "cauchy": {"n": (2, 1, None), "trials": (10, 1, None), "seed": (0, None, None)},
+    "cauchy": {"n": (2, 1, 4), "trials": (10, 1, None), "seed": (0, None, None)},
     "insertion": {"n": (3, 1, 4), "degree": (5, 1, 7)},
     "bijections": {"n": (4, 2, 5)},
     "tabt": {"m": (3, 1, None), "degree": (5, 1, None)},

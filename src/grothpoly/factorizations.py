@@ -42,6 +42,7 @@ from .polynomials import (
     constant,
     exchange_families,
     poly_sum,
+    _tally,
 )
 
 __all__ = [
@@ -407,12 +408,13 @@ def _series(
 ) -> Polynomial:
     """
     genfun of the family _listed would give, one variable per x slot,
-    summed over the same search graph by hecke_path_sum's reader instead
-    of listed, and kept beside the graph.  weigh packs the _slot_weight
-    of each slot's factor into one int, a field of bits per exponent,
-    x1..xm then y1..ym, so that adding packed weights adds exponent
-    vectors.  most bounds every exponent of a sum, so no field overflows
-    into the next; an index past the width raises ValueError.
+    summed over the same search graph by _path_sum instead of listed,
+    and kept beside the graph.  weigh packs the _slot_weight of each
+    slot's factor into one int, a field of bits per exponent, x1..xm
+    then y1..ym, so that adding packed weights adds exponent vectors.
+    most bounds every exponent of a sum, so no field overflows into the
+    next; an index past the width raises ValueError.  Having checked
+    every index, the result is built unchecked by _tally.
     """
     kept = _graph(kind, tuple(w), parts, max_letters)
     if kept.series is not None:
@@ -433,11 +435,11 @@ def _series(
         return packed
 
     mask = (1 << bits) - 1
-    terms = {}
+    pairs = []
     for packed, c in _path_sum(kept.graph, weigh).items():
         fields = [(packed >> bits * i) & mask for i in range(2 * width)]
-        terms[tuple(fields[:width]), tuple(fields[width:])] = c
-    kept.series = Polynomial(width, terms)
+        pairs.append(((tuple(fields[:width]), tuple(fields[width:])), c))
+    kept.series = _tally(width, pairs)
     return kept.series
 
 

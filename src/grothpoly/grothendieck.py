@@ -22,13 +22,7 @@ as long as the memo keeps it.
 
 from collections import OrderedDict
 
-from .permutations import (
-    check_permutation,
-    compose,
-    inverse,
-    lex_min_reduced_word,
-    longest_element,
-)
+from .permutations import check_permutation
 from .polynomials import (
     Polynomial,
     constant,
@@ -41,7 +35,6 @@ from .polynomials import (
 __all__ = [
     "staircase_monomial",
     "staircase_product",
-    "operator_word",
     "grothendieck_single",
     "grothendieck_double",
 ]
@@ -76,22 +69,6 @@ def staircase_product(n: int) -> Polynomial:
             xi, yj = x_var(i, m), y_var(j, m)
             out = out * (xi + yj + xi * yj)
     return out
-
-
-def operator_word(w: tuple[int, ...]) -> tuple[int, ...]:
-    """
-    The reduced word along which the pi operators act for w: the
-    lexicographically least reduced word of w^{-1} w0.
-
-    >>> operator_word((3, 2, 1))
-    ()
-    >>> operator_word((1, 2, 3))
-    (1, 2, 1)
-    """
-    check_permutation(w)
-    return lex_min_reduced_word(
-        compose(inverse(w), longest_element(len(w)))
-    )
 
 
 # The descent memo holds at most this many terms in all (the sum of

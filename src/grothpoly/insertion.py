@@ -5,13 +5,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 
-from .tableaux import Entry, Tableau, outer_shape, pretty_tableau, tableau
+from .tableaux import Entry, Tableau, outer_shape, pretty_tableau
 
 __all__ = [
     "insert_row",
     "insert_word",
     "insert_into_pair",
-    "transpose",
     "phi",
 ]
 
@@ -174,24 +173,12 @@ def insert_into_pair(
 
 
 def _transpose_rows(rows):
+    """The columns of straight-shape rows, each as a tuple."""
     width = len(rows[0]) if rows else 0
     return [
         tuple(rows[r][c] for r in range(len(rows)) if c < len(rows[r]))
         for c in range(width)
     ]
-
-
-def transpose(T: Tableau) -> Tableau:
-    """
-    Reflect a straight-shape tableau across its main diagonal.
-
-    >>> print(pretty_tableau(transpose(tableau([[1, 2], [2, 4], [3]]))))
-    1 2 3
-    2 4
-    """
-    if any(T.inner):
-        raise ValueError("cannot transpose a skew tableau")
-    return Tableau(tuple(_transpose_rows(T.rows)))
 
 
 # Insertion reads its word left to right, so the pair after a prefix of

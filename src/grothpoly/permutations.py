@@ -27,7 +27,6 @@ __all__ = [
     "compose",
     "inverse",
     "inversions",
-    "support",
     "hecke_apply",
     "hecke_apply_right",
     "eval_hecke_word",
@@ -35,11 +34,9 @@ __all__ = [
     "hecke_distance",
     "FactorSpec",
     "hecke_search",
-    "hecke_path_sum",
     "demazure_product",
     "reduced_words",
     "lex_min_reduced_word",
-    "enumerate_hecke_words",
     "perm_to_str",
     "perm_from_str",
     "word_to_str",
@@ -106,27 +103,6 @@ def inversions(p: tuple[int, ...]) -> int:
         for j in range(i + 1, len(p))
         if p[i] > p[j]
     )
-
-
-def support(p: tuple[int, ...]) -> frozenset[int]:
-    """
-    The set of generator indices that occur in every Hecke word for p.
-
-    Index r is in the support exactly when some inversion of p straddles
-    it, i.e. p(i) > p(j) for some i <= r < j: without the letter r no
-    word can move a value across that boundary, and any word for p must
-    create such an inversion.
-
-    >>> sorted(support((1, 3, 2, 4)))
-    [2]
-    >>> sorted(support((2, 1, 4, 3)))
-    [1, 3]
-    """
-    out = set()
-    for r in range(1, len(p)):
-        if max(p[:r]) > min(p[r:]):
-            out.add(r)
-    return frozenset(out)
 
 
 def hecke_apply(p: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -333,10 +309,10 @@ def hecke_distance(
 # ---------------------------------------------------------------------------
 # the pruned Hecke search
 #
-# Hecke words, factorizations and Hecke tableaux are all found the same
-# way: factor by factor, letter by letter, carrying the evaluation of the
-# prefix as a permutation.  A branch survives only while the prefix can
-# still be completed to the target within both the letter budget and the
+# Factorizations and Hecke tableaux are both found the same way: factor
+# by factor, letter by letter, carrying the evaluation of the prefix as
+# a permutation.  A branch survives only while the prefix can still be
+# completed to the target within both the letter budget and the
 # residual capacity of the remaining factor slots, measured by the
 # hecke_distance table, so the search never walks a dead subtree.
 #
@@ -346,10 +322,10 @@ def hecke_distance(
 # the factor before it keys its states without that factor, which merges
 # states with equal closings.  So the search is a graph: each state is
 # expanded once, into its live closings, and two readers walk its edges.
-# hecke_search lists every path depth first; hecke_path_sum adds up the
-# weights of all paths with one memo per state, the transfer-matrix
-# method (Stanley, Enumerative Combinatorics I, 4.7), without listing
-# them.
+# hecke_search lists every path depth first; the private _path_sum adds
+# up the weights of all paths with one memo per state, the
+# transfer-matrix method (Stanley, Enumerative Combinatorics I, 4.7),
+# without listing them.
 
 
 class FactorSpec(NamedTuple):
@@ -510,25 +486,12 @@ class _PathSums(dict):
 
 
 def _path_sum(graph, weigh) -> dict[int, int]:
-    """The weights of the paths of a search graph, counted; see
-    hecke_path_sum."""
-    closings, root = graph
-    return _PathSums(closings, weigh)[root]
-
-
-def hecke_path_sum(
-    target: tuple[int, ...],
-    specs: list[FactorSpec],
-    side: str,
-    weigh: Callable[[int, tuple], int],
-    max_letters: int | None = None,
-) -> dict[int, int]:
     """
-    The tuples that hecke_search lists, counted by weight: a map from
-    each total weight to the number of tuples that have it.  A tuple's
-    weight is the sum of weigh(slot, factor) over its factors, so the
-    sum is read off the search graph, one memo per state, without
-    listing a tuple:
+    The paths of a search graph, counted by weight: a map from each
+    total weight to the number of the tuples hecke_search would list
+    that have it.  A tuple's weight is the sum of weigh(slot, factor)
+    over its factors, so the sum is read off the graph, one memo per
+    state, without listing a tuple:
 
         P(state) = sum over the closings (factor, next) of state of
                    weigh(slot, factor) added to each weight of P(next),
@@ -538,31 +501,12 @@ def hecke_path_sum(
 
     >>> letters = [(i, i, 3) for i in (1, 2)]
     >>> spec = FactorSpec(lambda prev, below: letters, 3)
-    >>> hecke_path_sum((3, 2, 1), [spec], "right", lambda slot, factor: len(factor))
+    >>> graph = _search_graph((3, 2, 1), [spec], "right", None)
+    >>> _path_sum(graph, lambda slot, factor: len(factor))
     {3: 2}
     """
-    return _path_sum(_search_graph(target, specs, side, max_letters), weigh)
-
-
-def enumerate_hecke_words(
-    p: tuple[int, ...], max_len: int
-) -> list[tuple[int, ...]]:
-    """
-    All words of length <= max_len over the alphabet 1..n evaluating to
-    p, sorted by length then lexicographically: hecke_search over one
-    factor that takes any letter.
-
-    >>> enumerate_hecke_words((1, 2), 0)
-    [()]
-    >>> enumerate_hecke_words((2, 1), 3)
-    [(1,), (1, 1), (1, 1, 1)]
-    >>> enumerate_hecke_words((3, 2, 1), 3)
-    [(1, 2, 1), (2, 1, 2)]
-    """
-    letters = [(i, i, max_len) for i in range(1, len(p))]
-    spec = FactorSpec(lambda prev, below: letters, max_len)
-    words = (word for (word,) in hecke_search(p, [spec], "right", max_len))
-    return sorted(words, key=lambda w: (len(w), w))
+    closings, root = graph
+    return _PathSums(closings, weigh)[root]
 
 
 def perm_to_str(p: tuple[int, ...]) -> str:

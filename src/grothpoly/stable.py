@@ -34,7 +34,6 @@ __all__ = [
     "stable_double",
     "stable_double_via_tableaux",
     "schur",
-    "schur_expand",
     "omega",
     "weak_stable_double",
     "weak_symmetric",
@@ -53,7 +52,7 @@ class TruncationSpec(NamedTuple):
 
 
 def _check_spec(t: TruncationSpec) -> None:
-    if t.m < 1 or t.D < 0:
+    if type(t.m) is not int or type(t.D) is not int or t.m < 1 or t.D < 0:
         raise ValueError(f"bad truncation window {t}")
 
 
@@ -179,30 +178,6 @@ def _eliminate(component: dict, m: int) -> dict:
             component[exps] = component.get(exps, 0) - c * sc
         component = {k: v for k, v in component.items() if v}
     return out
-
-
-def schur_expand(p: Polynomial, family: str, d: int) -> dict:
-    """
-    Schur-basis coefficients of the degree-d part of a one-family
-    symmetric polynomial.
-
-    >>> schur_expand(schur((1,), 2), "x", 1)
-    {(1,): 1}
-    >>> from .polynomials import monomial
-    >>> h2 = sum(monomial(2, e) for e in [(2, 0), (1, 1), (0, 2)])
-    >>> schur_expand(h2, "x", 2)
-    {(2,): 1}
-    """
-    if family not in ("x", "y"):
-        raise ValueError(f"unknown family {family!r}")
-    component: dict = {}
-    for (xe, ye), c in p.terms.items():
-        own, other = ((xe, ye) if family == "x" else (ye, xe))
-        if any(other):
-            raise ValueError("expected a polynomial in one family")
-        if sum(own) == d:
-            component[own] = c
-    return _eliminate(component, p.m)
 
 
 def omega(p: Polynomial, family: str) -> Polynomial:

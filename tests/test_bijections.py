@@ -28,7 +28,8 @@ from grothpoly.factorizations import (
     parse_factorization,
     weight,
 )
-from grothpoly.permutations import eval_hecke_word, support
+from grothpoly.permutations import eval_hecke_word
+from references import support
 
 
 def test_rewrite_table_covers_exactly_the_patterns_with_a_threshold_letter():

@@ -303,6 +303,7 @@ def test_verify_bounds_below_their_minimum_exit_two(capsys, argv):
         ("insertion", "--degree", "8"),
         ("bijections", "--n", "6"),
         ("tabtopi", "--n", "7"),
+        ("cauchy", "--n", "5"),
     ],
 )
 def test_verify_bounds_above_their_cap_exit_two(capsys, argv):

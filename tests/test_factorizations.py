@@ -39,7 +39,6 @@ from grothpoly.grothendieck import (
 from grothpoly.permutations import (
     all_permutations,
     demazure_product,
-    enumerate_hecke_words,
     eval_hecke_word,
     hecke_distance,
     hecke_search,
@@ -733,7 +732,6 @@ TAKES_A_PERMUTATION = {
     "enumerate_X": enumerate_X,
     "hecke_distance_right": lambda w: hecke_distance(w, "right"),
     "hecke_distance_left": lambda w: hecke_distance(w, "left"),
-    "enumerate_hecke_words": lambda w: enumerate_hecke_words(w, 5),
     "grothendieck_single": grothendieck_single,
     "grothendieck_double": grothendieck_double,
     "enumerate_hecke_tableaux": enumerate_hecke_tableaux,

@@ -8,7 +8,6 @@ from grothpoly import grothendieck
 from grothpoly.grothendieck import (
     grothendieck_double,
     grothendieck_single,
-    operator_word,
     staircase_monomial,
     staircase_product,
 )
@@ -17,6 +16,7 @@ from grothpoly.permutations import (
     compose,
     inverse,
     inversions,
+    lex_min_reduced_word,
     longest_element,
     reduced_words,
 )
@@ -30,6 +30,12 @@ from grothpoly.polynomials import (
     x_var,
     y_var,
 )
+
+
+def operator_word(w):
+    """The reduced word along which the pi operators act for w: the
+    lexicographically least reduced word of w^{-1} w0."""
+    return lex_min_reduced_word(compose(inverse(w), longest_element(len(w))))
 
 
 def test_staircase_monomial():

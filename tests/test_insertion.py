@@ -14,7 +14,6 @@ from grothpoly.insertion import (
     insert_row,
     insert_word,
     phi,
-    transpose,
 )
 from grothpoly.permutations import (
     all_permutations,
@@ -250,27 +249,6 @@ def test_insertion_counts_tableau_pairs():
 
 
 # ---------------------------------------------------------------------------
-# transpose
-
-
-def test_transpose_flips_rows_and_columns():
-    assert transpose(tableau([[1, 2], [2, 4], [3]])) == tableau(
-        [[1, 2, 3], [2, 4]]
-    )
-
-
-def test_transpose_is_an_involution():
-    for rows in ([[1, 2], [2, 4], [3]], [["1'2", 3]], [[1]]):
-        T = tableau(rows)
-        assert transpose(transpose(T)) == T
-
-
-def test_transpose_rejects_skew_shapes():
-    with pytest.raises(ValueError):
-        transpose(tableau([[4, 2]], inner=(1,)))
-
-
-# ---------------------------------------------------------------------------
 # the two-sided map
 
 
@@ -279,6 +257,14 @@ def test_two_sided_insertion_worked_example():
     P, Q = phi(f)
     assert P == tableau([[1, 2, 3, 4], [2, 3, 4], [4]])
     assert Q == tableau([["1'", "1'", "2'", 1], ["2'", "2'1", 2], [1]])
+
+
+def transpose(T):
+    """A straight-shape tableau reflected across its main diagonal."""
+    width = len(T.rows[0]) if T.rows else 0
+    return Tableau(
+        tuple(tuple(row[c] for row in T.rows if c < len(row)) for c in range(width))
+    )
 
 
 def phi_by_public_insertion(f):

@@ -4,18 +4,16 @@ from itertools import product
 import pytest
 
 from grothpoly import factorizations, tableaux
-from grothpoly.permutations import _search_graph
+from grothpoly.permutations import _path_sum, _search_graph
 from grothpoly.permutations import (
     FactorSpec,
     all_permutations,
     demazure_product,
-    enumerate_hecke_words,
     eval_hecke_word,
     eval_hecke_word_ltr,
     hecke_apply,
     hecke_apply_right,
     hecke_distance,
-    hecke_path_sum,
     hecke_search,
     identity,
     inverse,
@@ -25,10 +23,10 @@ from grothpoly.permutations import (
     perm_from_str,
     perm_to_str,
     reduced_words,
-    support,
     word_from_str,
     word_to_str,
 )
+from references import support
 
 
 def brute_force_words(target, max_len):
@@ -143,6 +141,16 @@ def test_reduced_words_evaluate_home():
 def test_lex_min_reduced_word():
     for p in all_permutations(4):
         assert lex_min_reduced_word(p) == min(reduced_words(p))
+
+
+def enumerate_hecke_words(p, max_len):
+    """All words of length <= max_len over the alphabet 1..n evaluating
+    to p, sorted by length then lexicographically: hecke_search over one
+    factor that takes any letter."""
+    letters = [(i, i, max_len) for i in range(1, len(p))]
+    spec = FactorSpec(lambda prev, below: letters, max_len)
+    words = (word for (word,) in hecke_search(p, [spec], "right", max_len))
+    return sorted(words, key=lambda w: (len(w), w))
 
 
 def test_enumerate_hecke_words_examples():
@@ -308,6 +316,11 @@ def test_hecke_search_keeps_the_letter_by_letter_order(monkeypatch):
                         assert shared.setdefault(factor, factor) is factor
 
 
+def path_sum(target, specs, side, weigh, max_letters=None):
+    """The path sum of a search graph built for this call alone."""
+    return _path_sum(_search_graph(target, specs, side, max_letters), weigh)
+
+
 def test_hecke_path_sum_counts_what_hecke_search_lists(monkeypatch):
     # any weight of the slot and the factor's letters; no field is packed,
     # so the totals are plain sums
@@ -324,12 +337,12 @@ def test_hecke_path_sum_counts_what_hecke_search_lists(monkeypatch):
                 for factors in found:
                     total = sum(weigh(slot, f) for slot, f in enumerate(factors))
                     want[total] = want.get(total, 0) + 1
-                got = hecke_path_sum(target, specs, side, weigh, budget)
+                got = path_sum(target, specs, side, weigh, budget)
                 assert got == want, (name, target, budget)
-    assert hecke_path_sum((1, 2), [], "right", weigh) == {0: 1}
-    assert hecke_path_sum((2, 1), [], "right", weigh) == {}
+    assert path_sum((1, 2), [], "right", weigh) == {0: 1}
+    assert path_sum((2, 1), [], "right", weigh) == {}
     with pytest.raises(ValueError):
-        hecke_path_sum((1, 2), [increasing_spec(1)], "right", weigh, -1)
+        path_sum((1, 2), [increasing_spec(1)], "right", weigh, -1)
 
 
 def search_states(target, specs, side):

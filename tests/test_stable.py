@@ -26,7 +26,6 @@ from grothpoly.stable import (
     omega,
     qschur_expansion,
     schur,
-    schur_expand,
     stability_check,
     stable_double,
     stable_double_via_tableaux,
@@ -34,7 +33,7 @@ from grothpoly.stable import (
     weak_stable_double,
     weak_symmetric,
 )
-from grothpoly.stable import _shape_series
+from grothpoly.stable import _eliminate, _shape_series
 from grothpoly.tableaux import (
     conjugate,
     enumerate_hecke_tableaux,
@@ -139,9 +138,10 @@ def test_schur_values_and_expansion():
     assert pretty(schur((1, 1), 2)) == "x1*x2"
     assert schur((1, 1, 1), 2) == Polynomial(2, {})
     both = schur((2, 1), 3) + schur((3,), 3)
-    assert schur_expand(both, "x", 3) == {(2, 1): 1, (3,): 1}
+    component = {xe: c for (xe, _), c in both.terms.items()}
+    assert _eliminate(component, 3) == {(2, 1): 1, (3,): 1}
     with pytest.raises(ValueError):
-        schur_expand(monomial(2, (2,)), "x", 2)
+        _eliminate({(2, 0): 1}, 2)
 
 
 def test_schur_cache_cannot_be_changed_through_a_result():
@@ -170,15 +170,13 @@ def test_involution_conjugates_schur_components():
 def omega_per_component(p):
     """omega with one product per (component, partition) pair: each
     y-monomial's x-part of each degree expanded alone."""
-    zero = (0,) * p.m
     out = constant(0, p.m)
-    for ye in {ye for _, ye in p.terms}:
-        part = Polynomial(
-            p.m, {(xe, zero): c for (xe, y), c in p.terms.items() if y == ye}
-        )
-        for d in {sum(xe) for xe, _ in part.terms}:
-            for lam, c in schur_expand(part, "x", d).items():
-                out = out + c * schur(conjugate(lam), p.m) * monomial(p.m, (), ye)
+    for ye, d in {(ye, sum(xe)) for xe, ye in p.terms}:
+        component = {
+            xe: c for (xe, y), c in p.terms.items() if y == ye and sum(xe) == d
+        }
+        for lam, c in _eliminate(component, p.m).items():
+            out = out + c * schur(conjugate(lam), p.m) * monomial(p.m, (), ye)
     return out
 
 
@@ -273,3 +271,22 @@ def test_truncation_spec_validation():
         stable_single((2, 1), TruncationSpec(0, 3))
     with pytest.raises(ValueError):
         stable_single((2, 1), TruncationSpec(1, -1))
+
+
+WINDOWED = {
+    "stable_single": stable_single,
+    "stable_double": stable_double,
+    "stable_double_via_tableaux": stable_double_via_tableaux,
+    "weak_stable_double": weak_stable_double,
+    "weak_symmetric": weak_symmetric,
+    "halfweak_stable": halfweak_stable,
+    "qschur_expansion": qschur_expansion,
+}
+
+
+@pytest.mark.parametrize("name", WINDOWED)
+def test_a_window_that_is_not_two_ints_is_rejected(name):
+    # (2, 1) is both a permutation and a shape; True once read as m = 1
+    for t in [(2.5, 3), (2, 2.5), (True, 2), (2, True), (2, "3")]:
+        with pytest.raises(ValueError):
+            WINDOWED[name]((2, 1), TruncationSpec(*t))
