@@ -23,6 +23,7 @@ evaluate leftmost first.
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 import re
 from typing import NamedTuple
 
@@ -43,6 +44,7 @@ from .polynomials import (
     exchange_families,
     poly_sum,
     _tally,
+    _units,
 )
 
 __all__ = [
@@ -136,13 +138,37 @@ def is_valid_factorization(f: Factorization) -> bool:
     kind = f.kind
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}")
+    # double kinds have split factors left of center, the others none
+    split = 0
+    if kind.startswith("double"):
+        if f.split is None or len(f.factors) != 2 * f.split:
+            return False
+        split = f.split
+    elif f.split is not None:
+        return False
+    if kind in _BOUNDED_KINDS:
+        # one pass over the letters: n+1 factors on each side, the i-th
+        # factor outward from center bounded below by i, the left half
+        # strictly increasing and the right half strictly decreasing in
+        # the interleaved order, and circles only where the kind has them
+        n = f.n
+        if len(f.factors) != split + n + 1 or split not in (0, n + 1):
+            return False
+        circles = kind in _CIRCLED_KINDS
+        for k, fac in enumerate(f.factors):
+            bound, sign = (split - k, -1) if k < split else (k - split + 1, 1)
+            last = 2 * n + 2  # above every signed rank
+            for value, circled in fac:
+                rank = sign * (2 * value - circled)
+                if not (bound <= value <= n and rank < last) or circled > circles:
+                    return False
+                last = rank
+        return True
     letters = [l for fac in f.factors for l in fac]
     if any(not 1 <= l.value <= f.n for l in letters):
         return False
     if kind not in _CIRCLED_KINDS and any(l.circled for l in letters):
         return False
-    if not kind.startswith("double") and f.split is not None:
-        return False  # only the double kinds have a center
     if kind == "hook":
         for fac in f.factors:
             flags = [l.circled for l in fac]
@@ -155,29 +181,13 @@ def is_valid_factorization(f: Factorization) -> bool:
             if any(a > b for a, b in zip(plain, plain[1:])):
                 return False
         return True
-    # double kinds have split factors left of center, the others none
-    split = 0
-    if kind.startswith("double"):
-        if f.split is None or len(f.factors) != 2 * f.split:
-            return False
-        split = f.split
     # the left half strictly increases and the right half strictly
     # decreases in the interleaved order
     for k, fac in enumerate(f.factors):
         ranks = [l.rank for l in fac]
         if not _strictly_decreasing(ranks[::-1] if k < split else ranks):
             return False
-    if kind not in _BOUNDED_KINDS:
-        return True
-    # n+1 factors on each side, the i-th factor outward from center
-    # bounded below by i
-    right, left = f.factors[split:], f.factors[:split][::-1]
-    sides = (right, left) if split else (right,)
-    return all(
-        len(side) == f.n + 1
-        and all(l.value >= i for i, fac in enumerate(side, 1) for l in fac)
-        for side in sides
-    )
+    return True
 
 
 def _slot_weight(kind: str, split: int | None, slot: int, factor) -> tuple:
@@ -410,10 +420,10 @@ def _series(
     genfun of the family _listed would give, one variable per x slot,
     summed over the same search graph by _path_sum instead of listed,
     and kept beside the graph.  weigh packs the _slot_weight of each
-    slot's factor into one int, a field of bits per exponent, x1..xm
-    then y1..ym, so that adding packed weights adds exponent vectors.
-    most bounds every exponent of a sum, so no field overflows into the
-    next; an index past the width raises ValueError.  Having checked
+    slot's factor by the packing rule of polynomials, so that adding
+    packed weights adds exponent vectors.  Every letter adds one to the
+    total degree, so most letters bound it and no field overflows into
+    the next; an index past the width raises ValueError.  Having checked
     every index, the result is built unchecked by _tally.
     """
     kept = _graph(kind, tuple(w), parts, max_letters)
@@ -422,7 +432,7 @@ def _series(
     specs, split = kept.specs, kept.split
     width = len(specs) if split is None else split
     most = sum(spec.size for spec in specs) if max_letters is None else max_letters
-    bits = max(most, 1).bit_length()
+    units = _units(width, most)
 
     def weigh(slot, factor):
         xs, ys = _slot_weight(kind, split, slot, factor)
@@ -431,15 +441,10 @@ def _series(
             for i, a in pairs:
                 if not 0 <= i < width:
                     raise ValueError(f"a weight is wider than the width {width}")
-                packed += a << bits * (offset + i)
+                packed += a * units[offset + i]
         return packed
 
-    mask = (1 << bits) - 1
-    pairs = []
-    for packed, c in _path_sum(kept.graph, weigh).items():
-        fields = [(packed >> bits * i) & mask for i in range(2 * width)]
-        pairs.append(((tuple(fields[:width]), tuple(fields[width:])), c))
-    kept.series = _tally(width, pairs)
+    kept.series = _tally(width, most, _path_sum(kept.graph, weigh).items())
     return kept.series
 
 
@@ -547,16 +552,19 @@ def genfun(factorizations, m: int | None = None) -> Polynomial:
         raise ValueError(f"mixed kinds {sorted(kinds)}")
     first_x, first_y = weight(items[0])
     width = max(len(first_x), len(first_y)) if m is None else m
-
-    def pad(e):
-        return e + (0,) * (width - len(e))
-
-    # tally the weights, then pad each distinct one once; weights that
-    # pad to one key add up
-    terms = Counter()
-    for (x, y), c in Counter(map(weight, items)).items():
-        terms[pad(x), pad(y)] += c
-    return Polynomial(width, terms)
+    # tally the weights, then pack each distinct one once by the packing
+    # rule of polynomials; a weight shorter than the width packs as if
+    # padded, so weights that pad to one key add up
+    counts = Counter(map(weight, items))
+    if any(len(x) > width or len(y) > width for x, y in counts):
+        raise ValueError(f"a weight is wider than the width {width}")
+    deg = max(sum(x) + sum(y) for x, y in counts)
+    units = _units(width, deg)
+    packed = (
+        (sum(map(mul, x, units)) + sum(map(mul, y, units[width:])), c)
+        for (x, y), c in counts.items()
+    )
+    return _tally(width, deg, packed)
 
 
 def enumerate_X(w: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

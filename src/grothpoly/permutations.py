@@ -349,7 +349,9 @@ class _Closings(dict):
     expanded on first lookup: a tuple of every (factor, next state) that
     closes slot idx, in search order, where next is None after the last
     slot.  below is () when spec idx does not read it.  An edge is kept
-    only if its next state has closings of its own.  A dict with
+    only if its next state has closings of its own.  Each generator is
+    applied to each permutation once per search: many branches reach
+    the same (u, generator), and applied keeps the result.  A dict with
     __missing__ rather than a recursive closure, which would be a
     reference cycle: _search_graph copies out the states and drops it."""
 
@@ -361,10 +363,11 @@ class _Closings(dict):
         self.far = far
         self.tail = [sum(s.size for s in specs[i:]) for i in range(len(specs) + 1)]
         self.share = {}.setdefault
+        self.applied = {}
 
     def __missing__(self, state):
         idx, below, u, budget = state
-        spec, dist, apply_fn, far = self.specs[idx], self.dist, self.apply_fn, self.far
+        spec, dist, far, applied = self.specs[idx], self.dist, self.far, self.applied
         rest = self.tail[idx + 1]
         last = idx + 1 == len(self.specs)
         keyed = not last and self.specs[idx + 1].reads_below
@@ -386,7 +389,9 @@ class _Closings(dict):
             if left:
                 grown = []
                 for letter, generator, room in spec.candidates(prev, below):
-                    u2 = apply_fn(u, generator)
+                    u2 = applied.get((u, generator))
+                    if u2 is None:
+                        u2 = applied[u, generator] = self.apply_fn(u, generator)
                     need = dist.get(u2, far)
                     if need < left and need <= room + rest:
                         grown.append((letters + (letter,), letter, u2, left - 1))

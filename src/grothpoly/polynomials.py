@@ -2,8 +2,16 @@
 Sparse exact-integer polynomials in two variable families x1..xm, y1..ym,
 with the divided-difference operators acting on the x side.
 
-A term is keyed by a pair of exponent tuples, one per family.  All
-arithmetic is exact; there are no floats anywhere.  The y variables are
+A term is stored under one packed int key, a field of bits per exponent,
+x1..xm then y1..ym from the lowest bits up, so that multiplying two
+monomials adds their keys (Monagan and Pearce, packed exponent vectors,
+CASC 2007).  Each polynomial carries a bound on the total degree of its
+terms, and its fields are wide enough that even that whole degree fits
+in one: no exponent can carry into the next field.  A product, whose
+bound is the sum of its factors' bounds, widens the fields of both
+factors first when the sum would not fit.  The terms mapping of
+(x_exponents, y_exponents) tuples unpacks keys only when it is iterated.
+All arithmetic is exact; there are no floats anywhere.  The y variables are
 scalars as far as the operators are concerned: delta and pi act on the
 x exponents of each term and carry the y part along untouched.
 
@@ -16,8 +24,9 @@ x exponents of each term and carry the y part along untouched.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
 from itertools import chain
-from operator import add
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable
 
@@ -53,16 +62,17 @@ class Polynomial:
     Immutable sparse polynomial with a fixed family size m.
 
     terms is a read-only mapping from (x_exponents, y_exponents) to a
-    nonzero int, set once when the polynomial is built; equal exponent
-    tuples inside one polynomial are one object.  Setting or deleting
-    an attribute raises AttributeError, so a polynomial can be cached
-    and shared.  The constructor raises ValueError unless m is an int
-    >= 0, each key is a pair of length-m tuples of nonnegative ints and
-    each coefficient an int, not a bool.  Mixing family sizes in
-    arithmetic is an error.
+    nonzero int.  Its size and lookups read the packed keys; only
+    iterating it unpacks them, and within one pass equal exponent tuples
+    are one object.  Setting or deleting an attribute raises
+    AttributeError, so a polynomial can be cached and shared.  The
+    constructor raises ValueError unless m is an int >= 0,
+    each key is a pair of length-m tuples of nonnegative ints and each
+    coefficient an int, not a bool.  Mixing family sizes in arithmetic
+    is an error.
     """
 
-    __slots__ = ("m", "terms")
+    __slots__ = ("m", "_deg", "_packed")
 
     def __init__(self, m: int, terms: dict[Key, int] | None = None):
         _check_size(m)
@@ -75,7 +85,14 @@ class Polynomial:
                 and all(type(a) is int and a >= 0 for a in key[0] + key[1])
             ):
                 raise ValueError(f"bad term for family size {m}: {key!r}: {c!r}")
-        _store(self, m, terms)
+        deg = max((sum(xe) + sum(ye) for xe, ye in terms), default=0)
+        units = _units(m, deg)
+        packed = {sum(map(mul, xe + ye, units)): c for (xe, ye), c in terms.items()}
+        _store(self, m, deg, packed)
+
+    @property
+    def terms(self) -> MappingProxyType:
+        return MappingProxyType(_Terms(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a Polynomial is immutable: cannot set {name!r}")
@@ -87,22 +104,29 @@ class Polynomial:
         return Polynomial, (self.m, dict(self.terms))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._packed)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = _constant(other, self.m)
-        return (
+        if not (
             isinstance(other, Polynomial)
             and self.m == other.m
-            and self.terms == other.terms
-        )
+            and len(self._packed) == len(other._packed)
+        ):
+            return False
+        bits = _bits(max(self._deg, other._deg))
+        return _widened(self, bits) == _widened(other, bits)
 
     def __hash__(self):
-        zero = (0,) * self.m
-        if self.terms.keys() <= {(zero, zero)}:  # equal to its int, so hash alike
-            return hash(sum(self.terms.values()))
-        return hash((self.m, frozenset(self.terms.items())))
+        packed = self._packed
+        if packed.keys() <= {0}:  # equal to its int, so hash alike
+            return hash(sum(packed.values()))
+        # the true top degree, not the bound, fixes the width hashed
+        bits = _bits(self._deg)
+        top = max(key % ((1 << bits) - 1) for key in packed)
+        canonical = _repacked(packed, self.m, bits, _bits(top))
+        return hash((self.m, frozenset(canonical.items())))
 
     def __add__(self, other) -> "Polynomial":
         return poly_sum(self.m, (self, other))
@@ -110,7 +134,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return _tally(self.m, ((k, -c) for k, c in self.terms.items()))
+        return self * -1
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-_coerce(self.m, other))
@@ -120,14 +144,21 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):
-            return _tally(self.m, ((k, c * other) for k, c in self.terms.items()))
+            scaled = zip(self._packed, map(other.__mul__, self._packed.values()))
+            return _distinct(self, self.m, self._deg, scaled)
         other = _coerce(self.m, other)
-        products = (
-            ((tuple(map(add, xa, xb)), tuple(map(add, ya, yb))), ca * cb)
-            for (xa, ya), ca in self.terms.items()
-            for (xb, yb), cb in other.terms.items()
+        deg = self._deg + other._deg
+        bits = _bits(deg)
+        a, b = _widened(self, bits), _widened(other, bits)
+        if len(a) < len(b):
+            a, b = b, a
+        # one pass over the larger factor per term of the smaller: each
+        # product key is a sum of keys, which the width bound keeps exact
+        products = chain.from_iterable(
+            zip(map(kb.__add__, a), map(cb.__mul__, a.values()))
+            for kb, cb in b.items()
         )
-        return _tally(self.m, products)
+        return _tally(self.m, deg, products)
 
     __rmul__ = __mul__
 
@@ -147,28 +178,132 @@ class Polynomial:
         return pretty(self)
 
 
+class _Terms(Mapping):
+    """The (x_exponents, y_exponents) view of a polynomial's packed
+    terms: len, lookups and values read the packed dict, and only
+    iterating unpacks keys."""
+
+    __slots__ = ("_p",)
+
+    def __init__(self, p: Polynomial):
+        self._p = p
+
+    def __len__(self) -> int:
+        return len(self._p._packed)
+
+    def __getitem__(self, key: Key) -> int:
+        p = self._p
+        # a key that could not be stored must not be packed: an exponent
+        # past the width would carry into the next field
+        if (
+            type(key) is tuple and len(key) == 2
+            and all(type(e) is tuple and len(e) == p.m for e in key)
+            and all(type(a) is int and a >= 0 for a in key[0] + key[1])
+            and sum(key[0] + key[1]) <= p._deg
+        ):
+            exps = key[0] + key[1]
+            c = p._packed.get(sum(map(mul, exps, _units(p.m, p._deg))))
+            if c is not None:
+                return c
+        raise KeyError(key)
+
+    def __iter__(self):
+        return (key for key, _ in self._pairs())
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def values(self):
+        return self._p._packed.values()
+
+    def _pairs(self):
+        m = self._p.m
+        bits = _bits(self._p._deg)
+        mask = (1 << bits) - 1
+        shifts = range(0, 2 * m * bits, bits)
+        share = {}.setdefault
+        for key, c in self._p._packed.items():
+            fields = [key >> s & mask for s in shifts]
+            xe, ye = tuple(fields[:m]), tuple(fields[m:])
+            yield (share(xe, xe), share(ye, ye)), c
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return self._mapping._pairs()
+
+
 _set_m = Polynomial.m.__set__
-_set_terms = Polynomial.terms.__set__
+_set_deg = Polynomial._deg.__set__
+_set_packed = Polynomial._packed.__set__
 
 
-def _store(p: Polynomial, m: int, terms) -> Polynomial:
-    """Set the two slots of p once: m, and a read-only view of the
-    nonzero terms in which equal exponent tuples are one object."""
-    share = {}.setdefault
+def _bits(deg: int) -> int:
+    """The field width for a total degree bound: the narrowest whose
+    all-ones value exceeds it, so that a key's total degree is the key
+    modulo that value (every power of two in it is 1 there)."""
+    return (deg + 1).bit_length()
+
+
+def _units(m: int, deg: int) -> tuple[int, ...]:
+    """The packing rule: the keys of x1..xm, y1..ym for a total degree
+    bound; a monomial's key is the sum of its exponents times these."""
+    bits = _bits(deg)
+    return tuple(1 << bits * f for f in range(2 * m))
+
+
+def _repacked(packed: dict, m: int, old: int, new: int) -> dict:
+    """The packed terms moved from fields of old bits to fields of new
+    bits; the same dict when the widths agree.  Every exponent must fit
+    the new width."""
+    if old == new:
+        return packed
+    mask = (1 << old) - 1
+    shifts = [(old * f, new * f) for f in range(2 * m)]
+    return {
+        sum((key >> s & mask) << t for s, t in shifts): c
+        for key, c in packed.items()
+    }
+
+
+def _widened(p: Polynomial, bits: int) -> dict:
+    return _repacked(p._packed, p.m, _bits(p._deg), bits)
+
+
+def _store(p: Polynomial, m: int, deg: int, packed: dict) -> Polynomial:
+    """Set the three slots of p once: m, the degree bound that fixes the
+    width, and the packed terms with zeros dropped."""
     _set_m(p, m)
-    _set_terms(p, MappingProxyType({
-        (share(xe, xe), share(ye, ye)): c for (xe, ye), c in terms.items() if c
-    }))
+    _set_deg(p, deg)
+    if 0 in packed.values():
+        packed = {k: c for k, c in packed.items() if c}
+    _set_packed(p, packed)
     return p
 
 
-def _tally(m: int, pairs: Iterable[tuple[Key, int]]) -> Polynomial:
-    """Sum the (key, coefficient) pairs into a polynomial, zeros dropped.
-    Unchecked: only for results of arithmetic on checked polynomials."""
-    out: dict[Key, int] = {}
+def _add(out: dict, pairs: Iterable[tuple[int, int]]) -> dict:
+    """Add the (packed key, coefficient) pairs into out.  The module sums
+    terms here and, one run of keys at a time, in _quotients."""
+    get = out.get
     for key, c in pairs:
-        out[key] = out.get(key, 0) + c
-    return _store(Polynomial.__new__(Polynomial), m, out)
+        out[key] = get(key, 0) + c
+    return out
+
+
+def _tally(m: int, deg: int, pairs: Iterable[tuple[int, int]]) -> Polynomial:
+    """Sum (packed key, coefficient) pairs, packed for the degree bound
+    deg, into a polynomial, zeros dropped.  Unchecked: only for results
+    of arithmetic on checked polynomials."""
+    return _store(Polynomial.__new__(Polynomial), m, deg, _add({}, pairs))
+
+
+def _distinct(p: Polynomial, m: int, deg: int, pairs) -> Polynomial:
+    """(packed key, coefficient) pairs with distinct keys, made from p's
+    terms at its width, as a polynomial of family size m at the degree
+    bound deg <= p's, narrowed to that width; nothing to sum."""
+    bits = _bits(p._deg)
+    kept = _repacked(dict(pairs), m, bits, _bits(deg))
+    return _store(Polynomial.__new__(Polynomial), m, deg, kept)
 
 
 def _check_size(m) -> None:
@@ -178,7 +313,7 @@ def _check_size(m) -> None:
 
 def _constant(c: int, m: int) -> Polynomial:
     # unchecked: only for an int met in arithmetic on a checked polynomial
-    return _tally(m, [(((0,) * m, (0,) * m), c)])
+    return _tally(m, 0, [(0, c)])
 
 
 def constant(c: int, m: int) -> Polynomial:
@@ -209,14 +344,22 @@ def monomial(
 def poly_sum(m: int, polys: Iterable[Polynomial]) -> Polynomial:
     """
     The sum of polynomials of family size m (an int counts as a
-    constant), tallied into one dict; the sum of none is 0.
+    constant), tallied into one dict; the sum of none is 0.  The running
+    sum is widened whenever a summand's degree bound needs wider fields.
 
     >>> pretty(poly_sum(2, [x_var(1, 2), x_var(1, 2), -x_var(2, 2)]))
     '2*x1 - x2'
     >>> poly_sum(3, []) == constant(0, 3)
     True
     """
-    return _tally(m, chain.from_iterable(_coerce(m, p).terms.items() for p in polys))
+    out, deg = {}, 0
+    for p in polys:
+        p = _coerce(m, p)
+        if p._deg > deg:
+            out = _repacked(out, m, _bits(deg), _bits(p._deg))
+            deg = p._deg
+        _add(out, _widened(p, _bits(deg)).items())
+    return _store(Polynomial.__new__(Polynomial), m, deg, out)
 
 
 def _coerce(m: int, other) -> Polynomial:
@@ -245,6 +388,12 @@ def y_var(i: int, m: int) -> Polynomial:
     return monomial(m, (), (0,) * (i - 1) + (1,))
 
 
+def _field(p: Polynomial, i: int) -> tuple[int, int, int]:
+    """The width, all-ones mask and shift of the x_i field of p's keys."""
+    bits = _bits(p._deg)
+    return bits, (1 << bits) - 1, bits * (i - 1)
+
+
 def swap_x(p: Polynomial, i: int) -> Polynomial:
     """
     Exchange the exponents of x_i and x_{i+1} in every term.
@@ -257,31 +406,51 @@ def swap_x(p: Polynomial, i: int) -> Polynomial:
     """
     if not 1 <= i <= p.m - 1:
         raise ValueError(f"swap index {i} out of range 1..{p.m - 1}")
+    bits, mask, s = _field(p, i)
+    # moving one unit from x_{i+1} to x_i adds step to a key
+    step = (1 << s) - (1 << s + bits)
     swapped = (
-        ((xe[: i - 1] + (xe[i], xe[i - 1]) + xe[i + 1 :], ye), c)
-        for (xe, ye), c in p.terms.items()
+        (key + ((key >> s + bits & mask) - (key >> s & mask)) * step, c)
+        for key, c in p._packed.items()
     )
-    return _tally(p.m, swapped)
+    return _distinct(p, p.m, p._deg, swapped)
 
 
-def _quotients(i: int, f: Polynomial, lifts: tuple[int, ...]):
-    """The unsummed terms of delta_i(x_{i+1}^l * f) for each l in lifts.
+def _quotients(i: int, f: Polynomial, lifts: tuple[int, ...]) -> Polynomial:
+    """The sum of delta_i(x_{i+1}^l * f) over l in lifts.
 
     For exponents (p, r) of x_i, x_{i+1} the quotient
     (x_i^p x_{i+1}^r - x_i^r x_{i+1}^p)/(x_i - x_{i+1}) is a signed
-    geometric sum, so no polynomial division ever happens and the result
-    is exact by construction.
+    geometric sum of x_i^t x_{i+1}^(p+r-1-t), t from min(p, r) up to
+    max(p, r), so no polynomial division ever happens and the result is
+    exact by construction.  Its packed keys step by one unit moved from
+    x_{i+1} to x_i, so each sum is one range of keys, ending next to the
+    key of x_i^p x_{i+1}^(r-1).  No exponent of a quotient exceeds the
+    total degree of its term, so f's width holds.
     """
     if not 1 <= i <= f.m - 1:
         raise ValueError(f"operator index {i} out of range 1..{f.m - 1}")
-    return (
-        ((head + (t, p + r - 1 - t) + tail, ye), c if p > r else -c)
-        for (xe, ye), c in f.terms.items()
-        for head, (p, q), tail in [(xe[: i - 1], xe[i - 1 : i + 1], xe[i + 1 :])]
-        for lift in lifts
-        for r in [q + lift]
-        for t in range(min(p, r), max(p, r))
-    )
+    bits, mask, s = _field(f, i)
+    next_unit = 1 << s + bits
+    step = (1 << s) - next_unit
+    shifts = [(lift, (lift - 1) * next_unit) for lift in lifts]
+    out = {}
+    get = out.get
+    for key, c in f._packed.items():
+        d = (key >> s & mask) - (key >> s + bits & mask)  # p - q
+        for lift, shift in shifts:
+            near = key + shift  # t = p
+            if d > lift:
+                keys, sc = range(near - (d - lift) * step, near, step), c
+            elif d < lift:
+                keys, sc = range(near, near - (d - lift) * step, step), -c
+            else:
+                continue
+            # the one other loop that sums terms: a run of keys with one
+            # coefficient, which costs less than a pair per key
+            for k in keys:
+                out[k] = get(k, 0) + sc
+    return _store(Polynomial.__new__(Polynomial), f.m, f._deg, out)
 
 
 def delta(i: int, f: Polynomial) -> Polynomial:
@@ -296,7 +465,7 @@ def delta(i: int, f: Polynomial) -> Polynomial:
     >>> delta(1, x_var(1, 2) * x_var(2, 2)).terms == {}
     True
     """
-    return _tally(f.m, _quotients(i, f, (0,)))
+    return _quotients(i, f, (0,))
 
 
 def pi(i: int, f: Polynomial) -> Polynomial:
@@ -310,7 +479,7 @@ def pi(i: int, f: Polynomial) -> Polynomial:
     >>> pretty(pi(1, x_var(1, 2)))
     '1'
     """
-    return _tally(f.m, _quotients(i, f, (0, 1)))
+    return _quotients(i, f, (0, 1))
 
 
 def pi_word(word: tuple[int, ...], f: Polynomial) -> Polynomial:
@@ -338,9 +507,13 @@ def substitute_zero(p: Polynomial, family: str, keep: int) -> Polynomial:
     """
     if family not in ("x", "y"):
         raise ValueError("family must be 'x' or 'y'")
-    slot = 0 if family == "x" else 1
-    kept = ((k, c) for k, c in p.terms.items() if not any(k[slot][keep:]))
-    return _tally(p.m, kept)
+    bits = _bits(p._deg)
+    first = 0 if family == "x" else p.m
+    dropped = sum(
+        ((1 << bits) - 1) << bits * (first + j) for j in range(p.m)[keep:]
+    )
+    kept = ((k, c) for k, c in p._packed.items() if not k & dropped)
+    return _distinct(p, p.m, p._deg, kept)
 
 
 def restrict_variables(p: Polynomial, m: int) -> Polynomial:
@@ -353,12 +526,15 @@ def restrict_variables(p: Polynomial, m: int) -> Polynomial:
     """
     if not 0 <= m <= p.m:
         raise ValueError(f"cannot keep {m} of {p.m} variables")
+    bits = _bits(p._deg)
+    low = (1 << bits * m) - 1  # the first m fields
+    dropped = (((1 << bits * p.m) - 1) ^ low) * ((1 << bits * p.m) + 1)
     kept = (
-        ((xe[:m], ye[:m]), c)
-        for (xe, ye), c in p.terms.items()
-        if not any(xe[m:]) and not any(ye[m:])
+        ((k & low) + ((k >> bits * p.m & low) << bits * m), c)
+        for k, c in p._packed.items()
+        if not k & dropped
     )
-    return _tally(m, kept)
+    return _distinct(p, m, p._deg, kept)
 
 
 def exchange_families(p: Polynomial) -> Polynomial:
@@ -371,7 +547,10 @@ def exchange_families(p: Polynomial) -> Polynomial:
     >>> exchange_families(exchange_families(q)) == q
     True
     """
-    return _tally(p.m, (((ye, xe), c) for (xe, ye), c in p.terms.items()))
+    half = _bits(p._deg) * p.m
+    low = (1 << half) - 1
+    swapped = (((k >> half) + ((k & low) << half), c) for k, c in p._packed.items())
+    return _distinct(p, p.m, p._deg, swapped)
 
 
 def set_y_equal_x(p: Polynomial) -> Polynomial:
@@ -384,13 +563,24 @@ def set_y_equal_x(p: Polynomial) -> Polynomial:
     >>> pretty(set_y_equal_x(sp1))
     '2*x1 + x1^2'
     """
-    zero = (0,) * p.m
-    summed = (((tuple(map(add, xe, ye)), zero), c) for (xe, ye), c in p.terms.items())
-    return _tally(p.m, summed)
+    half = _bits(p._deg) * p.m
+    low = (1 << half) - 1
+    # x_i + y_i is at most the total degree, so it fits x_i's field
+    summed = (((k & low) + (k >> half), c) for k, c in p._packed.items())
+    return _tally(p.m, p._deg, summed)
 
 
 def total_degree(key: Key) -> int:
     return sum(key[0]) + sum(key[1])
+
+
+def _of_degree(p: Polynomial, keep, deg: int) -> Polynomial:
+    """The terms of p whose total degree passes keep, at the degree
+    bound min(p's, deg).  A key modulo the all-ones field value is its
+    total degree, which the width keeps below that value."""
+    mask = (1 << _bits(p._deg)) - 1
+    kept = ((k, c) for k, c in p._packed.items() if keep(k % mask))
+    return _distinct(p, p.m, max(0, min(p._deg, deg)), kept)
 
 
 def truncate_degree(p: Polynomial, bound: int) -> Polynomial:
@@ -400,8 +590,7 @@ def truncate_degree(p: Polynomial, bound: int) -> Polynomial:
     >>> pretty(truncate_degree(x_var(1, 1) + x_var(1, 1) ** 2, 1))
     'x1'
     """
-    kept = ((k, c) for k, c in p.terms.items() if total_degree(k) <= bound)
-    return _tally(p.m, kept)
+    return _of_degree(p, bound.__ge__, bound)
 
 
 def coefficient(
@@ -428,8 +617,7 @@ def homogeneous_component(p: Polynomial, d: int) -> Polynomial:
     >>> pretty(homogeneous_component(q, 2))
     'x1*x2'
     """
-    kept = ((k, c) for k, c in p.terms.items() if total_degree(k) == d)
-    return _tally(p.m, kept)
+    return _of_degree(p, d.__eq__, d)
 
 
 def _term_sort_key(key: Key):
@@ -460,11 +648,12 @@ def pretty(p: Polynomial) -> str:
     >>> pretty(x_var(1, 2) ** 2 * x_var(2, 2) - 3 * x_var(1, 2))
     '-3*x1 + x1^2*x2'
     """
-    if not p.terms:
+    terms = p.terms
+    if not terms:
         return "0"
     chunks = []
-    for key in sorted(p.terms, key=_term_sort_key):
-        c = p.terms[key]
+    for key in sorted(terms, key=_term_sort_key):
+        c = terms[key]
         mono = _monomial_str(key)
         if not mono:
             body = str(abs(c))
@@ -481,11 +670,12 @@ def pretty(p: Polynomial) -> str:
 
 def to_json(p: Polynomial) -> dict:
     """JSON-ready dict, terms in canonical order."""
+    terms = p.terms
     return {
         "m": p.m,
         "terms": [
-            {"c": p.terms[k], "x": list(k[0]), "y": list(k[1])}
-            for k in sorted(p.terms, key=_term_sort_key)
+            {"c": terms[k], "x": list(k[0]), "y": list(k[1])}
+            for k in sorted(terms, key=_term_sort_key)
         ],
     }
 

@@ -5,6 +5,7 @@ import json
 import operator
 import pickle
 import random
+from types import MappingProxyType
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -30,6 +31,7 @@ from grothpoly.polynomials import (
     truncate_degree,
     x_var,
     y_var,
+    _bits,
 )
 
 
@@ -374,3 +376,108 @@ def test_arithmetic_builds_only_well_formed_polynomials(p, q, k, d):
     for r in results:
         assert Polynomial(r.m, dict(r.terms)) == r
         assert 0 not in r.terms.values()
+
+
+# the packed keys: one int per monomial, a field of bits per exponent
+
+
+def tuple_product(p: Polynomial, q: Polynomial) -> dict:
+    """p * q by adding exponent tuples, with no packed key involved."""
+    out: Counter = Counter()
+    for (xa, ya), ca in p.terms.items():
+        for (xb, yb), cb in q.terms.items():
+            key = (
+                tuple(a + b for a, b in zip(xa, xb)),
+                tuple(a + b for a, b in zip(ya, yb)),
+            )
+            out[key] += ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def test_an_exponent_past_the_field_widens_and_never_carries():
+    # x_var starts at the narrowest width its degree allows, so the
+    # first products already overflow it and must widen
+    m = 2
+    x1, x2, y2 = x_var(1, m), x_var(2, m), y_var(2, m)
+    assert _bits(x1._deg) == 2
+    p = x1
+    for e in range(2, 40):
+        p = p * x1
+        assert dict(p.terms) == {((e, 0), (0, 0)): 1}
+    rng = random.Random(5)
+    q = x1 + 2 * x2 - y2
+    for _ in range(12):
+        factor = random_poly(rng, m=m, max_terms=3, max_exp=rng.randrange(1, 6))
+        expected = tuple_product(q, factor)
+        q = q * factor
+        assert dict(q.terms) == expected
+        assert Polynomial(m, expected) == q
+    assert sum(((x1 + x2 + y2) ** 9).terms.values()) == 3**9
+    assert dict(poly_sum(m, [x1, x2**7, y2**3 * x1]).terms) == {
+        ((1, 0), (0, 0)): 1, ((0, 7), (0, 0)): 1, ((1, 0), (0, 3)): 1,
+    }
+
+
+def test_equal_polynomials_at_different_widths_are_equal_and_hash_alike():
+    x1, x2, y2 = x_var(1, 2), x_var(2, 2), y_var(2, 2)
+    # dropping y2^20 keeps its degree bound, and so its wider fields
+    wide = substitute_zero(x1 * y2 + 3 * x2 + y2**20, "y", 0)
+    narrow = 3 * x2
+    assert _bits(wide._deg) != _bits(narrow._deg)
+    assert wide == narrow and narrow == wide
+    assert hash(wide) == hash(narrow)
+    assert len({wide, narrow}) == 1
+    assert wide != 3 * x2 + x1 and wide != 2 * x2
+    const = substitute_zero(y2**20 + 5, "y", 1)
+    assert _bits(const._deg) > _bits(0)
+    assert const == 5 and hash(const) == hash(5) == hash(constant(5, 2))
+    assert pretty(wide) == pretty(narrow) == "3*x2"
+    assert to_json(wide) == to_json(narrow)
+
+
+def test_terms_is_a_read_only_view_that_packs_no_foreign_key():
+    x2 = x_var(2, 2)
+    p = x2 * y_var(1, 2) - 4
+    terms = p.terms
+    assert type(terms) is MappingProxyType
+    assert len(terms) == 2
+    assert terms[((0, 1), (1, 0))] == 1 and terms[((0, 0), (0, 0))] == -4
+    with pytest.raises(TypeError):
+        terms[((1, 0), (0, 0))] = 1
+    with pytest.raises(TypeError):
+        del terms[((0, 0), (0, 0))]
+    # x1^4 packs at x2's width to x2's key: a lookup must not alias it
+    assert _bits(x2._deg) == 2
+    for key in (((4, 0), (0, 0)), ((1, 0), (0, 0)), ((0, -1), (0, 0)), ((0, 1),), "x"):
+        assert key not in x2.terms
+    assert coefficient(x2, (4,)) == 0 and coefficient(x2, (0, 1)) == 1
+    assert list(p.terms.values()) == [c for _, c in p.terms.items()]
+
+
+def test_copies_of_a_widened_polynomial_are_equal_and_immutable():
+    wide = substitute_zero(x_var(1, 2) * y_var(2, 2) + x_var(2, 2) ** 20, "x", 1)
+    for q in (copy.copy(wide), copy.deepcopy(wide), pickle.loads(pickle.dumps(wide))):
+        assert q == wide and hash(q) == hash(wide)
+        assert dict(q.terms) == dict(wide.terms) == {((1, 0), (0, 1)): 1}
+        for name in ("m", "_deg", "_packed", "terms"):
+            with pytest.raises(AttributeError):
+                setattr(q, name, None)
+        with pytest.raises(TypeError):
+            q.terms[((1, 0), (0, 1))] = 2
+
+
+@pytest.mark.parametrize("d", range(1, 18))
+def test_degree_reads_at_every_width_boundary(d):
+    # the total degree of a key is read from it modulo its all-ones
+    # field, so a bound of 2^k - 1 is the case that needs the wider field
+    m = 3
+    x1, x2 = x_var(1, m), x_var(2, m)
+    p = x2**d * y_var(3, m)  # of degree d + 1
+    q = p + x1
+    assert truncate_degree(q, d + 1) == q and truncate_degree(q, d) == x1
+    assert homogeneous_component(q, d + 1) == p
+    assert homogeneous_component(q, d) == (x1 if d == 1 else 0)
+    assert set_y_equal_x(p) == x2**d * x_var(3, m)
+    assert exchange_families(p) == y_var(2, m) ** d * x_var(3, m)
+    assert restrict_variables(q, 2) == x_var(1, 2)
+    assert restrict_variables(x2**d, 2) == x_var(2, 2) ** d
