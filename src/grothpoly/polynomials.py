@@ -76,19 +76,15 @@ class Polynomial:
 
     def __init__(self, m: int, terms: dict[Key, int] | None = None):
         _check_size(m)
-        terms = terms or {}
-        for key, c in terms.items():
-            if not (
-                type(c) is int
-                and type(key) is tuple and len(key) == 2
-                and all(type(e) is tuple and len(e) == m for e in key)
-                and all(type(a) is int and a >= 0 for a in key[0] + key[1])
-            ):
+        flat = []
+        for key, c in (terms or {}).items():
+            exps = _exponents(key, m)
+            if type(c) is not int or exps is None:
                 raise ValueError(f"bad term for family size {m}: {key!r}: {c!r}")
-        deg = max((sum(xe) + sum(ye) for xe, ye in terms), default=0)
+            flat.append((exps, c))
+        deg = max((sum(exps) for exps, _ in flat), default=0)
         units = _units(m, deg)
-        packed = {sum(map(mul, xe + ye, units)): c for (xe, ye), c in terms.items()}
-        _store(self, m, deg, packed)
+        _store(self, m, deg, {sum(map(mul, exps, units)): c for exps, c in flat})
 
     @property
     def terms(self) -> MappingProxyType:
@@ -193,15 +189,10 @@ class _Terms(Mapping):
 
     def __getitem__(self, key: Key) -> int:
         p = self._p
+        exps = _exponents(key, p.m)
         # a key that could not be stored must not be packed: an exponent
         # past the width would carry into the next field
-        if (
-            type(key) is tuple and len(key) == 2
-            and all(type(e) is tuple and len(e) == p.m for e in key)
-            and all(type(a) is int and a >= 0 for a in key[0] + key[1])
-            and sum(key[0] + key[1]) <= p._deg
-        ):
-            exps = key[0] + key[1]
+        if exps is not None and sum(exps) <= p._deg:
             c = p._packed.get(sum(map(mul, exps, _units(p.m, p._deg))))
             if c is not None:
                 return c
@@ -236,6 +227,19 @@ class _Items(ItemsView):
 _set_m = Polynomial.m.__set__
 _set_deg = Polynomial._deg.__set__
 _set_packed = Polynomial._packed.__set__
+
+
+def _exponents(key, m: int) -> tuple[int, ...] | None:
+    """The x then y exponents of key if it is a pair of length-m tuples
+    of nonnegative ints, else None."""
+    if (
+        type(key) is tuple and len(key) == 2
+        and all(type(e) is tuple and len(e) == m for e in key)
+    ):
+        exps = key[0] + key[1]
+        if all(type(a) is int and a >= 0 for a in exps):
+            return exps
+    return None
 
 
 def _bits(deg: int) -> int:
