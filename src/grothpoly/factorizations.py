@@ -43,6 +43,7 @@ from .polynomials import (
     constant,
     exchange_families,
     poly_sum,
+    _check_size,
     _tally,
     _units,
 )
@@ -138,39 +139,13 @@ def is_valid_factorization(f: Factorization) -> bool:
     kind = f.kind
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    # double kinds have split factors left of center, the others none
-    split = 0
-    if kind.startswith("double"):
-        if f.split is None or len(f.factors) != 2 * f.split:
-            return False
-        split = f.split
-    elif f.split is not None:
-        return False
-    if kind in _BOUNDED_KINDS:
-        # one pass over the letters: n+1 factors on each side, the i-th
-        # factor outward from center bounded below by i, the left half
-        # strictly increasing and the right half strictly decreasing in
-        # the interleaved order, and circles only where the kind has them
-        n = f.n
-        if len(f.factors) != split + n + 1 or split not in (0, n + 1):
-            return False
-        circles = kind in _CIRCLED_KINDS
-        for k, fac in enumerate(f.factors):
-            bound, sign = (split - k, -1) if k < split else (k - split + 1, 1)
-            last = 2 * n + 2  # above every signed rank
-            for value, circled in fac:
-                rank = sign * (2 * value - circled)
-                if not (bound <= value <= n and rank < last) or circled > circles:
-                    return False
-                last = rank
-        return True
-    letters = [l for fac in f.factors for l in fac]
-    if any(not 1 <= l.value <= f.n for l in letters):
-        return False
-    if kind not in _CIRCLED_KINDS and any(l.circled for l in letters):
-        return False
+    n = f.n
     if kind == "hook":
+        if f.split is not None:
+            return False  # only the double kinds have a center
         for fac in f.factors:
+            if any(not 1 <= l.value <= n for l in fac):
+                return False
             flags = [l.circled for l in fac]
             if flags != sorted(flags, reverse=True):
                 return False  # a circled letter after an uncircled one
@@ -181,12 +156,36 @@ def is_valid_factorization(f: Factorization) -> bool:
             if any(a > b for a, b in zip(plain, plain[1:])):
                 return False
         return True
-    # the left half strictly increases and the right half strictly
-    # decreases in the interleaved order
-    for k, fac in enumerate(f.factors):
-        ranks = [l.rank for l in fac]
-        if not _strictly_decreasing(ranks[::-1] if k < split else ranks):
+    # double kinds have split factors left of center, the others none
+    split = 0
+    if kind.startswith("double"):
+        if f.split is None or len(f.factors) != 2 * f.split:
             return False
+        split = f.split
+    elif f.split is not None:
+        return False
+    bounded = kind in _BOUNDED_KINDS
+    # the bounded kinds have n+1 factors on each side
+    if bounded and (len(f.factors) != split + n + 1 or split not in (0, n + 1)):
+        return False
+    # one pass over the letters: values from 1 (for the bounded kinds,
+    # from i in the i-th factor outward from center) up to n, the left
+    # half strictly increasing and the right half strictly decreasing in
+    # the interleaved order, and circles only where the kind has them
+    circles = kind in _CIRCLED_KINDS
+    bound = 1
+    for k, fac in enumerate(f.factors):
+        sign = -1 if k < split else 1
+        if bounded:
+            bound = split - k if k < split else k - split + 1
+        last = 2 * n + 2  # above every signed rank
+        for value, circled in fac:
+            if circled and not circles:
+                return False
+            rank = sign * (2 * value - 1 if circled else 2 * value)
+            if not (bound <= value <= n and rank < last):
+                return False
+            last = rank
     return True
 
 
@@ -543,6 +542,8 @@ def genfun(factorizations, m: int | None = None) -> Polynomial:
     'x1^2'
     """
     items = list(factorizations)
+    if m is not None:
+        _check_size(m)  # before m sizes the packing
     if not items:
         if m is None:
             raise ValueError("an empty family needs its width m")

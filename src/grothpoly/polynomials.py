@@ -207,6 +207,16 @@ class _Terms(Mapping):
     def values(self):
         return self._p._packed.values()
 
+    # the dict methods a read-only view of a dict forwards to it
+    def copy(self) -> dict:
+        return dict(self.items())
+
+    def __or__(self, other):
+        return self.copy() | _unwrapped(other)
+
+    def __ror__(self, other):
+        return _unwrapped(other) | self.copy()
+
     def _pairs(self):
         m = self._p.m
         bits = _bits(self._p._deg)
@@ -217,6 +227,10 @@ class _Terms(Mapping):
             fields = [key >> s & mask for s in shifts]
             xe, ye = tuple(fields[:m]), tuple(fields[m:])
             yield (share(xe, xe), share(ye, ye)), c
+
+
+def _unwrapped(other):
+    return other.copy() if isinstance(other, _Terms) else other
 
 
 class _Items(ItemsView):

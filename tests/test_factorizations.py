@@ -335,6 +335,14 @@ def test_genfun_of_an_empty_family_needs_its_width():
     assert genfun(family, 3).m == 3
 
 
+@pytest.mark.parametrize("m", [True, 3.0, -1, "3"])
+def test_genfun_rejects_a_width_that_is_not_an_int_at_least_zero(m):
+    family = enumerate_bounded_plain((2, 1))
+    for given in (family, []):
+        with pytest.raises(ValueError, match="family size"):
+            genfun(given, m)
+
+
 def test_genfun_pads_weights_to_the_width_and_rejects_a_narrower_one():
     for family, width in (
         (enumerate_bounded_plain((2, 1)), 4),

@@ -452,6 +452,14 @@ def test_terms_is_a_read_only_view_that_packs_no_foreign_key():
         assert key not in x2.terms
     assert coefficient(x2, (4,)) == 0 and coefficient(x2, (0, 1)) == 1
     assert list(p.terms.values()) == [c for _, c in p.terms.items()]
+    # what a read-only view of a dict forwards: copy and |
+    q = x_var(1, 2) + 5
+    assert type(p.terms.copy()) is dict and p.terms.copy() == dict(p.terms)
+    assert p.terms | {} == {} | p.terms == dict(p.terms)
+    assert p.terms | q.terms == {**dict(p.terms), **dict(q.terms)}
+    assert q.terms | {((0, 0), (0, 0)): 1} == {((1, 0), (0, 0)): 1, ((0, 0), (0, 0)): 1}
+    with pytest.raises(TypeError):
+        p.terms | [1]
 
 
 def test_copies_of_a_widened_polynomial_are_equal_and_immutable():
