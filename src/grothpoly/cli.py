@@ -64,6 +64,7 @@ from .polynomials import (
     to_json,
     truncate_degree,
     x_var,
+    _MAX_DEGREE,
 )
 from .stable import (
     TruncationSpec,
@@ -101,14 +102,14 @@ __all__ = ["main"]
 # flag: (default, least, greatest), where None leaves the flag unset or that
 # side unbounded; any other flag is a usage error, never silently ignored
 _WINDOW = {"n": (None, 0, None)}
-_SERIES = {"degree": (4, 0, None), "m": (2, 1, None), **_WINDOW}
+_SERIES = {"degree": (4, 0, _MAX_DEGREE), "m": (2, 1, None), **_WINDOW}
 COMPUTE_TARGETS = {
     "single": _WINDOW,
     "double": _WINDOW,
     "stable-single": _SERIES,
     "stable-double": _SERIES,
     "halfweak": _SERIES,
-    "qschur": {"degree": (4, 0, None)},
+    "qschur": {"degree": (4, 0, _MAX_DEGREE)},
 }
 # each verify suite with the flags it reads besides --json, in the same
 # form; a suite named alone rejects any other flag, and all reads every
@@ -116,17 +117,17 @@ COMPUTE_TARGETS = {
 SUITE_FLAGS = {
     "relations": {
         "n": (4, 2, 8),
-        "degree": (4, 0, None),
+        "degree": (4, 0, _MAX_DEGREE),
         "trials": (50, 1, None),
         "seed": (0, None, None),
     },
     "cauchy": {"n": (2, 1, 4), "trials": (10, 1, None), "seed": (0, None, None)},
     "insertion": {"n": (3, 1, 4), "degree": (5, 1, 7)},
     "bijections": {"n": (4, 2, 5)},
-    "tabt": {"m": (3, 1, None), "degree": (5, 1, None)},
-    "qp": {"degree": (4, 1, None)},
+    "tabt": {"m": (3, 1, None), "degree": (5, 1, _MAX_DEGREE)},
+    "qp": {"degree": (4, 1, _MAX_DEGREE)},
     "tabtopi": {"n": (4, 0, 6)},
-    "stability": {"degree": (3, 1, None)},
+    "stability": {"degree": (3, 1, _MAX_DEGREE)},
 }
 
 
@@ -865,7 +866,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compute":
             return cmd_compute(args)
         return cmd_verify(args)
-    except UsageError as err:
+    except ValueError as err:  # bad input, from the command line or deeper
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:

@@ -44,6 +44,7 @@ from .polynomials import (
     exchange_families,
     poly_sum,
     _check_size,
+    _check_degree,
     _tally,
     _units,
 )
@@ -421,9 +422,10 @@ def _series(
     and kept beside the graph.  weigh packs the _slot_weight of each
     slot's factor by the packing rule of polynomials, so that adding
     packed weights adds exponent vectors.  Every letter adds one to the
-    total degree, so most letters bound it and no field overflows into
-    the next; an index past the width raises ValueError.  Having checked
-    every index, the result is built unchecked by _tally.
+    total degree, so most letters bound it; most past the degree cap
+    raises ValueError before any weight is packed, and an index past the
+    width raises it too.  Having checked every index, the result is
+    built unchecked by _tally.
     """
     kept = _graph(kind, tuple(w), parts, max_letters)
     if kept.series is not None:
@@ -431,7 +433,8 @@ def _series(
     specs, split = kept.specs, kept.split
     width = len(specs) if split is None else split
     most = sum(spec.size for spec in specs) if max_letters is None else max_letters
-    units = _units(width, most)
+    _check_degree(most)
+    units = _units(width)
 
     def weigh(slot, factor):
         xs, ys = _slot_weight(kind, split, slot, factor)
@@ -560,7 +563,7 @@ def genfun(factorizations, m: int | None = None) -> Polynomial:
     if any(len(x) > width or len(y) > width for x, y in counts):
         raise ValueError(f"a weight is wider than the width {width}")
     deg = max(sum(x) + sum(y) for x, y in counts)
-    units = _units(width, deg)
+    units = _units(width)
     packed = (
         (sum(map(mul, x, units)) + sum(map(mul, y, units[width:])), c)
         for (x, y), c in counts.items()

@@ -30,6 +30,7 @@ from .polynomials import (
     pi,
     x_var,
     y_var,
+    _check_degree,
 )
 
 __all__ = [
@@ -42,7 +43,9 @@ __all__ = [
 
 def staircase_monomial(n: int) -> Polynomial:
     """
-    The monomial x1^n x2^(n-1) ... xn^1 in family size n+1.
+    The monomial x1^n x2^(n-1) ... xn^1 in family size n+1.  Its degree
+    n(n+1)/2 passes the degree cap from n = 23 on, and the constructor
+    raises ValueError.
 
     >>> from grothpoly.polynomials import pretty
     >>> pretty(staircase_monomial(2))
@@ -54,7 +57,8 @@ def staircase_monomial(n: int) -> Polynomial:
 def staircase_product(n: int) -> Polynomial:
     """
     The expanded product of (x_i + y_j + x_i*y_j) over i + j <= n+1,
-    in family size n+1.
+    in family size n+1.  Its degree n(n+1) passes the degree cap from
+    n = 16 on, which raises ValueError before any product is formed.
 
     >>> from grothpoly.polynomials import pretty
     >>> pretty(staircase_product(1))
@@ -62,6 +66,7 @@ def staircase_product(n: int) -> Polynomial:
     >>> pretty(staircase_product(0))
     '1'
     """
+    _check_degree(n * (n + 1))
     m = n + 1
     out = constant(1, m)
     for i in range(1, n + 1):

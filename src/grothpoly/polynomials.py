@@ -2,15 +2,15 @@
 Sparse exact-integer polynomials in two variable families x1..xm, y1..ym,
 with the divided-difference operators acting on the x side.
 
-A term is stored under one packed int key, a field of bits per exponent,
+A term is stored under one packed int key, eight bits per exponent,
 x1..xm then y1..ym from the lowest bits up, so that multiplying two
 monomials adds their keys (Monagan and Pearce, packed exponent vectors,
-CASC 2007).  Each polynomial carries a bound on the total degree of its
-terms, and its fields are wide enough that even that whole degree fits
-in one: no exponent can carry into the next field.  A product, whose
-bound is the sum of its factors' bounds, widens the fields of both
-factors first when the sum would not fit.  The terms mapping of
-(x_exponents, y_exponents) tuples unpacks keys only when it is iterated.
+CASC 2007).  The total degree of a polynomial is capped at 254: then the
+whole degree fits in one field, no exponent can carry into the next, and
+a key modulo 255 is its total degree.  Each polynomial carries a bound
+on its total degree, and whatever would pass the cap raises ValueError
+before any key is formed.  The terms mapping of (x_exponents,
+y_exponents) tuples unpacks keys only when it is iterated.
 All arithmetic is exact; there are no floats anywhere.  The y variables are
 scalars as far as the operators are concerned: delta and pi act on the
 x exponents of each term and carry the y part along untouched.
@@ -56,6 +56,12 @@ __all__ = [
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
+# the width of every exponent field; a total degree below the all-ones
+# field value fits one field and is the key modulo that value
+_BITS = 8
+_ONES = (1 << _BITS) - 1
+_MAX_DEGREE = _ONES - 1
+
 
 class Polynomial:
     """
@@ -67,9 +73,9 @@ class Polynomial:
     are one object.  Setting or deleting an attribute raises
     AttributeError, so a polynomial can be cached and shared.  The
     constructor raises ValueError unless m is an int >= 0,
-    each key is a pair of length-m tuples of nonnegative ints and each
-    coefficient an int, not a bool.  Mixing family sizes in arithmetic
-    is an error.
+    each key is a pair of length-m tuples of nonnegative ints, each
+    coefficient an int, not a bool, and the total degree at most 254.
+    Mixing family sizes in arithmetic is an error.
     """
 
     __slots__ = ("m", "_deg", "_packed")
@@ -83,7 +89,8 @@ class Polynomial:
                 raise ValueError(f"bad term for family size {m}: {key!r}: {c!r}")
             flat.append((exps, c))
         deg = max((sum(exps) for exps, _ in flat), default=0)
-        units = _units(m, deg)
+        _check_degree(deg)
+        units = _units(m)
         _store(self, m, deg, {sum(map(mul, exps, units)): c for exps, c in flat})
 
     @property
@@ -105,24 +112,17 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = _constant(other, self.m)
-        if not (
+        return (
             isinstance(other, Polynomial)
             and self.m == other.m
-            and len(self._packed) == len(other._packed)
-        ):
-            return False
-        bits = _bits(max(self._deg, other._deg))
-        return _widened(self, bits) == _widened(other, bits)
+            and self._packed == other._packed
+        )
 
     def __hash__(self):
         packed = self._packed
         if packed.keys() <= {0}:  # equal to its int, so hash alike
             return hash(sum(packed.values()))
-        # the true top degree, not the bound, fixes the width hashed
-        bits = _bits(self._deg)
-        top = max(key % ((1 << bits) - 1) for key in packed)
-        canonical = _repacked(packed, self.m, bits, _bits(top))
-        return hash((self.m, frozenset(canonical.items())))
+        return hash((self.m, frozenset(packed.items())))
 
     def __add__(self, other) -> "Polynomial":
         return poly_sum(self.m, (self, other))
@@ -141,15 +141,16 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):
             scaled = zip(self._packed, map(other.__mul__, self._packed.values()))
-            return _distinct(self, self.m, self._deg, scaled)
+            return _distinct(self.m, self._deg, scaled)
         other = _coerce(self.m, other)
         deg = self._deg + other._deg
-        bits = _bits(deg)
-        a, b = _widened(self, bits), _widened(other, bits)
+        if deg > _MAX_DEGREE:  # the bounds may be loose: try the true degrees
+            deg = _top(self) + _top(other)
+        a, b = self._packed, other._packed
         if len(a) < len(b):
             a, b = b, a
         # one pass over the larger factor per term of the smaller: each
-        # product key is a sum of keys, which the width bound keeps exact
+        # product key is a sum of keys, which the degree cap keeps exact
         products = chain.from_iterable(
             zip(map(kb.__add__, a), map(cb.__mul__, a.values()))
             for kb, cb in b.items()
@@ -193,7 +194,7 @@ class _Terms(Mapping):
         # a key that could not be stored must not be packed: an exponent
         # past the width would carry into the next field
         if exps is not None and sum(exps) <= p._deg:
-            c = p._packed.get(sum(map(mul, exps, _units(p.m, p._deg))))
+            c = p._packed.get(sum(map(mul, exps, _units(p.m))))
             if c is not None:
                 return c
         raise KeyError(key)
@@ -219,12 +220,10 @@ class _Terms(Mapping):
 
     def _pairs(self):
         m = self._p.m
-        bits = _bits(self._p._deg)
-        mask = (1 << bits) - 1
-        shifts = range(0, 2 * m * bits, bits)
+        shifts = range(0, 2 * m * _BITS, _BITS)
         share = {}.setdefault
         for key, c in self._p._packed.items():
-            fields = [key >> s & mask for s in shifts]
+            fields = [key >> s & _ONES for s in shifts]
             xe, ye = tuple(fields[:m]), tuple(fields[m:])
             yield (share(xe, xe), share(ye, ye)), c
 
@@ -256,41 +255,26 @@ def _exponents(key, m: int) -> tuple[int, ...] | None:
     return None
 
 
-def _bits(deg: int) -> int:
-    """The field width for a total degree bound: the narrowest whose
-    all-ones value exceeds it, so that a key's total degree is the key
-    modulo that value (every power of two in it is 1 there)."""
-    return (deg + 1).bit_length()
+def _check_degree(deg: int) -> None:
+    """ValueError for a total degree past the cap of the packed keys."""
+    if deg > _MAX_DEGREE:
+        raise ValueError(f"total degree {deg} is past the cap {_MAX_DEGREE}")
 
 
-def _units(m: int, deg: int) -> tuple[int, ...]:
-    """The packing rule: the keys of x1..xm, y1..ym for a total degree
-    bound; a monomial's key is the sum of its exponents times these."""
-    bits = _bits(deg)
-    return tuple(1 << bits * f for f in range(2 * m))
+def _units(m: int) -> tuple[int, ...]:
+    """The packing rule: the keys of x1..xm, y1..ym; a monomial's key is
+    the sum of its exponents times these."""
+    return tuple(1 << _BITS * f for f in range(2 * m))
 
 
-def _repacked(packed: dict, m: int, old: int, new: int) -> dict:
-    """The packed terms moved from fields of old bits to fields of new
-    bits; the same dict when the widths agree.  Every exponent must fit
-    the new width."""
-    if old == new:
-        return packed
-    mask = (1 << old) - 1
-    shifts = [(old * f, new * f) for f in range(2 * m)]
-    return {
-        sum((key >> s & mask) << t for s, t in shifts): c
-        for key, c in packed.items()
-    }
-
-
-def _widened(p: Polynomial, bits: int) -> dict:
-    return _repacked(p._packed, p.m, _bits(p._deg), bits)
+def _top(p: Polynomial) -> int:
+    """The true total degree of p, which its bound may exceed."""
+    return max((key % _ONES for key in p._packed), default=0)
 
 
 def _store(p: Polynomial, m: int, deg: int, packed: dict) -> Polynomial:
-    """Set the three slots of p once: m, the degree bound that fixes the
-    width, and the packed terms with zeros dropped."""
+    """Set the three slots of p once: m, the bound on its total degree,
+    and the packed terms with zeros dropped."""
     _set_m(p, m)
     _set_deg(p, deg)
     if 0 in packed.values():
@@ -309,19 +293,19 @@ def _add(out: dict, pairs: Iterable[tuple[int, int]]) -> dict:
 
 
 def _tally(m: int, deg: int, pairs: Iterable[tuple[int, int]]) -> Polynomial:
-    """Sum (packed key, coefficient) pairs, packed for the degree bound
-    deg, into a polynomial, zeros dropped.  Unchecked: only for results
-    of arithmetic on checked polynomials."""
+    """Sum (packed key, coefficient) pairs of total degree at most deg
+    into a polynomial, zeros dropped.  A deg past the cap raises
+    ValueError before pairs is read.  Otherwise unchecked: only for
+    results of arithmetic on checked polynomials."""
+    _check_degree(deg)
     return _store(Polynomial.__new__(Polynomial), m, deg, _add({}, pairs))
 
 
-def _distinct(p: Polynomial, m: int, deg: int, pairs) -> Polynomial:
-    """(packed key, coefficient) pairs with distinct keys, made from p's
-    terms at its width, as a polynomial of family size m at the degree
-    bound deg <= p's, narrowed to that width; nothing to sum."""
-    bits = _bits(p._deg)
-    kept = _repacked(dict(pairs), m, bits, _bits(deg))
-    return _store(Polynomial.__new__(Polynomial), m, deg, kept)
+def _distinct(m: int, deg: int, pairs) -> Polynomial:
+    """(packed key, coefficient) pairs with distinct keys, each of total
+    degree at most deg, as a polynomial of family size m and degree bound
+    deg; nothing to sum."""
+    return _store(Polynomial.__new__(Polynomial), m, deg, dict(pairs))
 
 
 def _check_size(m) -> None:
@@ -362,8 +346,7 @@ def monomial(
 def poly_sum(m: int, polys: Iterable[Polynomial]) -> Polynomial:
     """
     The sum of polynomials of family size m (an int counts as a
-    constant), tallied into one dict; the sum of none is 0.  The running
-    sum is widened whenever a summand's degree bound needs wider fields.
+    constant), tallied into one dict; the sum of none is 0.
 
     >>> pretty(poly_sum(2, [x_var(1, 2), x_var(1, 2), -x_var(2, 2)]))
     '2*x1 - x2'
@@ -373,10 +356,8 @@ def poly_sum(m: int, polys: Iterable[Polynomial]) -> Polynomial:
     out, deg = {}, 0
     for p in polys:
         p = _coerce(m, p)
-        if p._deg > deg:
-            out = _repacked(out, m, _bits(deg), _bits(p._deg))
-            deg = p._deg
-        _add(out, _widened(p, _bits(deg)).items())
+        deg = max(deg, p._deg)
+        _add(out, p._packed.items())
     return _store(Polynomial.__new__(Polynomial), m, deg, out)
 
 
@@ -406,12 +387,6 @@ def y_var(i: int, m: int) -> Polynomial:
     return monomial(m, (), (0,) * (i - 1) + (1,))
 
 
-def _field(p: Polynomial, i: int) -> tuple[int, int, int]:
-    """The width, all-ones mask and shift of the x_i field of p's keys."""
-    bits = _bits(p._deg)
-    return bits, (1 << bits) - 1, bits * (i - 1)
-
-
 def swap_x(p: Polynomial, i: int) -> Polynomial:
     """
     Exchange the exponents of x_i and x_{i+1} in every term.
@@ -424,14 +399,14 @@ def swap_x(p: Polynomial, i: int) -> Polynomial:
     """
     if not 1 <= i <= p.m - 1:
         raise ValueError(f"swap index {i} out of range 1..{p.m - 1}")
-    bits, mask, s = _field(p, i)
+    s = _BITS * (i - 1)  # the shift of the x_i field
     # moving one unit from x_{i+1} to x_i adds step to a key
-    step = (1 << s) - (1 << s + bits)
+    step = (1 << s) - (1 << s + _BITS)
     swapped = (
-        (key + ((key >> s + bits & mask) - (key >> s & mask)) * step, c)
+        (key + ((key >> s + _BITS & _ONES) - (key >> s & _ONES)) * step, c)
         for key, c in p._packed.items()
     )
-    return _distinct(p, p.m, p._deg, swapped)
+    return _distinct(p.m, p._deg, swapped)
 
 
 def _quotients(i: int, f: Polynomial, lifts: tuple[int, ...]) -> Polynomial:
@@ -443,19 +418,19 @@ def _quotients(i: int, f: Polynomial, lifts: tuple[int, ...]) -> Polynomial:
     max(p, r), so no polynomial division ever happens and the result is
     exact by construction.  Its packed keys step by one unit moved from
     x_{i+1} to x_i, so each sum is one range of keys, ending next to the
-    key of x_i^p x_{i+1}^(r-1).  No exponent of a quotient exceeds the
-    total degree of its term, so f's width holds.
+    key of x_i^p x_{i+1}^(r-1).  No quotient, lifted or not, passes the
+    total degree of its term, so f's degree bound holds.
     """
     if not 1 <= i <= f.m - 1:
         raise ValueError(f"operator index {i} out of range 1..{f.m - 1}")
-    bits, mask, s = _field(f, i)
-    next_unit = 1 << s + bits
+    s = _BITS * (i - 1)  # the shift of the x_i field
+    next_unit = 1 << s + _BITS
     step = (1 << s) - next_unit
     shifts = [(lift, (lift - 1) * next_unit) for lift in lifts]
     out = {}
     get = out.get
     for key, c in f._packed.items():
-        d = (key >> s & mask) - (key >> s + bits & mask)  # p - q
+        d = (key >> s & _ONES) - (key >> s + _BITS & _ONES)  # p - q
         for lift, shift in shifts:
             near = key + shift  # t = p
             if d > lift:
@@ -525,13 +500,10 @@ def substitute_zero(p: Polynomial, family: str, keep: int) -> Polynomial:
     """
     if family not in ("x", "y"):
         raise ValueError("family must be 'x' or 'y'")
-    bits = _bits(p._deg)
     first = 0 if family == "x" else p.m
-    dropped = sum(
-        ((1 << bits) - 1) << bits * (first + j) for j in range(p.m)[keep:]
-    )
+    dropped = sum(_ONES << _BITS * (first + j) for j in range(p.m)[keep:])
     kept = ((k, c) for k, c in p._packed.items() if not k & dropped)
-    return _distinct(p, p.m, p._deg, kept)
+    return _distinct(p.m, p._deg, kept)
 
 
 def restrict_variables(p: Polynomial, m: int) -> Polynomial:
@@ -544,15 +516,15 @@ def restrict_variables(p: Polynomial, m: int) -> Polynomial:
     """
     if not 0 <= m <= p.m:
         raise ValueError(f"cannot keep {m} of {p.m} variables")
-    bits = _bits(p._deg)
-    low = (1 << bits * m) - 1  # the first m fields
-    dropped = (((1 << bits * p.m) - 1) ^ low) * ((1 << bits * p.m) + 1)
+    half = _BITS * p.m
+    low = (1 << _BITS * m) - 1  # the first m fields
+    dropped = (((1 << half) - 1) ^ low) * ((1 << half) + 1)
     kept = (
-        ((k & low) + ((k >> bits * p.m & low) << bits * m), c)
+        ((k & low) + ((k >> half & low) << _BITS * m), c)
         for k, c in p._packed.items()
         if not k & dropped
     )
-    return _distinct(p, m, p._deg, kept)
+    return _distinct(m, p._deg, kept)
 
 
 def exchange_families(p: Polynomial) -> Polynomial:
@@ -565,10 +537,10 @@ def exchange_families(p: Polynomial) -> Polynomial:
     >>> exchange_families(exchange_families(q)) == q
     True
     """
-    half = _bits(p._deg) * p.m
+    half = _BITS * p.m
     low = (1 << half) - 1
     swapped = (((k >> half) + ((k & low) << half), c) for k, c in p._packed.items())
-    return _distinct(p, p.m, p._deg, swapped)
+    return _distinct(p.m, p._deg, swapped)
 
 
 def set_y_equal_x(p: Polynomial) -> Polynomial:
@@ -581,7 +553,7 @@ def set_y_equal_x(p: Polynomial) -> Polynomial:
     >>> pretty(set_y_equal_x(sp1))
     '2*x1 + x1^2'
     """
-    half = _bits(p._deg) * p.m
+    half = _BITS * p.m
     low = (1 << half) - 1
     # x_i + y_i is at most the total degree, so it fits x_i's field
     summed = (((k & low) + (k >> half), c) for k, c in p._packed.items())
@@ -595,10 +567,9 @@ def total_degree(key: Key) -> int:
 def _of_degree(p: Polynomial, keep, deg: int) -> Polynomial:
     """The terms of p whose total degree passes keep, at the degree
     bound min(p's, deg).  A key modulo the all-ones field value is its
-    total degree, which the width keeps below that value."""
-    mask = (1 << _bits(p._deg)) - 1
-    kept = ((k, c) for k, c in p._packed.items() if keep(k % mask))
-    return _distinct(p, p.m, max(0, min(p._deg, deg)), kept)
+    total degree, which the cap keeps below that value."""
+    kept = ((k, c) for k, c in p._packed.items() if keep(k % _ONES))
+    return _distinct(p.m, max(0, min(p._deg, deg)), kept)
 
 
 def truncate_degree(p: Polynomial, bound: int) -> Polynomial:

@@ -15,6 +15,7 @@ from .polynomials import (
     poly_sum,
     restrict_variables,
     truncate_degree,
+    _check_degree,
 )
 from .tableaux import (
     conjugate,
@@ -45,7 +46,8 @@ __all__ = [
 
 class TruncationSpec(NamedTuple):
     """Working window for function-level objects: m variables per
-    family, keeping terms of total degree at most D."""
+    family, keeping terms of total degree at most D, which the degree
+    cap of polynomials bounds."""
 
     m: int
     D: int
@@ -54,6 +56,7 @@ class TruncationSpec(NamedTuple):
 def _check_spec(t: TruncationSpec) -> None:
     if type(t.m) is not int or type(t.D) is not int or t.m < 1 or t.D < 0:
         raise ValueError(f"bad truncation window {t}")
+    _check_degree(t.D)
 
 
 def stable_single(w: tuple[int, ...], t: TruncationSpec) -> Polynomial:

@@ -70,6 +70,27 @@ def test_compute_json_round_trips(capsys):
     assert from_json(json.loads(out)) == grothendieck_double((3, 1, 2))
 
 
+def w0(size: int) -> str:
+    return ",".join(map(str, range(size, 0, -1)))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("single", "--perm", w0(24)), "total degree 276 is past the cap 254"),
+        (("double", "--perm", w0(17)), "total degree 272 is past the cap 254"),
+        *(
+            ((target, "--perm", "2,1", "--degree", "255"), "--degree must be at most 254")
+            for target in ("stable-single", "stable-double", "halfweak", "qschur")
+        ),
+    ],
+)
+def test_compute_past_the_degree_cap_exits_two(capsys, argv, message):
+    code, out, err = run(capsys, "compute", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_window_flag_widens_and_restricts(capsys):
     _, narrow, _ = run(capsys, "compute", "single", "--perm", "2,1,3", "--n", "1")
     assert narrow == "x1\n"
@@ -304,6 +325,10 @@ def test_verify_bounds_below_their_minimum_exit_two(capsys, argv):
         ("bijections", "--n", "6"),
         ("tabtopi", "--n", "7"),
         ("cauchy", "--n", "5"),
+        ("relations", "--degree", "255"),
+        ("tabt", "--degree", "255"),
+        ("qp", "--degree", "255"),
+        ("stability", "--degree", "255"),
     ],
 )
 def test_verify_bounds_above_their_cap_exit_two(capsys, argv):

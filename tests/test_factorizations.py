@@ -754,3 +754,19 @@ def test_a_permutation_may_be_a_list_or_a_tuple(name):
     from_list = call(list(w))
     assert from_list
     assert from_list == call(w)
+
+
+def test_genfun_and_the_series_reject_a_degree_past_the_cap(monkeypatch):
+    past = pytest.raises(ValueError, match="total degree 255 is past the cap 254")
+    hook = parse_factorization("(" + " ".join("1" * 255) + ")", "hook", 1)
+    assert weight(hook) == ((255,), (0,))
+    with past:
+        genfun([hook])
+    assert _series("plain", (1, 2), 2, 254) == 1
+
+    def no_path_sum(graph, weigh):
+        raise AssertionError("a weight was packed")
+
+    monkeypatch.setattr(factorizations, "_path_sum", no_path_sum)
+    with past:
+        _series("plain", (1, 2), 2, 255)

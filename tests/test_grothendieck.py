@@ -21,6 +21,7 @@ from grothpoly.permutations import (
     reduced_words,
 )
 from grothpoly.polynomials import (
+    Polynomial,
     constant,
     monomial,
     pi_word,
@@ -177,3 +178,16 @@ def test_a_returned_polynomial_cannot_be_changed():
         with pytest.raises(AttributeError):
             p.m = 9
         assert dict(g(w).terms) == before
+
+
+def test_a_staircase_past_the_degree_cap_raises_before_any_product(monkeypatch):
+    def no_product(self, other):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(Polynomial, "__mul__", no_product)
+    with pytest.raises(ValueError, match="total degree 272 is past the cap"):
+        staircase_product(16)
+    with pytest.raises(ValueError, match="total degree 276 is past the cap"):
+        staircase_monomial(23)
+    monkeypatch.undo()
+    assert total_degree(max(staircase_monomial(22).terms)) == 253

@@ -28,10 +28,10 @@ from grothpoly.polynomials import (
     substitute_zero,
     swap_x,
     to_json,
+    total_degree,
     truncate_degree,
     x_var,
     y_var,
-    _bits,
 )
 
 
@@ -394,14 +394,13 @@ def tuple_product(p: Polynomial, q: Polynomial) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
-def test_an_exponent_past_the_field_widens_and_never_carries():
-    # x_var starts at the narrowest width its degree allows, so the
-    # first products already overflow it and must widen
+def test_an_exponent_never_carries_into_the_next_field():
+    # every exponent up to the degree cap fits its field, so each product
+    # key is a sum of keys and x1^254 stays clear of x2's field
     m = 2
     x1, x2, y2 = x_var(1, m), x_var(2, m), y_var(2, m)
-    assert _bits(x1._deg) == 2
     p = x1
-    for e in range(2, 40):
+    for e in range(2, 255):
         p = p * x1
         assert dict(p.terms) == {((e, 0), (0, 0)): 1}
     rng = random.Random(5)
@@ -418,18 +417,18 @@ def test_an_exponent_past_the_field_widens_and_never_carries():
     }
 
 
-def test_equal_polynomials_at_different_widths_are_equal_and_hash_alike():
+def test_equal_polynomials_at_different_degree_bounds_are_equal_and_hash_alike():
     x1, x2, y2 = x_var(1, 2), x_var(2, 2), y_var(2, 2)
-    # dropping y2^20 keeps its degree bound, and so its wider fields
+    # dropping y2^20 keeps its degree bound
     wide = substitute_zero(x1 * y2 + 3 * x2 + y2**20, "y", 0)
     narrow = 3 * x2
-    assert _bits(wide._deg) != _bits(narrow._deg)
+    assert wide._deg != narrow._deg
     assert wide == narrow and narrow == wide
     assert hash(wide) == hash(narrow)
     assert len({wide, narrow}) == 1
     assert wide != 3 * x2 + x1 and wide != 2 * x2
     const = substitute_zero(y2**20 + 5, "y", 1)
-    assert _bits(const._deg) > _bits(0)
+    assert const._deg > 0
     assert const == 5 and hash(const) == hash(5) == hash(constant(5, 2))
     assert pretty(wide) == pretty(narrow) == "3*x2"
     assert to_json(wide) == to_json(narrow)
@@ -446,11 +445,10 @@ def test_terms_is_a_read_only_view_that_packs_no_foreign_key():
         terms[((1, 0), (0, 0))] = 1
     with pytest.raises(TypeError):
         del terms[((0, 0), (0, 0))]
-    # x1^4 packs at x2's width to x2's key: a lookup must not alias it
-    assert _bits(x2._deg) == 2
-    for key in (((4, 0), (0, 0)), ((1, 0), (0, 0)), ((0, -1), (0, 0)), ((0, 1),), "x"):
+    # x1^256 packs to x2's key: a lookup must not alias it
+    for key in (((256, 0), (0, 0)), ((1, 0), (0, 0)), ((0, -1), (0, 0)), ((0, 1),), "x"):
         assert key not in x2.terms
-    assert coefficient(x2, (4,)) == 0 and coefficient(x2, (0, 1)) == 1
+    assert coefficient(x2, (256,)) == 0 and coefficient(x2, (0, 1)) == 1
     assert list(p.terms.values()) == [c for _, c in p.terms.items()]
     # what a read-only view of a dict forwards: copy and |
     q = x_var(1, 2) + 5
@@ -462,7 +460,7 @@ def test_terms_is_a_read_only_view_that_packs_no_foreign_key():
         p.terms | [1]
 
 
-def test_copies_of_a_widened_polynomial_are_equal_and_immutable():
+def test_copies_of_a_loosely_bounded_polynomial_are_equal_and_immutable():
     wide = substitute_zero(x_var(1, 2) * y_var(2, 2) + x_var(2, 2) ** 20, "x", 1)
     for q in (copy.copy(wide), copy.deepcopy(wide), pickle.loads(pickle.dumps(wide))):
         assert q == wide and hash(q) == hash(wide)
@@ -474,14 +472,15 @@ def test_copies_of_a_widened_polynomial_are_equal_and_immutable():
             q.terms[((1, 0), (0, 1))] = 2
 
 
-@pytest.mark.parametrize("d", range(1, 18))
+@pytest.mark.parametrize("d", [*range(1, 18), 252, 253])
 def test_degree_reads_at_every_width_boundary(d):
-    # the total degree of a key is read from it modulo its all-ones
-    # field, so a bound of 2^k - 1 is the case that needs the wider field
+    # the total degree of a key is read from it modulo the all-ones
+    # field value 255, up to the degree cap of 254 (d = 253)
     m = 3
     x1, x2 = x_var(1, m), x_var(2, m)
     p = x2**d * y_var(3, m)  # of degree d + 1
     q = p + x1
+    assert dict(p.terms) == {((0, d, 0), (0, 0, 1)): 1}
     assert truncate_degree(q, d + 1) == q and truncate_degree(q, d) == x1
     assert homogeneous_component(q, d + 1) == p
     assert homogeneous_component(q, d) == (x1 if d == 1 else 0)
@@ -489,3 +488,37 @@ def test_degree_reads_at_every_width_boundary(d):
     assert exchange_families(p) == y_var(2, m) ** d * x_var(3, m)
     assert restrict_variables(q, 2) == x_var(1, 2)
     assert restrict_variables(x2**d, 2) == x_var(2, 2) ** d
+    f = pi(1, x1 ** (d + 1))
+    assert pi(1, f) == -f and max(map(total_degree, f.terms)) == d + 1
+
+
+def test_a_degree_past_the_cap_raises_before_any_key_is_formed(monkeypatch):
+    m = 2
+    x1, y2 = x_var(1, m), y_var(2, m)
+    past = pytest.raises(ValueError, match="total degree 255 is past the cap 254")
+    with past:
+        x1**255
+    with past:
+        (x1 + y2) ** 255
+    a, b = x1**200, y2**55
+
+    def no_key(*args):
+        raise AssertionError("a key was formed")
+
+    # the constructor packs through _units, and every product sums through _add
+    monkeypatch.setattr("grothpoly.polynomials._units", no_key)
+    monkeypatch.setattr("grothpoly.polynomials._add", no_key)
+    with past:
+        Polynomial(m, {((200, 0), (0, 55)): 1})
+    with past:
+        monomial(m, (200,), (0, 55))
+    with past:
+        a * b
+
+
+def test_a_product_of_loose_bounds_under_the_cap_is_formed():
+    # the bounds sum past the cap (300), the true degrees do not (101)
+    x1, y2 = x_var(1, 2), y_var(2, 2)
+    loose = substitute_zero(y2**200 + x1, "y", 0)
+    assert loose._deg == 200
+    assert loose * x1**100 == x1**101

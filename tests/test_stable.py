@@ -33,7 +33,7 @@ from grothpoly.stable import (
     weak_stable_double,
     weak_symmetric,
 )
-from grothpoly.stable import _eliminate, _shape_series
+from grothpoly.stable import _MODELS, _eliminate, _shape_series
 from grothpoly.tableaux import (
     conjugate,
     enumerate_hecke_tableaux,
@@ -290,3 +290,18 @@ def test_a_window_that_is_not_two_ints_is_rejected(name):
     for t in [(2.5, 3), (2, 2.5), (True, 2), (2, True), (2, "3")]:
         with pytest.raises(ValueError):
             WINDOWED[name]((2, 1), TruncationSpec(*t))
+
+
+@pytest.mark.parametrize("name", _MODELS)
+def test_every_model_takes_the_degree_cap_and_rejects_one_past_it(name):
+    # the window check rejects a D past the cap whatever the argument
+    arg = () if name == "weak_symmetric" else (1, 2, 3)
+    assert _MODELS[name](arg, TruncationSpec(2, 254)) == 1
+    with pytest.raises(ValueError, match="past the cap"):
+        _MODELS[name](arg, TruncationSpec(2, 255))
+
+
+def test_q_basis_expansion_rejects_a_degree_past_the_cap():
+    # at the cap itself it would run over every partition of up to 254
+    with pytest.raises(ValueError, match="past the cap"):
+        qschur_expansion((1, 2, 3), TruncationSpec(1, 255))
