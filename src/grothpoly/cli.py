@@ -114,10 +114,13 @@ COMPUTE_TARGETS = {
 # each verify suite with the flags it reads besides --json, in the same
 # form; a suite named alone rejects any other flag, and all reads every
 # flag that some suite reads
+_RELATIONS_N = (4, 2, 8)
 SUITE_FLAGS = {
     "relations": {
-        "n": (4, 2, 8),
-        "degree": (4, 0, _MAX_DEGREE),
+        "n": _RELATIONS_N,
+        # a random term adds up to n y-exponents to its x-degree, and the
+        # raised-delta check multiplies it by one more x
+        "degree": (4, 0, _MAX_DEGREE - _RELATIONS_N[2] - 1),
         "trials": (50, 1, None),
         "seed": (0, None, None),
     },

@@ -446,7 +446,7 @@ def _series(
                 packed += a * units[offset + i]
         return packed
 
-    kept.series = _tally(width, most, _path_sum(kept.graph, weigh).items())
+    kept.series = _tally(width, _path_sum(kept.graph, weigh).items())
     return kept.series
 
 
@@ -562,13 +562,13 @@ def genfun(factorizations, m: int | None = None) -> Polynomial:
     counts = Counter(map(weight, items))
     if any(len(x) > width or len(y) > width for x, y in counts):
         raise ValueError(f"a weight is wider than the width {width}")
-    deg = max(sum(x) + sum(y) for x, y in counts)
+    _check_degree(max(sum(x) + sum(y) for x, y in counts))
     units = _units(width)
     packed = (
         (sum(map(mul, x, units)) + sum(map(mul, y, units[width:])), c)
         for (x, y), c in counts.items()
     )
-    return _tally(width, deg, packed)
+    return _tally(width, packed)
 
 
 def enumerate_X(w: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -7,10 +7,10 @@ x1..xm then y1..ym from the lowest bits up, so that multiplying two
 monomials adds their keys (Monagan and Pearce, packed exponent vectors,
 CASC 2007).  The total degree of a polynomial is capped at 254: then the
 whole degree fits in one field, no exponent can carry into the next, and
-a key modulo 255 is its total degree.  Each polynomial carries a bound
-on its total degree, and whatever would pass the cap raises ValueError
-before any key is formed.  The terms mapping of (x_exponents,
-y_exponents) tuples unpacks keys only when it is iterated.
+a key modulo 255 is its total degree.  Whatever would pass the cap
+raises ValueError before any key is formed.  The terms mapping of
+(x_exponents, y_exponents) tuples is unpacked from the keys on each
+access.
 All arithmetic is exact; there are no floats anywhere.  The y variables are
 scalars as far as the operators are concerned: delta and pi act on the
 x exponents of each term and carry the y part along untouched.
@@ -24,7 +24,6 @@ x exponents of each term and carry the y part along untouched.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping
 from itertools import chain
 from operator import mul
 from types import MappingProxyType
@@ -68,34 +67,46 @@ class Polynomial:
     Immutable sparse polynomial with a fixed family size m.
 
     terms is a read-only mapping from (x_exponents, y_exponents) to a
-    nonzero int.  Its size and lookups read the packed keys; only
-    iterating it unpacks them, and within one pass equal exponent tuples
-    are one object.  Setting or deleting an attribute raises
-    AttributeError, so a polynomial can be cached and shared.  The
-    constructor raises ValueError unless m is an int >= 0,
-    each key is a pair of length-m tuples of nonnegative ints, each
-    coefficient an int, not a bool, and the total degree at most 254.
+    nonzero int, unpacked from the packed keys on each access, so a
+    caller that reads it more than once holds it in a local; within one
+    mapping equal exponent tuples are one object.  Setting or deleting
+    an attribute raises AttributeError, so a polynomial can be cached
+    and shared.  The constructor raises ValueError unless m is an
+    int >= 0, each key is a pair of length-m tuples of nonnegative ints,
+    each coefficient an int, not a bool, and the total degree at most
+    254.
     Mixing family sizes in arithmetic is an error.
     """
 
-    __slots__ = ("m", "_deg", "_packed")
+    __slots__ = ("m", "_packed")
 
     def __init__(self, m: int, terms: dict[Key, int] | None = None):
         _check_size(m)
         flat = []
         for key, c in (terms or {}).items():
-            exps = _exponents(key, m)
-            if type(c) is not int or exps is None:
+            if not (
+                type(c) is int
+                and type(key) is tuple and len(key) == 2
+                and all(type(e) is tuple and len(e) == m for e in key)
+                and all(type(a) is int and a >= 0 for a in key[0] + key[1])
+            ):
                 raise ValueError(f"bad term for family size {m}: {key!r}: {c!r}")
-            flat.append((exps, c))
-        deg = max((sum(exps) for exps, _ in flat), default=0)
-        _check_degree(deg)
+            flat.append((key[0] + key[1], c))
+        _check_degree(max((sum(exps) for exps, _ in flat), default=0))
         units = _units(m)
-        _store(self, m, deg, {sum(map(mul, exps, units)): c for exps, c in flat})
+        _store(self, m, {sum(map(mul, exps, units)): c for exps, c in flat})
 
     @property
     def terms(self) -> MappingProxyType:
-        return MappingProxyType(_Terms(self))
+        m = self.m
+        shifts = range(0, 2 * m * _BITS, _BITS)
+        share = {}.setdefault
+        out = {}
+        for key, c in self._packed.items():
+            fields = [key >> s & _ONES for s in shifts]
+            xe, ye = tuple(fields[:m]), tuple(fields[m:])
+            out[share(xe, xe), share(ye, ye)] = c
+        return MappingProxyType(out)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a Polynomial is immutable: cannot set {name!r}")
@@ -141,11 +152,11 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):
             scaled = zip(self._packed, map(other.__mul__, self._packed.values()))
-            return _distinct(self.m, self._deg, scaled)
+            return _distinct(self.m, scaled)
         other = _coerce(self.m, other)
-        deg = self._deg + other._deg
-        if deg > _MAX_DEGREE:  # the bounds may be loose: try the true degrees
-            deg = _top(self) + _top(other)
+        # exact over Z: the product of the two top homogeneous parts is
+        # never 0, so this is the product's total degree
+        _check_degree(_top(self) + _top(other))
         a, b = self._packed, other._packed
         if len(a) < len(b):
             a, b = b, a
@@ -155,7 +166,7 @@ class Polynomial:
             zip(map(kb.__add__, a), map(cb.__mul__, a.values()))
             for kb, cb in b.items()
         )
-        return _tally(self.m, deg, products)
+        return _tally(self.m, products)
 
     __rmul__ = __mul__
 
@@ -175,88 +186,19 @@ class Polynomial:
         return pretty(self)
 
 
-class _Terms(Mapping):
-    """The (x_exponents, y_exponents) view of a polynomial's packed
-    terms: len, lookups and values read the packed dict, and only
-    iterating unpacks keys."""
-
-    __slots__ = ("_p",)
-
-    def __init__(self, p: Polynomial):
-        self._p = p
-
-    def __len__(self) -> int:
-        return len(self._p._packed)
-
-    def __getitem__(self, key: Key) -> int:
-        p = self._p
-        exps = _exponents(key, p.m)
-        # a key that could not be stored must not be packed: an exponent
-        # past the width would carry into the next field
-        if exps is not None and sum(exps) <= p._deg:
-            c = p._packed.get(sum(map(mul, exps, _units(p.m))))
-            if c is not None:
-                return c
-        raise KeyError(key)
-
-    def __iter__(self):
-        return (key for key, _ in self._pairs())
-
-    def items(self) -> ItemsView:
-        return _Items(self)
-
-    def values(self):
-        return self._p._packed.values()
-
-    # the dict methods a read-only view of a dict forwards to it
-    def copy(self) -> dict:
-        return dict(self.items())
-
-    def __or__(self, other):
-        return self.copy() | _unwrapped(other)
-
-    def __ror__(self, other):
-        return _unwrapped(other) | self.copy()
-
-    def _pairs(self):
-        m = self._p.m
-        shifts = range(0, 2 * m * _BITS, _BITS)
-        share = {}.setdefault
-        for key, c in self._p._packed.items():
-            fields = [key >> s & _ONES for s in shifts]
-            xe, ye = tuple(fields[:m]), tuple(fields[m:])
-            yield (share(xe, xe), share(ye, ye)), c
-
-
-def _unwrapped(other):
-    return other.copy() if isinstance(other, _Terms) else other
-
-
-class _Items(ItemsView):
-    def __iter__(self):
-        return self._mapping._pairs()
-
-
 _set_m = Polynomial.m.__set__
-_set_deg = Polynomial._deg.__set__
 _set_packed = Polynomial._packed.__set__
 
 
-def _exponents(key, m: int) -> tuple[int, ...] | None:
-    """The x then y exponents of key if it is a pair of length-m tuples
-    of nonnegative ints, else None."""
-    if (
-        type(key) is tuple and len(key) == 2
-        and all(type(e) is tuple and len(e) == m for e in key)
-    ):
-        exps = key[0] + key[1]
-        if all(type(a) is int and a >= 0 for a in exps):
-            return exps
-    return None
-
-
 def _check_degree(deg: int) -> None:
-    """ValueError for a total degree past the cap of the packed keys."""
+    """ValueError for a total degree past the cap of the packed keys.
+
+    Only what can increase a total degree checks it: the constructor,
+    products, genfun, the factorization series and the staircases.
+    Every other operation keeps or lowers the total degree of each term
+    (pi and delta give quotients of their term's degree, the
+    substitutions and set_y_equal_x move or drop exponents, truncation
+    drops terms), so its result is under the cap of its input."""
     if deg > _MAX_DEGREE:
         raise ValueError(f"total degree {deg} is past the cap {_MAX_DEGREE}")
 
@@ -268,15 +210,15 @@ def _units(m: int) -> tuple[int, ...]:
 
 
 def _top(p: Polynomial) -> int:
-    """The true total degree of p, which its bound may exceed."""
-    return max((key % _ONES for key in p._packed), default=0)
+    """The total degree of p: the largest of its keys modulo the
+    all-ones field value."""
+    return max(map(_ONES.__rmod__, p._packed), default=0)
 
 
-def _store(p: Polynomial, m: int, deg: int, packed: dict) -> Polynomial:
-    """Set the three slots of p once: m, the bound on its total degree,
-    and the packed terms with zeros dropped."""
+def _store(p: Polynomial, m: int, packed: dict) -> Polynomial:
+    """Set the two slots of p once: m and the packed terms with zeros
+    dropped."""
     _set_m(p, m)
-    _set_deg(p, deg)
     if 0 in packed.values():
         packed = {k: c for k, c in packed.items() if c}
     _set_packed(p, packed)
@@ -292,20 +234,17 @@ def _add(out: dict, pairs: Iterable[tuple[int, int]]) -> dict:
     return out
 
 
-def _tally(m: int, deg: int, pairs: Iterable[tuple[int, int]]) -> Polynomial:
-    """Sum (packed key, coefficient) pairs of total degree at most deg
-    into a polynomial, zeros dropped.  A deg past the cap raises
-    ValueError before pairs is read.  Otherwise unchecked: only for
-    results of arithmetic on checked polynomials."""
-    _check_degree(deg)
-    return _store(Polynomial.__new__(Polynomial), m, deg, _add({}, pairs))
+def _tally(m: int, pairs: Iterable[tuple[int, int]]) -> Polynomial:
+    """Sum (packed key, coefficient) pairs into a polynomial, zeros
+    dropped.  Unchecked: only for results of arithmetic on checked
+    polynomials, or for keys whose total degree the caller has checked."""
+    return _store(Polynomial.__new__(Polynomial), m, _add({}, pairs))
 
 
-def _distinct(m: int, deg: int, pairs) -> Polynomial:
-    """(packed key, coefficient) pairs with distinct keys, each of total
-    degree at most deg, as a polynomial of family size m and degree bound
-    deg; nothing to sum."""
-    return _store(Polynomial.__new__(Polynomial), m, deg, dict(pairs))
+def _distinct(m: int, pairs) -> Polynomial:
+    """(packed key, coefficient) pairs with distinct keys as a
+    polynomial of family size m; nothing to sum."""
+    return _store(Polynomial.__new__(Polynomial), m, dict(pairs))
 
 
 def _check_size(m) -> None:
@@ -315,7 +254,7 @@ def _check_size(m) -> None:
 
 def _constant(c: int, m: int) -> Polynomial:
     # unchecked: only for an int met in arithmetic on a checked polynomial
-    return _tally(m, 0, [(0, c)])
+    return _distinct(m, [(0, c)])
 
 
 def constant(c: int, m: int) -> Polynomial:
@@ -353,12 +292,10 @@ def poly_sum(m: int, polys: Iterable[Polynomial]) -> Polynomial:
     >>> poly_sum(3, []) == constant(0, 3)
     True
     """
-    out, deg = {}, 0
+    out = {}
     for p in polys:
-        p = _coerce(m, p)
-        deg = max(deg, p._deg)
-        _add(out, p._packed.items())
-    return _store(Polynomial.__new__(Polynomial), m, deg, out)
+        _add(out, _coerce(m, p)._packed.items())
+    return _store(Polynomial.__new__(Polynomial), m, out)
 
 
 def _coerce(m: int, other) -> Polynomial:
@@ -406,7 +343,7 @@ def swap_x(p: Polynomial, i: int) -> Polynomial:
         (key + ((key >> s + _BITS & _ONES) - (key >> s & _ONES)) * step, c)
         for key, c in p._packed.items()
     )
-    return _distinct(p.m, p._deg, swapped)
+    return _distinct(p.m, swapped)
 
 
 def _quotients(i: int, f: Polynomial, lifts: tuple[int, ...]) -> Polynomial:
@@ -419,7 +356,7 @@ def _quotients(i: int, f: Polynomial, lifts: tuple[int, ...]) -> Polynomial:
     exact by construction.  Its packed keys step by one unit moved from
     x_{i+1} to x_i, so each sum is one range of keys, ending next to the
     key of x_i^p x_{i+1}^(r-1).  No quotient, lifted or not, passes the
-    total degree of its term, so f's degree bound holds.
+    total degree of its term.
     """
     if not 1 <= i <= f.m - 1:
         raise ValueError(f"operator index {i} out of range 1..{f.m - 1}")
@@ -443,7 +380,7 @@ def _quotients(i: int, f: Polynomial, lifts: tuple[int, ...]) -> Polynomial:
             # coefficient, which costs less than a pair per key
             for k in keys:
                 out[k] = get(k, 0) + sc
-    return _store(Polynomial.__new__(Polynomial), f.m, f._deg, out)
+    return _store(Polynomial.__new__(Polynomial), f.m, out)
 
 
 def delta(i: int, f: Polynomial) -> Polynomial:
@@ -503,7 +440,7 @@ def substitute_zero(p: Polynomial, family: str, keep: int) -> Polynomial:
     first = 0 if family == "x" else p.m
     dropped = sum(_ONES << _BITS * (first + j) for j in range(p.m)[keep:])
     kept = ((k, c) for k, c in p._packed.items() if not k & dropped)
-    return _distinct(p.m, p._deg, kept)
+    return _distinct(p.m, kept)
 
 
 def restrict_variables(p: Polynomial, m: int) -> Polynomial:
@@ -524,7 +461,7 @@ def restrict_variables(p: Polynomial, m: int) -> Polynomial:
         for k, c in p._packed.items()
         if not k & dropped
     )
-    return _distinct(m, p._deg, kept)
+    return _distinct(m, kept)
 
 
 def exchange_families(p: Polynomial) -> Polynomial:
@@ -540,7 +477,7 @@ def exchange_families(p: Polynomial) -> Polynomial:
     half = _BITS * p.m
     low = (1 << half) - 1
     swapped = (((k >> half) + ((k & low) << half), c) for k, c in p._packed.items())
-    return _distinct(p.m, p._deg, swapped)
+    return _distinct(p.m, swapped)
 
 
 def set_y_equal_x(p: Polynomial) -> Polynomial:
@@ -557,19 +494,19 @@ def set_y_equal_x(p: Polynomial) -> Polynomial:
     low = (1 << half) - 1
     # x_i + y_i is at most the total degree, so it fits x_i's field
     summed = (((k & low) + (k >> half), c) for k, c in p._packed.items())
-    return _tally(p.m, p._deg, summed)
+    return _tally(p.m, summed)
 
 
 def total_degree(key: Key) -> int:
     return sum(key[0]) + sum(key[1])
 
 
-def _of_degree(p: Polynomial, keep, deg: int) -> Polynomial:
-    """The terms of p whose total degree passes keep, at the degree
-    bound min(p's, deg).  A key modulo the all-ones field value is its
-    total degree, which the cap keeps below that value."""
+def _of_degree(p: Polynomial, keep) -> Polynomial:
+    """The terms of p whose total degree passes keep.  A key modulo the
+    all-ones field value is its total degree, which the cap keeps below
+    that value."""
     kept = ((k, c) for k, c in p._packed.items() if keep(k % _ONES))
-    return _distinct(p.m, max(0, min(p._deg, deg)), kept)
+    return _distinct(p.m, kept)
 
 
 def truncate_degree(p: Polynomial, bound: int) -> Polynomial:
@@ -579,7 +516,7 @@ def truncate_degree(p: Polynomial, bound: int) -> Polynomial:
     >>> pretty(truncate_degree(x_var(1, 1) + x_var(1, 1) ** 2, 1))
     'x1'
     """
-    return _of_degree(p, bound.__ge__, bound)
+    return _of_degree(p, bound.__ge__)
 
 
 def coefficient(
@@ -606,7 +543,7 @@ def homogeneous_component(p: Polynomial, d: int) -> Polynomial:
     >>> pretty(homogeneous_component(q, 2))
     'x1*x2'
     """
-    return _of_degree(p, d.__eq__, d)
+    return _of_degree(p, d.__eq__)
 
 
 def _term_sort_key(key: Key):

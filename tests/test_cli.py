@@ -11,7 +11,14 @@ import pytest
 import grothpoly
 from grothpoly import cli
 from grothpoly.grothendieck import grothendieck_double
-from grothpoly.polynomials import Polynomial, delta, from_json, x_var
+from grothpoly.polynomials import (
+    _MAX_DEGREE,
+    Polynomial,
+    delta,
+    from_json,
+    total_degree,
+    x_var,
+)
 
 
 def run(capsys, *argv):
@@ -325,6 +332,7 @@ def test_verify_bounds_below_their_minimum_exit_two(capsys, argv):
         ("bijections", "--n", "6"),
         ("tabtopi", "--n", "7"),
         ("cauchy", "--n", "5"),
+        ("relations", "--degree", "246"),
         ("relations", "--degree", "255"),
         ("tabt", "--degree", "255"),
         ("qp", "--degree", "255"),
@@ -336,6 +344,26 @@ def test_verify_bounds_above_their_cap_exit_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert f"{argv[1]} must be at most" in err
+
+
+def test_the_relations_degree_cap_leaves_room_for_the_largest_random_term():
+    class Highest:
+        """Draws every bound and choice at its largest."""
+
+        def randint(self, a, b):
+            return b
+
+        def choice(self, seq):
+            return max(seq)
+
+    flags = cli.SUITE_FLAGS["relations"]
+    m, degree = flags["n"][2], flags["degree"][2]
+    # each term is 3*x1^degree*y1*...*ym, and the raised-delta check
+    # multiplies by one more x: exactly the cap, and one degree more raises
+    raised = x_var(m, m) * cli._random_poly(Highest(), m, degree)
+    assert max(map(total_degree, raised.terms)) == _MAX_DEGREE
+    with pytest.raises(ValueError, match="past the cap"):
+        x_var(m, m) * cli._random_poly(Highest(), m, degree + 1)
 
 
 def test_verify_all_checks_every_suites_flags_before_any_suite_runs(

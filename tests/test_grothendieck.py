@@ -5,6 +5,13 @@ import random
 import pytest
 
 from grothpoly import grothendieck
+from grothpoly.factorizations import (
+    _graph,
+    _series,
+    cauchy_sum,
+    enumerate_circled_bounded,
+    genfun,
+)
 from grothpoly.grothendieck import (
     grothendieck_double,
     grothendieck_single,
@@ -24,10 +31,12 @@ from grothpoly.polynomials import (
     Polynomial,
     constant,
     monomial,
+    pi,
     pi_word,
     pretty,
     substitute_zero,
     total_degree,
+    truncate_degree,
     x_var,
     y_var,
 )
@@ -191,3 +200,26 @@ def test_a_staircase_past_the_degree_cap_raises_before_any_product(monkeypatch):
         staircase_monomial(23)
     monkeypatch.undo()
     assert total_degree(max(staircase_monomial(22).terms)) == 253
+
+
+def test_nothing_on_the_arithmetic_path_unpacks_a_key(fresh_memo, monkeypatch):
+    def unpacked(p):
+        raise AssertionError("the terms of a polynomial were unpacked")
+
+    _graph.cache_clear()  # so that every series is summed afresh
+    monkeypatch.setattr(Polynomial, "terms", property(unpacked))
+    for w in all_permutations(4):
+        double, single = grothendieck_double(w), grothendieck_single(w)
+        series, convolution = _series("circled_bounded", w), cauchy_sum(w)
+        assert genfun(enumerate_circled_bounded(w)) == series == double
+        assert convolution == double
+        assert len({double, series, convolution}) == 1
+        for i in range(1, 4):
+            if w[i - 1] > w[i]:
+                v = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
+                assert pi(i, single) == grothendieck_single(v)
+            else:
+                assert pi(i, double) == -double
+        assert truncate_degree(double, 12) == double
+        assert truncate_degree(double, 0) == (1 if w == (1, 2, 3, 4) else 0)
+    assert hash(grothendieck_single((1, 2, 3, 4))) == hash(1)
