@@ -142,13 +142,13 @@ def wk_step_up(q: WQuadruple) -> WQuadruple:
     )
 
 
-# A ride depends only on its two blocks, and the rewrites repeat a few
+# A ride up depends only on its two blocks, and the rewrites repeat a few
 # hundred pairs thousands of times: every pair of subsets of {1..6} fits.
 # A pair that fails check_quadruple raises, and a raise is never cached.
+# A ride down is not cached: no rewrite rides down, only psi_inv and verify.
 _RIDE_CACHE_SIZE = 4096
 
 
-@lru_cache(maxsize=_RIDE_CACHE_SIZE)
 def _ride_down(b: tuple[int, ...], c: tuple[int, ...]):
     q = WQuadruple((), b, c, (), max((*b, *c), default=0))
     check_quadruple(q)

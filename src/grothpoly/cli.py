@@ -9,7 +9,6 @@ invocations print identical bytes.
 """
 
 import argparse
-from collections import Counter
 from functools import cache
 import itertools
 import json
@@ -79,6 +78,7 @@ from .stable import (
     weak_stable_double,
 )
 from .tableaux import (
+    _hecke_shapes,
     conjugate,
     enumerate_hecke_tableaux,
     f_coefficient,
@@ -563,8 +563,8 @@ def _weak_tableau_formula(w: tuple[int, ...], t: TruncationSpec) -> Polynomial:
     conjugated_series_match_the_weak_model holds weak_stable_double to it."""
     products = (
         truncate_degree(omega(genfun_svt(shape, t.m, t.D, inner=rho), "x") * wy, t.D)
-        for T in enumerate_hecke_tableaux(w, max_boxes=t.D)
-        for shape in [outer_shape(T)]
+        * count
+        for shape, count in _hecke_shapes(w, t.D).items()
         for mu in partitions_inside(shape)
         for wy in [exchange_families(omega(genfun_svt(conjugate(mu), t.m, t.D), "x"))]
         for rho in partitions_inside(mu)
@@ -574,12 +574,8 @@ def _weak_tableau_formula(w: tuple[int, ...], t: TruncationSpec) -> Polynomial:
 
 
 def _hecke_expansion_matches(w: tuple[int, ...], t: TruncationSpec) -> bool:
-    counts = Counter(
-        outer_shape(T) for T in enumerate_hecke_tableaux(w, max_boxes=t.D)
-    )
-    rhs = poly_sum(
-        t.m, (genfun_svt(sh, t.m, t.D) * mult for sh, mult in counts.items())
-    )
+    counts = _hecke_shapes(w, t.D).items()
+    rhs = poly_sum(t.m, (genfun_svt(sh, t.m, t.D) * mult for sh, mult in counts))
     return stable_single(w, t) == truncate_degree(rhs, t.D)
 
 

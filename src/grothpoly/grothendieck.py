@@ -77,7 +77,7 @@ def staircase_product(n: int) -> Polynomial:
 
 
 # The descent memo holds at most this many terms in all (the sum of
-# len(p._packed) over its entries, which unpacks no key), least recently
+# len(p) over its entries, which unpacks no key), least recently
 # used out first.  All that a round of the cauchy benchmark reaches, on
 # S_4 and six permutations of S_5, is 26,000 to 35,000 terms; an entry
 # larger than the budget, such as the 187,945-term staircase of S_6, is
@@ -91,14 +91,14 @@ _memo_terms = 0
 
 def _remember(key: tuple[tuple[int, ...], bool], p: Polynomial) -> None:
     global _memo_terms
-    size = len(p._packed)
+    size = len(p)
     if size > _MEMO_TERM_BUDGET:
         return
     _memo[key] = p
     _memo_terms += size
     while _memo_terms > _MEMO_TERM_BUDGET:
         _, old = _memo.popitem(last=False)
-        _memo_terms -= len(old._packed)
+        _memo_terms -= len(old)
 
 
 def _descend(w: tuple[int, ...], double: bool) -> Polynomial:

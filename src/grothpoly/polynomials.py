@@ -69,7 +69,8 @@ class Polynomial:
     terms is a read-only mapping from (x_exponents, y_exponents) to a
     nonzero int, unpacked from the packed keys on each access, so a
     caller that reads it more than once holds it in a local; within one
-    mapping equal exponent tuples are one object.  Setting or deleting
+    mapping equal exponent tuples are one object.  len(p) is the number
+    of terms, read without unpacking.  Setting or deleting
     an attribute raises AttributeError, so a polynomial can be cached
     and shared.  The constructor raises ValueError unless m is an
     int >= 0, each key is a pair of length-m tuples of nonnegative ints,
@@ -117,8 +118,8 @@ class Polynomial:
     def __reduce__(self):
         return Polynomial, (self.m, dict(self.terms))
 
-    def __bool__(self) -> bool:
-        return bool(self._packed)
+    def __len__(self) -> int:
+        return len(self._packed)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -525,14 +526,18 @@ def coefficient(
     y_exps: tuple[int, ...] = (),
 ) -> int:
     """
-    The integer coefficient of the given monomial (exponents padded).
+    The integer coefficient of the given monomial (exponents padded):
+    one lookup of its packed key, or 0, with nothing packed, when no key
+    can hold it (more than m exponents, a negative one, a degree past 254).
 
     >>> coefficient(constant(6, 1) * x_var(1, 1) ** 4, (4,))
     6
     """
-    xe = tuple(x_exps) + (0,) * (p.m - len(x_exps))
-    ye = tuple(y_exps) + (0,) * (p.m - len(y_exps))
-    return p.terms.get((xe, ye), 0)
+    xe, ye = tuple(x_exps), tuple(y_exps)
+    exps = xe + (0,) * (p.m - len(xe)) + ye + (0,) * (p.m - len(ye))
+    if len(exps) > 2 * p.m or min(exps, default=0) < 0 or sum(exps) > _MAX_DEGREE:
+        return 0
+    return p._packed.get(sum(map(mul, exps, _units(p.m))), 0)
 
 
 def homogeneous_component(p: Polynomial, d: int) -> Polynomial:

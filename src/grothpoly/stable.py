@@ -4,7 +4,6 @@ Q-basis expansion pipeline."""
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache, lru_cache
 from typing import NamedTuple
 
@@ -20,13 +19,12 @@ from .polynomials import (
 from .tableaux import (
     conjugate,
     contains,
-    enumerate_hecke_tableaux,
-    f_coefficient,
     genfun_svt,
     oft_count,
-    outer_shape,
     partitions_inside,
     partitions_of,
+    _f_tally,
+    _hecke_shapes,
 )
 
 __all__ = [
@@ -137,12 +135,9 @@ def stable_double_via_tableaux(
     that of the conjugate of mu in y.
     """
     _check_spec(t)
-    shapes = Counter(
-        outer_shape(T) for T in enumerate_hecke_tableaux(w, max_boxes=t.D)
-    )
+    shapes = _hecke_shapes(w, t.D).items()
     return poly_sum(
-        t.m,
-        (_shape_series(shape, t.m, t.D) * count for shape, count in shapes.items()),
+        t.m, (_shape_series(shape, t.m, t.D) * count for shape, count in shapes)
     )
 
 
@@ -253,9 +248,7 @@ def qschur_expansion(w: tuple[int, ...], t: TruncationSpec) -> dict:
     {(): 1}
     """
     _check_spec(t)
-    shape_counts = Counter(
-        outer_shape(T) for T in enumerate_hecke_tableaux(w, max_boxes=t.D)
-    )
+    shape_counts = _hecke_shapes(w, t.D)
     out: dict[tuple[int, ...], int] = {}
     for d in range(t.D + 1):
         for mu in partitions_of(d):
@@ -266,12 +259,9 @@ def qschur_expansion(w: tuple[int, ...], t: TruncationSpec) -> dict:
             )
             if not filled:
                 continue
-            for lam in partitions_of(d):
-                if any(a <= b for a, b in zip(lam, lam[1:])):
-                    continue
-                f = f_coefficient(mu, lam)
-                if f:
-                    out[lam] = out.get(lam, 0) + filled * f
+            # every nonzero lam, strict and of size d, in partitions_of order
+            for lam, f in sorted(_f_tally(mu), reverse=True):
+                out[lam] = out.get(lam, 0) + filled * f
     return out
 
 

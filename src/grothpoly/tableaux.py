@@ -16,6 +16,7 @@ True
 ((3, 3, 3, 2), (1, 2, 2, 0))
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, lru_cache
 import itertools
@@ -431,6 +432,11 @@ def enumerate_hecke_tableaux(
         for rows in found
     )
     return sorted(tableaux, key=_tableau_key)
+
+
+def _hecke_shapes(w: tuple[int, ...], max_boxes: int | None) -> Counter:
+    """The outer shapes of enumerate_hecke_tableaux(w, max_boxes), counted."""
+    return Counter(map(outer_shape, enumerate_hecke_tableaux(w, max_boxes)))
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ def fresh_memo(monkeypatch):
 
 
 def held_terms() -> int:
-    return sum(len(p.terms) for p in grothendieck._memo.values())
+    return sum(len(p) for p in grothendieck._memo.values())
 
 
 @cache

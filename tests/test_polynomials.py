@@ -178,6 +178,33 @@ def test_truncate_coefficient_homogeneous():
     assert homogeneous_component(p, 5) == constant(0, 2)
 
 
+def test_len_is_the_term_count_and_truth_is_unchanged():
+    rng = random.Random(3)
+    for _ in range(100):
+        p = random_poly(rng, m=rng.randrange(0, 4))
+        assert len(p) == len(p.terms)
+        assert bool(p) is (p.terms != {})
+    assert len(constant(0, 2)) == 0 and not constant(0, 2)
+    assert len(constant(7, 2)) == 1 and constant(7, 2)
+
+
+def test_coefficient_is_one_lookup_that_aliases_no_other_key():
+    rng = random.Random(8)
+    for _ in range(100):
+        p = random_poly(rng)
+        for (xe, ye), c in p.terms.items():
+            assert coefficient(p, xe, ye) == c
+            while xe and xe[-1] == 0:
+                xe = xe[:-1]
+            assert coefficient(p, xe, ye) == c  # padded again
+    assert coefficient(y_var(1, 2), (), (1,)) == 1
+    assert coefficient(x_var(1, 1) ** 254, (254,)) == 1
+    # a naive pack of each of these is the key of the polynomial's one term
+    assert coefficient(x_var(2, 2), (256,)) == 0
+    assert coefficient(x_var(3, 3), (-256, 257)) == 0
+    assert coefficient(y_var(1, 2), (0, 0, 1)) == 0
+
+
 def test_pretty_pinned_strings():
     m1 = x_var(1, 1) + y_var(1, 1) + x_var(1, 1) * y_var(1, 1)
     assert pretty(m1) == "x1 + y1 + x1*y1"

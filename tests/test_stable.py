@@ -1,6 +1,8 @@
 """Stable truncations: factorization models vs operator polynomials vs
 tableau formulas, the conjugating involution, and the Q-basis pipeline."""
 
+from collections import Counter
+
 import pytest
 
 from grothpoly.factorizations import enumerate_hook, genfun
@@ -33,15 +35,21 @@ from grothpoly.stable import (
     weak_stable_double,
     weak_symmetric,
 )
+from grothpoly import cli
 from grothpoly.stable import _MODELS, _eliminate, _shape_series
 from grothpoly.tableaux import (
     conjugate,
+    contains,
     enumerate_hecke_tableaux,
+    f_coefficient,
     genfun_svt,
+    oft_count,
     outer_shape,
     partitions_inside,
+    partitions_of,
     q_schur,
 )
+from grothpoly.tableaux import _hecke_shapes
 
 
 def shifted(w, j):
@@ -120,6 +128,15 @@ def test_weak_tableau_formula_matches_the_weak_double_model():
     t = TruncationSpec(3, 4)
     for w in all_permutations(3):
         assert weak_tableau_formula(w, t) == weak_stable_double(w, t)
+
+
+def test_every_tableau_model_weighs_a_repeated_shape_by_its_count():
+    # two Hecke tableaux of (2, 1, 4, 3, 6, 5) have the shape (2, 1)
+    w, t = (2, 1, 4, 3, 6, 5), TruncationSpec(2, 3)
+    assert _hecke_shapes(w, t.D)[(2, 1)] == 2
+    assert stable_double_via_tableaux(w, t) == stable_double(w, t)
+    assert cli._weak_tableau_formula(w, t) == weak_tableau_formula(w, t)
+    assert cli._hecke_expansion_matches(w, t)
 
 
 def test_tableau_models_hold_when_shape_summands_are_reused():
@@ -253,6 +270,38 @@ def test_q_basis_expansion_matches_the_merged_hook_model():
         lhs = set_y_equal_x(halfweak_stable(w, t))
         for d in range(t.D + 1):
             assert homogeneous_component(lhs, d) == homogeneous_component(rhs, d)
+
+
+def qschur_by_pairs(w, t):
+    """The Q-expansion asked pair by pair: each shape count, filled
+    over each mu, times the public f_coefficient of every strict lam."""
+    shapes = Counter(map(outer_shape, enumerate_hecke_tableaux(w, t.D)))
+    out = {}
+    for d in range(t.D + 1):
+        for mu in partitions_of(d):
+            filled = sum(
+                count * oft_count(mu, rho)
+                for rho, count in shapes.items()
+                if contains(mu, rho)
+            )
+            for lam in partitions_of(d):
+                strict = all(a > b for a, b in zip(lam, lam[1:]))
+                if filled and strict and (f := f_coefficient(mu, lam)):
+                    out[lam] = out.get(lam, 0) + filled * f
+    return out
+
+
+def test_q_basis_expansion_reads_the_pairwise_coefficients_in_their_order():
+    # at (2, 4, 5, 3, 1) the tally of (2, 2, 1, 1) meets (4, 2) before
+    # (5, 1), and neither is in the expansion yet
+    cases = [
+        (w, D) for size in (3, 4) for w in all_permutations(size) for D in range(7)
+    ] + [((3, 1, 2, 5, 4), 6), ((2, 4, 5, 3, 1), 6)]
+    for w, D in cases:
+        t = TruncationSpec(1, D)
+        assert list(qschur_expansion(w, t).items()) == list(
+            qschur_by_pairs(w, t).items()
+        ), (w, D)
 
 
 def test_stability_certificates():

@@ -1,3 +1,4 @@
+from collections import Counter
 import itertools
 import json
 
@@ -53,6 +54,7 @@ from grothpoly.tableaux import (
 from grothpoly import tableaux
 from grothpoly.tableaux import (
     _f_tally,
+    _hecke_shapes,
     _lattice,
     _pt_fillings,
     _top_down_scan,
@@ -249,6 +251,14 @@ def test_enumerated_hecke_tableaux_validate():
             assert is_hecke_tableau(T, w)
             shape = outer_shape(T)
             assert all(a >= b > 0 for a, b in zip(shape, shape[1:] + (1,)))
+
+
+def test_hecke_shapes_count_the_enumerated_tableaux_by_shape():
+    for w in all_permutations(4) + [(3, 1, 2, 5, 4)]:
+        n = len(w) - 1
+        for b in [*range(n * n + 1), None]:
+            expected = Counter(map(outer_shape, enumerate_hecke_tableaux(w, b)))
+            assert _hecke_shapes(w, b) == expected, (w, b)
 
 
 def test_enumerate_hecke_tableaux_rejects_negative_bound():
