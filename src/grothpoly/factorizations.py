@@ -65,7 +65,6 @@ __all__ = [
     "enumerate_X",
     "cauchy_sum",
     "factorization_to_str",
-    "factorization_to_json",
     "parse_factorization",
 ]
 
@@ -630,11 +629,6 @@ def factorization_to_str(f: Factorization) -> str:
             chunks.append("|")
         chunks.append("(" + " ".join(str(l) for l in fac) + ")")
     return "".join(chunks)
-
-
-def factorization_to_json(f: Factorization) -> list[list[dict]]:
-    """JSON array of factors, each an array of {"v": value, "c": circled}."""
-    return [[{"v": l.value, "c": l.circled} for l in fac] for fac in f.factors]
 
 
 _LETTER_RE = re.compile(r"(\d+)(o?)")

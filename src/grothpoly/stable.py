@@ -157,6 +157,13 @@ def schur(shape: tuple[int, ...], m: int) -> Polynomial:
     return genfun_svt(shape, m, sum(shape))
 
 
+@cache
+def _schur_items(shape: tuple[int, ...], m: int) -> tuple:
+    """The (x_exponents, coefficient) items of schur(shape, m), which has
+    no y part, unpacked once and kept next to the cached polynomial."""
+    return tuple((xe, c) for (xe, _), c in schur(shape, m).terms.items())
+
+
 def _eliminate(component: dict, m: int) -> dict:
     """Expand an exponent-vector-to-coefficient map of one homogeneous
     symmetric component into Schur coordinates by leading-term
@@ -172,9 +179,12 @@ def _eliminate(component: dict, m: int) -> dict:
         )]
         c = component[lead]
         out[lam] = c
-        for (exps, _), sc in schur(lam, m).terms.items():
-            component[exps] = component.get(exps, 0) - c * sc
-        component = {k: v for k, v in component.items() if v}
+        for exps, sc in _schur_items(lam, m):
+            left = component.get(exps, 0) - c * sc
+            if left:
+                component[exps] = left
+            else:
+                del component[exps]
     return out
 
 

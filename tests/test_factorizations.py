@@ -18,7 +18,6 @@ from grothpoly.factorizations import (
     enumerate_plain_unbounded,
     enumerate_X,
     evaluation,
-    factorization_to_json,
     factorization_to_str,
     genfun,
     is_valid_factorization,
@@ -699,14 +698,6 @@ def test_listing_is_sorted_by_flat_word_then_mask_then_lengths():
         assert family == sorted(family, key=_public_key)
         sizes.append(len(family))
     assert sizes[-2:] == [3, 600]
-
-
-def test_json_form():
-    f = parse_factorization("(2o 1)()", "circled", 2)
-    assert factorization_to_json(f) == [
-        [{"v": 2, "c": True}, {"v": 1, "c": False}],
-        [],
-    ]
 
 
 def test_letter_order():

@@ -10,6 +10,7 @@ from grothpoly.factorizations import (
     weight,
 )
 from grothpoly.insertion import (
+    _bump,
     insert_into_pair,
     insert_row,
     insert_word,
@@ -32,6 +33,8 @@ from grothpoly.tableaux import (
     tableau,
     weight_of,
 )
+
+from references import insert_word_by_rows, phi_by_rows
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +235,23 @@ def standard_svts(shape, n_letters):
     return tuple(out)
 
 
+def test_insert_word_matches_the_row_by_row_reference_forwards_then_backwards():
+    # the backward walk reads the bump steps the forward walk cached, so
+    # a cached step changed by a later call would show here
+    cases = [(w, insert_word_by_rows(w)) for w in words_up_to(6, 4)]
+    for w, pair in cases + cases[::-1]:
+        assert insert_word(w) == pair, w
+
+
+def test_cached_bump_steps_hold_tuples_only():
+    for w in words_up_to(5, 3):
+        p_rows = ()
+        for a in w:
+            p_rows, box = _bump(p_rows, a)
+            assert type(p_rows) is tuple and type(box) is tuple, w
+            assert all(type(row) is tuple for row in p_rows), w
+
+
 def test_insertion_counts_tableau_pairs():
     for size in range(1, 8):
         groups = defaultdict(list)
@@ -292,6 +312,18 @@ def test_phi_matches_public_insertion_forwards_then_backwards():
     # cached state changed by a later call would show here
     cases = [
         (f, phi_by_public_insertion(f))
+        for w in all_permutations(4)
+        for f in enumerate_double_unbounded(w, 2, inversions(w) + 2)
+    ]
+    for f, pair in cases + cases[::-1]:
+        assert phi(f) == pair, f
+
+
+def test_phi_matches_the_row_by_row_reference_forwards_then_backwards():
+    # phi_by_public_insertion shares the cached bump step with phi, and
+    # phi_by_rows shares nothing with it but insert_row
+    cases = [
+        (f, phi_by_rows(f))
         for w in all_permutations(4)
         for f in enumerate_double_unbounded(w, 2, inversions(w) + 2)
     ]
