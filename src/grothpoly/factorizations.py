@@ -23,7 +23,7 @@ evaluate leftmost first.
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import getitem
 import re
 from typing import NamedTuple
 
@@ -45,6 +45,7 @@ from .polynomials import (
     poly_sum,
     _check_size,
     _check_degree,
+    _MAX_DEGREE,
     _tally,
     _units,
 )
@@ -189,13 +190,14 @@ def is_valid_factorization(f: Factorization) -> bool:
     return True
 
 
-def _slot_weight(kind: str, split: int | None, slot: int, factor) -> tuple:
+def _slot_weight(kind: str, split: int | None, slot: int, size: int, factor) -> tuple:
     """
-    The exponents one factor adds in its slot: (x, y), each a tuple of
-    (index, amount) pairs.  A factor's weight depends only on its slot
-    and its letters, which is what lets the series be summed over the
-    search graph; weight computes the same exponents a whole
-    factorization at a time.
+    The exponents one factor adds in its slot of a shape of size
+    factors: (x, y), each a tuple of (index, amount) pairs.  A factor's
+    weight depends only on its slot and its letters, which is what lets
+    the series be summed over the search graph; weight computes the same
+    exponents a whole factorization at a time, and raises the same
+    ValueError for a circled letter with no y slot.
     """
     if kind in ("plain", "bounded_plain"):
         return ((slot, len(factor)),), ()
@@ -209,8 +211,46 @@ def _slot_weight(kind: str, split: int | None, slot: int, factor) -> tuple:
         return x, ((slot, len(circled)),)
     if kind == "circled_bounded":
         # a circled v in factor k = slot + 1 weighs y_i with i = v - k + 1
+        for v in circled:
+            if not 0 <= v - slot - 1 < size:
+                raise ValueError(
+                    f"circled {v} in factor {slot + 1} has no y slot of {size}"
+                )
         return x, tuple((v - slot - 1, 1) for v in circled)
     raise ValueError(f"no weight defined for kind {kind!r}")
+
+
+class _SlotWeights(dict):
+    """
+    The packed weight of each factor met in one slot of one shape, made
+    on first lookup: its _slot_weight packed by units, the packing rule
+    of polynomials, so that adding packed weights adds exponent vectors.
+    An index past the width the units pack raises ValueError.  Keyed by
+    the factor, so each distinct factor is weighed once per slot.
+    """
+
+    def __init__(self, kind: str, split: int | None, slot: int, size: int, units):
+        super().__init__()
+        self.args = kind, split, slot, size
+        self.units = units
+
+    def __missing__(self, factor) -> int:
+        xs, ys = _slot_weight(*self.args, factor)
+        units = self.units
+        width = len(units) // 2
+        packed = 0
+        for offset, pairs in ((0, xs), (width, ys)):
+            for i, a in pairs:
+                if not 0 <= i < width:
+                    raise ValueError(f"a weight is wider than the width {width}")
+                packed += a * units[offset + i]
+        self[factor] = packed
+        return packed
+
+
+def _slot_weights(kind: str, split: int | None, size: int, units) -> list[_SlotWeights]:
+    """One _SlotWeights for each slot of a shape of size factors."""
+    return [_SlotWeights(kind, split, slot, size, units) for slot in range(size)]
 
 
 def weight(f: Factorization) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -352,6 +392,13 @@ def _graph(kind: str, w: tuple[int, ...], parts: int | None, max_letters: int | 
     return _Kept(tuple(specs), split, _search_graph(w, specs, side, max_letters))
 
 
+_new_factorization = Factorization.__new__
+_set_kind = Factorization.kind.__set__
+_set_factors = Factorization.factors.__set__
+_set_n = Factorization.n.__set__
+_set_split = Factorization.split.__set__
+
+
 def _listed(
     kind: str, w: tuple[int, ...], parts: int | None = None, max_letters: int | None = None
 ) -> list[Factorization]:
@@ -363,11 +410,22 @@ def _listed(
     needs.  Letter values are at least 1, so the zero field puts a flat
     word below every longer word it begins, and the key orders like the
     tuple (flat word, mask, lengths).  A family with no circled letter
-    has no mask to compare.  The walk is depth first, as in _tuples,
-    and each edge appends the three pieces made once for its factor:
-    within one graph equal factors are one object, so its id names it.
-    The sorted (key, factors) pairs are then overwritten in place, so
-    that no key outlives the sort.
+    has no mask to compare.  Keys are distinct, so the order in which
+    the walk finds the paths does not matter.
+
+    Each edge carries the three pieces made once for its factor: within
+    one graph equal factors are one object, so its id names it.  Most
+    of the states a walk steps on lie on a single-path tail, with one
+    way to the end.  tails
+    maps each such state to that one completion (factors, flat word with
+    the zero field, mask, lengths), built from the end back: None, the
+    end of every path, completes with nothing, and a state with one
+    closing into a tail is a tail.  Every other state keeps its closings
+    split into those that end in a tail, the completion joined on, and
+    those that go on, and the depth-first walk ends a path as soon as it
+    reaches a tail.  The sorted (key, factors) pairs are then replaced
+    in place by Factorizations built through the slot setters, so that
+    no key outlives the sort.
     """
     w = tuple(w)
     kept = _graph(kind, w, parts, max_letters)
@@ -386,26 +444,51 @@ def _listed(
         )
         for k, f in distinct.items()
     }
-    edges = {
-        state: [(f, *pieces[id(f)], nxt) for f, nxt in out]
-        for state, out in closings.items()
-    }
-    end = bytes(value_width)
-    found = []
-    stack = [((), b"", b"", b"", root)]
+    # the graph lists every state after the states its closings lead to,
+    # so whether those are tails is known when a state is read
+    tails = {None: ((), bytes(value_width), b"", b"")}
+    edges = {}
+    for state, out in closings.items():
+        ends, goes = [], []
+        for f, nxt in out:
+            f_flat, f_mask, f_len = pieces[id(f)]
+            tail = tails.get(nxt)
+            if tail is None:
+                goes.append((f, f_flat, f_mask, f_len, nxt))
+            else:
+                t_factors, t_flat, t_mask, t_lens = tail
+                ends.append(
+                    ((f, *t_factors), f_flat + t_flat, f_mask + t_mask, f_len + t_lens)
+                )
+        if len(out) == 1 and ends:
+            tails[state] = ends[0]
+        else:
+            edges[state] = ends, goes
+    found, stack = [], []
+    if root in tails:
+        t_factors, t_flat, t_mask, t_lens = tails[root]
+        found.append((t_flat + t_mask + t_lens, t_factors))
+    else:
+        stack.append(((), b"", b"", b"", root))
     while stack:
         factors, flat, mask, lens, state = stack.pop()
-        if state is None:
-            found.append((flat + end + mask + lens, factors))
-        else:
-            stack.extend([
-                (factors + (f,), flat + f_flat, mask + f_mask, lens + f_len, nxt)
-                for f, f_flat, f_mask, f_len, nxt in edges[state]
-            ])
+        ends, goes = edges[state]
+        found += [
+            (flat + e_flat + mask + e_mask + lens + e_lens, factors + e_factors)
+            for e_factors, e_flat, e_mask, e_lens in ends
+        ]
+        stack += [
+            (factors + (f,), flat + f_flat, mask + f_mask, lens + f_len, nxt)
+            for f, f_flat, f_mask, f_len, nxt in goes
+        ]
     found.sort()
     split = kept.split
     for i, (_, factors) in enumerate(found):
-        found[i] = Factorization(kind, factors, n, split)
+        found[i] = f = _new_factorization(Factorization)
+        _set_kind(f, kind)
+        _set_factors(f, factors)
+        _set_n(f, n)
+        _set_split(f, split)
     return found
 
 
@@ -418,9 +501,8 @@ def _series(
     """
     genfun of the family _listed would give, one variable per x slot,
     summed over the same search graph by _path_sum instead of listed,
-    and kept beside the graph.  weigh packs the _slot_weight of each
-    slot's factor by the packing rule of polynomials, so that adding
-    packed weights adds exponent vectors.  Every letter adds one to the
+    and kept beside the graph.  Each edge's weight is read from the
+    _SlotWeights of its slot, as genfun reads them.  Every letter adds one to the
     total degree, so most letters bound it; most past the degree cap
     raises ValueError before any weight is packed, and an index past the
     width raises it too.  Having checked every index, the result is
@@ -433,19 +515,9 @@ def _series(
     width = len(specs) if split is None else split
     most = sum(spec.size for spec in specs) if max_letters is None else max_letters
     _check_degree(most)
-    units = _units(width)
-
-    def weigh(slot, factor):
-        xs, ys = _slot_weight(kind, split, slot, factor)
-        packed = 0
-        for offset, pairs in ((0, xs), (width, ys)):
-            for i, a in pairs:
-                if not 0 <= i < width:
-                    raise ValueError(f"a weight is wider than the width {width}")
-                packed += a * units[offset + i]
-        return packed
-
-    kept.series = _tally(width, _path_sum(kept.graph, weigh).items())
+    memos = _slot_weights(kind, split, len(specs), _units(width))
+    sums = _path_sum(kept.graph, lambda slot, factor: memos[slot][factor])
+    kept.series = _tally(width, sums.items())
     return kept.series
 
 
@@ -535,9 +607,10 @@ def enumerate_hook(
 def genfun(factorizations, m: int | None = None) -> Polynomial:
     """
     The generating polynomial: the sum of x^(x-weight) y^(y-weight)
-    over the given factorizations, which must share kind and shape.  An
-    empty family carries no width, so it raises ValueError unless m is
-    given.
+    over the given factorizations, which must share kind.  Each weight
+    is padded to the width, m or else that of the first item's weight,
+    and one wider than the width raises ValueError.  An empty family
+    carries no width, so it raises ValueError unless m is given.
 
     >>> from grothpoly.polynomials import pretty
     >>> pretty(genfun(enumerate_bounded_plain((3, 1, 2))))
@@ -553,21 +626,30 @@ def genfun(factorizations, m: int | None = None) -> Polynomial:
     kinds = {f.kind for f in items}
     if len(kinds) > 1:
         raise ValueError(f"mixed kinds {sorted(kinds)}")
+    kind = items[0].kind
     first_x, first_y = weight(items[0])
     width = max(len(first_x), len(first_y)) if m is None else m
-    # tally the weights, then pack each distinct one once by the packing
-    # rule of polynomials; a weight shorter than the width packs as if
-    # padded, so weights that pad to one key add up
-    counts = Counter(map(weight, items))
-    if any(len(x) > width or len(y) > width for x, y in counts):
-        raise ValueError(f"a weight is wider than the width {width}")
-    _check_degree(max(sum(x) + sum(y) for x, y in counts))
+    # tally the packed weights: each item's is the sum of its factors'
+    # slot weights, read from the slot memos of its own shape (split and
+    # number of factors), so that items of mixed shapes pad each by its
+    # own split and weights that pad to one key add up
     units = _units(width)
-    packed = (
-        (sum(map(mul, x, units)) + sum(map(mul, y, units[width:])), c)
-        for (x, y), c in counts.items()
-    )
-    return _tally(width, packed)
+    shapes: dict[tuple[int | None, int], list[_SlotWeights]] = {}
+    keys = []
+    for f in items:
+        factors = f.factors
+        memos = shapes.get((f.split, len(factors)))
+        if memos is None:
+            memos = shapes[f.split, len(factors)] = _slot_weights(
+                kind, f.split, len(factors), units
+            )
+        keys.append(sum(map(getitem, memos, factors)))
+    # each letter adds one to the total degree, so the longest factor met
+    # in each slot bounds it; only past the cap is every item counted
+    most = max(sum(max(map(len, memo)) for memo in memos) for memos in shapes.values())
+    if most > _MAX_DEGREE:
+        _check_degree(max(map(Factorization.letter_count, items)))
+    return _tally(width, Counter(keys).items())
 
 
 def enumerate_X(w: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -407,6 +407,7 @@ def _search_graph(target, specs, side, max_letters):
     the state the search starts from.  A path ends where an edge leads
     to None; with no slots the root is None when target is the identity
     (one empty tuple of factors) and a state with no closings otherwise.
+    The map lists every state after the states its closings lead to.
     Nothing in it can be changed, so a caller may keep it and read it
     again.
     """

@@ -13,17 +13,45 @@ to alter an output, with
 from __future__ import annotations
 
 import contextlib
+from functools import partial
 import hashlib
 import io
 import itertools
 from pathlib import Path
 
 from grothpoly import cli
-from grothpoly.factorizations import enumerate_double_unbounded
+from grothpoly.factorizations import (
+    enumerate_bounded_plain,
+    enumerate_circled_bounded,
+    enumerate_double_bounded,
+    enumerate_double_unbounded,
+    enumerate_hook,
+    enumerate_plain_unbounded,
+    genfun,
+)
 from grothpoly.insertion import insert_word, phi
-from grothpoly.permutations import all_permutations, inversions
+from grothpoly.permutations import all_permutations, inversions, perm_to_str
+from grothpoly.polynomials import pretty
 
 DIGESTS = Path(__file__).parent / "digests.txt"
+
+
+# every `groth verify` step of the CI workflow, the five bounds above
+# their caps last (each exits 2 with nothing on stdout)
+_CI_VERIFY_STEPS = [
+    "cauchy --n 4 --trials 42",
+    "qp --degree 7",
+    "insertion --n 4 --degree 7",
+    "tabt --m 4 --degree 8",
+    "bijections --n 5",
+    "relations --n 8 --degree 6 --trials 100",
+    "tabtopi --n 6",
+    "relations --n 9",
+    "relations --degree 246",
+    "cauchy --n 5",
+    "qp --degree 255",
+    "tabt --degree 255",
+]
 
 
 def _cli_cases() -> list[tuple[str, ...]]:
@@ -35,6 +63,7 @@ def _cli_cases() -> list[tuple[str, ...]]:
                 cases.append(("compute", what, "--perm", perm))
                 cases.append(("compute", what, "--perm", perm, "--json"))
     cases.append(("verify", "all"))
+    cases += [("verify", *argv.split(" ")) for argv in _CI_VERIFY_STEPS]
     return cases
 
 
@@ -56,9 +85,65 @@ def _phi_pairs() -> str:
     ])
 
 
+def factorization_lines(family) -> list[str]:
+    """factorization_to_str of each member of a listed family.  Equal
+    factors of one listing are one object, so the text of each factor
+    is made once, by id, and the member's text joined from it: the
+    circled and split families of S_5 hold 1,048,576 members each, and
+    factorization_to_str letter by letter would take 6-8 s on each."""
+    texts: dict[int, str] = {}
+    lines = []
+    for f in family:
+        chunks = []
+        for fac in f.factors:
+            text = texts.get(id(fac))
+            if text is None:
+                text = texts[id(fac)] = "(" + " ".join(map(str, fac)) + ")"
+            chunks.append(text)
+        if f.split is not None and f.split < len(chunks):
+            chunks.insert(f.split, "|")
+        lines.append("".join(chunks))
+    return lines
+
+
+def _families(enumerate_family, size: int, *args) -> str:
+    """For each permutation of S_size in order, a line with it and the
+    generating polynomial of its family (at the family's width: the
+    number of parts, else size), then the family, one member a line."""
+    lines = []
+    for w in all_permutations(size):
+        family = enumerate_family(w, *args)
+        width = args[0] if args else size
+        lines.append(f"{perm_to_str(w)}: {pretty(genfun(family, width))}")
+        lines += factorization_lines(family)
+    return "\n".join(lines)
+
+
+_FAMILIES = [
+    ("bounded_plain", enumerate_bounded_plain, ()),
+    ("circled_bounded", enumerate_circled_bounded, ()),
+    ("double_bounded", enumerate_double_bounded, ()),
+    ("double_unbounded", enumerate_double_unbounded, (2, 5)),
+    ("plain", enumerate_plain_unbounded, (2, 5)),
+    ("hook", enumerate_hook, (2, 4)),
+]
+
+
+def _family_outputs() -> dict:
+    """The _families output of each family on each of S_2..S_5."""
+    outputs = {}
+    for kind, enumerate_family, args in _FAMILIES:
+        at = f" at {args[0]} parts, {args[1]} letters" if args else ""
+        for size in range(2, 6):
+            name = f"py:{kind} families of S_{size}{at}, genfun and listing"
+            outputs[name] = partial(_families, enumerate_family, size, *args)
+    return outputs
+
+
 _LIBRARY = {
     "py:insert_word every word over 1..4 of at most 6 letters": _insert_word_pairs,
     "py:phi the S_4 double factorizations, 2 factors a side": _phi_pairs,
+    **_family_outputs(),
 }
 
 

@@ -428,6 +428,23 @@ def test_genfun_adds_weights_that_pad_to_one_key():
     a = enumerate_plain_unbounded((2, 1), 2, 2)
     b = enumerate_plain_unbounded((2, 1), 3, 3)
     assert genfun(a + b, m=3) == genfun(a, m=3) + genfun(b, m=3)
+    # a plain weight pads on the right, so two and three parts meet at m=3
+    two = parse_factorization("()(1)", "plain", 1)
+    three = parse_factorization("()()(1)", "plain", 1)
+    assert pretty(genfun([two, three], m=3)) == "x2 + x3"
+    # a double item's y-weight reads its own split: one part a side and
+    # two parts a side of (2, 1) pad to one width, and with no m the
+    # first item's width is too narrow for the second
+    one = enumerate_double_unbounded((2, 1), 1, 2)
+    both = one + enumerate_double_unbounded((2, 1), 2, 2)
+    padded = poly_sum(2, (monomial(2, *weight(f)) for f in both))
+    assert genfun(both, m=2) == padded
+    assert pretty(padded) == (
+        "2*x1 + x2 + 2*y1 + y2"
+        " + x1*x2 + 2*x1*y1 + x1*y2 + x2*y1 + x2*y2 + y1*y2"
+    )
+    with pytest.raises(ValueError, match="wider than the width"):
+        genfun(both)
 
 
 def test_a_series_is_kept_beside_its_graph(monkeypatch):
@@ -584,6 +601,24 @@ def test_letter_budget_is_respected():
         assert f.letter_count() <= 4
     for f in enumerate_double_unbounded((3, 2, 1), 2, 5):
         assert f.letter_count() <= 5
+
+
+def test_listing_edge_cases():
+    # a root with one way to the end, and no slots at all
+    assert [str(f) for f in enumerate_bounded_plain((1, 2))] == ["()()"]
+    for w in ((1, 2, 3), (2, 1, 3)):
+        family = enumerate_plain_unbounded(w, 0, 3)
+        if w == (1, 2, 3):
+            assert family == [Factorization("plain", (), 2)]
+        else:
+            assert family == []
+    # a letter budget cuts the family to its members of few enough letters
+    for w in ((3, 2, 1), (2, 1, 4, 3)):
+        whole = enumerate_circled_bounded(w)
+        for budget in range(inversions(w), inversions(w) + 3):
+            assert enumerate_circled_bounded(w, budget) == [
+                f for f in whole if f.letter_count() <= budget
+            ]
 
 
 def test_negative_bounds_and_counts_raise():

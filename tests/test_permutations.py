@@ -316,6 +316,20 @@ def test_hecke_search_keeps_the_letter_by_letter_order(monkeypatch):
                         assert shared.setdefault(factor, factor) is factor
 
 
+def test_a_search_graph_lists_each_state_after_the_states_it_closes_into(
+    monkeypatch,
+):
+    cases = searched_specs(monkeypatch)
+    for name, specs, side in cases:
+        for target in all_permutations(4):
+            closings, root = _search_graph(target, specs, side, None)
+            position = {state: k for k, state in enumerate(closings)}
+            for state, out in closings.items():
+                for _, nxt in out:
+                    assert nxt is None or position[nxt] < position[state], name
+            assert position[root] == len(closings) - 1
+
+
 def path_sum(target, specs, side, weigh, max_letters=None):
     """The path sum of a search graph built for this call alone."""
     return _path_sum(_search_graph(target, specs, side, max_letters), weigh)
