@@ -67,7 +67,9 @@ from .polynomials import (
 )
 from .stable import (
     TruncationSpec,
+    _check_spec,
     _one_box_per_line,
+    _qschur_degree,
     halfweak_stable,
     omega,
     qschur_expansion,
@@ -202,9 +204,11 @@ def _partition_label(lam: tuple[int, ...]) -> str:
 
 
 def _stratum(w: tuple[int, ...], d: int) -> dict[tuple[int, ...], int]:
-    full = qschur_expansion(w, TruncationSpec(1, d))
-    lams = sorted((lam for lam in full if sum(lam) == d), reverse=True)
-    return {lam: full[lam] for lam in lams}
+    """The degree-d part of qschur_expansion(w, TruncationSpec(1, d)),
+    its partitions in decreasing order, with no other degree evaluated."""
+    _check_spec(TruncationSpec(1, d))
+    part = _qschur_degree(_hecke_shapes(w, d), d)
+    return {lam: part[lam] for lam in sorted(part, reverse=True)}
 
 
 def _stratum_text(stratum: dict[tuple[int, ...], int]) -> str:

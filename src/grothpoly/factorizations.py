@@ -30,11 +30,12 @@ from typing import NamedTuple
 from .grothendieck import grothendieck_single
 from .permutations import (
     FactorSpec,
-    demazure_product,
     eval_hecke_word,
     eval_hecke_word_ltr,
+    hecke_apply_right,
     hecke_distance,
     inverse,
+    lex_min_reduced_word,
     _path_sum,
     _search_graph,
 )
@@ -661,20 +662,24 @@ def enumerate_X(w: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ..
     action only climbs its weak order, so u lies below w in right weak
     order and v below w in left weak order: the candidates are the keys
     of the two hecke_distance tables of w, not all of the symmetric
-    group.
+    group.  As in demazure_product, each u is acted on by the letters of
+    lex_min_reduced_word(v), but the word of each v is made once.
 
     >>> enumerate_X((2, 1))
     [((1, 2), (2, 1)), ((2, 1), (1, 2)), ((2, 1), (2, 1))]
     """
     w = tuple(w)
     below_right = hecke_distance(w, "right")
-    below_left = hecke_distance(w, "left")
-    return sorted(
-        (u, v)
-        for u in below_right
-        for v in below_left
-        if demazure_product(u, v) == w
-    )
+    words = [(v, lex_min_reduced_word(v)) for v in hecke_distance(w, "left")]
+    pairs = []
+    for u in below_right:
+        for v, word in words:
+            p = u
+            for i in word:
+                p = hecke_apply_right(p, i)
+            if p == w:
+                pairs.append((u, v))
+    return sorted(pairs)
 
 
 def cauchy_sum(w: tuple[int, ...]) -> Polynomial:

@@ -18,13 +18,13 @@ from .polynomials import (
 )
 from .tableaux import (
     conjugate,
-    contains,
     genfun_svt,
-    oft_count,
     partitions_inside,
     partitions_of,
     _f_tally,
     _hecke_shapes,
+    _inside,
+    _oft_count,
 )
 
 __all__ = [
@@ -261,17 +261,27 @@ def qschur_expansion(w: tuple[int, ...], t: TruncationSpec) -> dict:
     shape_counts = _hecke_shapes(w, t.D)
     out: dict[tuple[int, ...], int] = {}
     for d in range(t.D + 1):
-        for mu in partitions_of(d):
-            filled = sum(
-                count * oft_count(mu, rho)
-                for rho, count in shape_counts.items()
-                if contains(mu, rho)
-            )
-            if not filled:
-                continue
-            # every nonzero lam, strict and of size d, in partitions_of order
-            for lam, f in sorted(_f_tally(mu), reverse=True):
-                out[lam] = out.get(lam, 0) + filled * f
+        out.update(_qschur_degree(shape_counts, d))
+    return out
+
+
+def _qschur_degree(shape_counts: dict, d: int) -> dict:
+    """The degree-d part of qschur_expansion, in its order, from the
+    _hecke_shapes counts of w at a bound of at least d boxes: each mu of
+    size d reads only the shapes inside it.  The shapes are partitions
+    and so is each mu, so neither is checked again."""
+    out: dict[tuple[int, ...], int] = {}
+    for mu in partitions_of(d):
+        filled = sum(
+            count * _oft_count(mu, rho)
+            for rho, count in shape_counts.items()
+            if _inside(mu, rho)
+        )
+        if not filled:
+            continue
+        # every nonzero lam, strict and of size d, in partitions_of order
+        for lam, f in sorted(_f_tally(mu), reverse=True):
+            out[lam] = out.get(lam, 0) + filled * f
     return out
 
 

@@ -29,6 +29,8 @@ from .permutations import (
     check_permutation,
     eval_hecke_word_ltr,
     hecke_search,
+    _path_sum,
+    _search_graph,
 )
 from .polynomials import Polynomial, constant, set_y_equal_x
 
@@ -89,9 +91,12 @@ def conjugate(p: tuple[int, ...]) -> tuple[int, ...]:
 def contains(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
     check_partition(outer)
     check_partition(inner)
-    if len(inner) > len(outer):
-        return False
-    return all(a <= b for a, b in zip(inner, outer))
+    return _inside(outer, inner)
+
+
+def _inside(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
+    """contains for two partitions already checked."""
+    return len(inner) <= len(outer) and all(a <= b for a, b in zip(inner, outer))
 
 
 def partitions_of(
@@ -211,6 +216,9 @@ def outer_shape(T: Tableau) -> tuple[int, ...]:
 
 
 def _shape_ok(T: Tableau) -> bool:
+    if not T.inner:  # straight: the row lengths weakly decrease
+        lengths = list(map(len, T.rows))
+        return all(map(operator.ge, lengths, lengths[1:]))
     outer = outer_shape(T)
     inner = tuple(T.inner) + (0,) * (len(T.rows) - len(T.inner))
     if any(a < 0 for a in inner) or any(inner[len(outer) :]):
@@ -267,8 +275,8 @@ def _ordered(T: Tableau, key, row_strict, col_strict, skew=False, lines=None):
         left = None
         lasts = {}
         for c, box in enumerate(row, start):
-            keys = [key(e) for e in box]
-            if not keys or any(a > b for a, b in zip(keys, keys[1:])):
+            keys = list(map(key, box))
+            if not keys or keys != sorted(keys):
                 return False
             if left is not None and row_bad(left, keys[0]):
                 return False
@@ -400,31 +408,49 @@ def _tableau_key(T: Tableau):
     return outer_shape(T), T.rows
 
 
+def _hecke_rows(
+    w: tuple[int, ...], max_boxes: int | None
+) -> tuple[int, int, list[FactorSpec]]:
+    """
+    The search for the Hecke tableaux of w with at most max_boxes boxes,
+    as (n, cap, specs): n rows, bottom row first in reading order, and
+    at most cap boxes in all.  A letter is a (column, value) box, bounded
+    by the box to its left and the box below it, and a row holds at
+    least as many boxes as the row below, so the empty rows come first.
+    A row of L boxes at slot idx therefore stacks at least L * (n - idx)
+    boxes, and the slot offers no column at or past cap // (n - idx).
+    """
+    n = len(w) - 1
+    cap = n * n if max_boxes is None else min(max_boxes, n * n)
+
+    def row(width):
+        def candidates(prev, below):
+            col, lo = (0, 1) if prev is None else (prev[0] + 1, prev[1] + 1)
+            if col >= width:
+                return ()
+            hi = below[col][1] if col < len(below) else n + 1
+            return [((col, v), v, n - v) for v in range(lo, hi)]
+
+        return FactorSpec(candidates, width, len)
+
+    return n, cap, [row(min(n, cap // (n - idx))) for idx in range(n)]
+
+
 def enumerate_hecke_tableaux(
     w: tuple[int, ...], max_boxes: int | None = None
 ) -> list[Tableau]:
     """
     All Hecke tableaux for w with at most max_boxes boxes (default: the
-    full n x n box).  A hecke_search over n rows, bottom row first in
-    reading order: a letter is a (column, value) box, bounded by the box
-    to its left and the box below it, and a row holds at least as many
-    boxes as the row below, so the empty rows come first.  A negative
-    max_boxes raises ValueError.
+    full n x n box), by a hecke_search over n rows (see _hecke_rows).  A
+    negative max_boxes raises ValueError.
 
     >>> [outer_shape(T) for T in enumerate_hecke_tableaux((3, 1, 2, 5, 4))]
     [(2, 1), (3,), (3, 1)]
     >>> enumerate_hecke_tableaux((1, 2))
     [Tableau(rows=(), inner=())]
     """
-    n = len(w) - 1
-    cap = n * n if max_boxes is None else min(max_boxes, n * n)
-
-    def candidates(prev, below):
-        col, lo = (0, 1) if prev is None else (prev[0] + 1, prev[1] + 1)
-        hi = below[col][1] if col < len(below) else n + 1
-        return [((col, v), v, n - v) for v in range(lo, hi)]
-
-    found = hecke_search(w, [FactorSpec(candidates, n, len)] * n, "left", cap)
+    _, cap, specs = _hecke_rows(w, max_boxes)
+    found = hecke_search(w, specs, "left", cap)
     tableaux = (
         Tableau(
             tuple(tuple((Entry(v),) for _, v in row) for row in rows[::-1] if row)
@@ -435,8 +461,25 @@ def enumerate_hecke_tableaux(
 
 
 def _hecke_shapes(w: tuple[int, ...], max_boxes: int | None) -> Counter:
-    """The outer shapes of enumerate_hecke_tableaux(w, max_boxes), counted."""
-    return Counter(map(outer_shape, enumerate_hecke_tableaux(w, max_boxes)))
+    """
+    The outer shapes of enumerate_hecke_tableaux(w, max_boxes), counted,
+    in sorted order, without listing a tableau: _path_sum weighs each row
+    by its length packed at its slot, and a slot's field never holds
+    more than n, so each total weight is one shape, read top row first.
+    """
+    n, cap, specs = _hecke_rows(w, max_boxes)
+    bits = n.bit_length()
+    mask = (1 << bits) - 1
+    sums = _path_sum(
+        _search_graph(w, specs, "left", cap),
+        lambda slot, row: len(row) << (bits * slot),
+    )
+    shifts = [bits * idx for idx in reversed(range(n))]
+    shapes = {}
+    for key, count in sums.items():
+        lengths = ((key >> shift) & mask for shift in shifts)
+        shapes[tuple(size for size in lengths if size)] = count
+    return Counter(dict(sorted(shapes.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +743,18 @@ def oft_count(mu: tuple[int, ...], rho: tuple[int, ...]) -> int:
     check_partition(rho)
     if not contains(mu, rho):
         raise ValueError(f"{rho} not inside {mu}")
+    return _oft_count(tuple(mu), tuple(rho))
+
+
+# qschur_expansion asks for the same few (mu, rho) counts for every
+# permutation; like the fills of genfun_svt, the bound is fixed, and a
+# raise is never cached (oft_count checks before it looks here).
+_OFT_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_OFT_CACHE_SIZE)
+def _oft_count(mu: tuple[int, ...], rho: tuple[int, ...]) -> int:
+    """oft_count for partitions mu containing rho, already checked."""
     if len(mu) > len(rho):
         return 0
     boxes = _boxes_of(mu, rho)
@@ -751,9 +806,23 @@ def q_schur(shape: tuple[int, ...], m: int, D: int) -> Polynomial:
 # finger scans
 
 
+# A caller asks the scans of one tableau for many i in a row, so the
+# last tableau found primed is kept and known again by identity alone.
+# Only a hashable one is kept: its rows are tuples and cannot change.  A
+# tableau that fails is never kept, so it raises on every call.
+_last_pt: list = [None]
+
+
 def _require_pt(T: Tableau) -> None:
+    if T is _last_pt[0]:
+        return
     if not is_pt(T):
         raise ValueError("finger scans are defined on primed tableaux only")
+    try:
+        hash(T)
+    except TypeError:
+        return
+    _last_pt[0] = T
 
 
 def _rows_bottom_up(T: Tableau) -> Iterable[Entry]:

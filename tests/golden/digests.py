@@ -64,6 +64,12 @@ def _cli_cases() -> list[tuple[str, ...]]:
                 cases.append(("compute", what, "--perm", perm, "--json"))
     cases.append(("verify", "all"))
     cases += [("verify", *argv.split(" ")) for argv in _CI_VERIFY_STEPS]
+    for n in range(2, 6):
+        for w in all_permutations(n):
+            perm = ",".join(map(str, w))
+            for degree in ("4", "6"):
+                argv = ("compute", "qschur", "--perm", perm, "--degree", degree)
+                cases += [argv, (*argv, "--json")]
     return cases
 
 

@@ -11,6 +11,7 @@ import pytest
 import grothpoly
 from grothpoly import cli
 from grothpoly.grothendieck import grothendieck_double
+from grothpoly.permutations import all_permutations
 from grothpoly.polynomials import (
     _MAX_DEGREE,
     Polynomial,
@@ -19,6 +20,7 @@ from grothpoly.polynomials import (
     total_degree,
     x_var,
 )
+from grothpoly.stable import TruncationSpec, qschur_expansion
 
 
 def run(capsys, *argv):
@@ -56,6 +58,15 @@ def test_compute_qschur_text(capsys):
     code, out, _ = run(capsys, "compute", "qschur", "--perm", "1,2", "--degree", "2")
     assert code == 0
     assert out == "0\n"
+
+
+def test_stratum_is_the_top_degree_of_the_expansion():
+    # one degree evaluated alone, against the whole expansion to it
+    for w in all_permutations(4) + all_permutations(5):
+        for d in range(1, 7):
+            full = qschur_expansion(w, TruncationSpec(1, d))
+            top = [(lam, c) for lam, c in full.items() if sum(lam) == d]
+            assert list(cli._stratum(w, d).items()) == sorted(top, reverse=True)
 
 
 def test_compute_stable_models(capsys):

@@ -254,11 +254,18 @@ def test_enumerated_hecke_tableaux_validate():
 
 
 def test_hecke_shapes_count_the_enumerated_tableaux_by_shape():
-    for w in all_permutations(4) + [(3, 1, 2, 5, 4)]:
-        n = len(w) - 1
-        for b in [*range(n * n + 1), None]:
-            expected = Counter(map(outer_shape, enumerate_hecke_tableaux(w, b)))
-            assert _hecke_shapes(w, b) == expected, (w, b)
+    # keys in the order of the sorted listing; every bound below n * n
+    # narrows some slot's widest row, and S_5 has four slots
+    cases = [
+        (w, b)
+        for w in all_permutations(4) + [(3, 1, 2, 5, 4)]
+        for b in [*range((len(w) - 1) ** 2 + 1), None]
+    ]
+    cases += [(w, b) for w in all_permutations(5) for b in (3, 6, 9, None)]
+    for w, b in cases:
+        expected = Counter(map(outer_shape, enumerate_hecke_tableaux(w, b)))
+        shapes = _hecke_shapes(w, b)
+        assert list(shapes.items()) == list(expected.items()), (w, b)
 
 
 def test_enumerate_hecke_tableaux_rejects_negative_bound():
