@@ -12,6 +12,11 @@ from .factorizations import (
     Letter,
     factorization_to_str,
     is_valid_factorization,
+    _new_factorization,
+    _set_factors,
+    _set_kind,
+    _set_n,
+    _set_split,
 )
 
 __all__ = [
@@ -264,6 +269,19 @@ def psi_inv(j: int, k: int, f_ex, f_j) -> tuple[tuple[Letter, ...], tuple[int, .
     return factor + below, h2
 
 
+@lru_cache(maxsize=None)
+def _moves(n: int) -> tuple[tuple[int, int, bool], ...]:
+    """The rewrite's moves over S_{n+1}, in order: psi(j, k) for k from
+    n down to 1 and j from n-k+1 down to 1, with close set on the last
+    move of each k > 1, after which the extra factor joins the left
+    half and a new, empty one starts."""
+    return tuple(
+        (j, k, j == 1 and k > 1)
+        for k in range(n, 0, -1)
+        for j in range(n - k + 1, 0, -1)
+    )
+
+
 def _chain_states(f: Factorization):
     """Yield (left factors, right factors, extra factor, slot) after
     every rewrite, the slot counting right factors left of the extra.
@@ -274,11 +292,10 @@ def _chain_states(f: Factorization):
     left: list[tuple[int, ...]] = [()] if n else []
     f_ex: tuple[int, ...] = ()
     yield left, rights, f_ex, 1 if n else 0
-    for k in range(n, 0, -1):
-        for j in range(n - k + 1, 0, -1):
-            f_ex, rights[j - 1] = psi(j, k, rights[j - 1], f_ex)
-            yield left, rights, f_ex, j - 1
-        if k > 1:
+    for j, k, close in _moves(n):
+        f_ex, rights[j - 1] = psi(j, k, rights[j - 1], f_ex)
+        yield left, rights, f_ex, j - 1
+        if close:
             left.append(f_ex)
             f_ex = ()
             yield left, rights, f_ex, n - k + 2
@@ -291,10 +308,20 @@ def _check_circled_input(f: Factorization) -> None:
         raise ValueError("invalid factorization")
 
 
+@lru_cache(maxsize=_RIDE_CACHE_SIZE)
+def _plain(values: tuple[int, ...]) -> tuple[Letter, ...]:
+    """A left factor's values as uncircled letters; the rewrites of a
+    family repeat a few hundred left factors, so each is made once."""
+    return tuple(Letter(v) for v in values)
+
+
 def circled_to_double(f: Factorization) -> Factorization:
     """Rewrite a bounded circled factorization into the two-sided
     bounded factorization with the same letter weights, by repeatedly
     moving an extra factor leftward through the circled factors.
+
+    The moves are those of _chain_states, run in a plain loop with no
+    state yielded, and the result is built through the slot setters.
 
     >>> from .factorizations import parse_factorization
     >>> start = parse_factorization("(3 3o 2o 1 1o)(3o 2)(3 3o)()", "circled_bounded", 3)
@@ -302,14 +329,26 @@ def circled_to_double(f: Factorization) -> Factorization:
     '()(3)(2 3)(1 2)|(2 1)(3)(3)()'
     """
     _check_circled_input(f)
-    for left, rights, f_ex, slot in _chain_states(f):
-        pass
+    n = f.n
+    moves = _moves(n)
+    rights = [tuple(fac) for fac in f.factors]
+    left = [()] if n else []
+    f_ex = ()
+    for j, k, close in moves:
+        f_ex, rights[j - 1] = psi(j, k, rights[j - 1], f_ex)
+        if close:
+            left.append(f_ex)
+            f_ex = ()
+    slot = moves[-1][0] - 1 if moves else 0
     if slot != 0 or any(l.circled for fac in rights for l in fac):
         raise RuntimeError("rewrite chain ended in a bad state")
-    factors = tuple(
-        tuple(Letter(v) for v in fac) for fac in (*left, f_ex)
-    ) + tuple(rights)
-    return Factorization("double_bounded", factors, f.n, split=f.n + 1)
+    left.append(f_ex)
+    g = _new_factorization(Factorization)
+    _set_kind(g, "double_bounded")
+    _set_factors(g, tuple(map(_plain, left)) + tuple(rights))
+    _set_n(g, n)
+    _set_split(g, n + 1)
+    return g
 
 
 def _state_line(left, rights, f_ex, slot) -> str:

@@ -254,6 +254,19 @@ def _slot_weights(kind: str, split: int | None, size: int, units) -> list[_SlotW
     return [_SlotWeights(kind, split, slot, size, units) for slot in range(size)]
 
 
+class _ShapeWeights(dict):
+    """The _slot_weights of each shape (split, number of factors) met,
+    made on first lookup."""
+
+    def __init__(self, kind: str, units):
+        super().__init__()
+        self.kind, self.units = kind, units
+
+    def __missing__(self, shape: tuple[int | None, int]) -> list[_SlotWeights]:
+        memos = self[shape] = _slot_weights(self.kind, *shape, self.units)
+        return memos
+
+
 def weight(f: Factorization) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
     The (x-weight, y-weight) pair of vectors for f, per its kind.  A
@@ -405,92 +418,102 @@ def _listed(
 ) -> list[Factorization]:
     """
     The family of the given kind for w, sorted by flat word, then circle
-    mask, then factor lengths.  Each path's key is one bytes: the flat
-    word, a zero field, the mask, then the lengths, each number a
-    big-endian field as wide as the family's largest value or length
-    needs.  Letter values are at least 1, so the zero field puts a flat
-    word below every longer word it begins, and the key orders like the
-    tuple (flat word, mask, lengths).  A family with no circled letter
-    has no mask to compare.  Keys are distinct, so the order in which
-    the walk finds the paths does not matter.
+    mask, then factor lengths.  Each path's key is one int whose fields,
+    most significant first, are the flat word padded with zeros to the
+    root's letter budget, one bit per position of the circle mask, and
+    one field per slot for the factor lengths, each value and length
+    field as wide as the family's largest needs.  Letter values are at
+    least 1, so the zero padding puts a flat word below every longer
+    word it begins, and the key orders like the tuple (flat word, mask,
+    lengths).  A family with no circled letter has no mask field.  Keys
+    are distinct, so the order in which the walk finds the paths does
+    not matter.
 
-    Each edge carries the three pieces made once for its factor: within
-    one graph equal factors are one object, so its id names it.  Most
-    of the states a walk steps on lie on a single-path tail, with one
-    way to the end.  tails
-    maps each such state to that one completion (factors, flat word with
-    the zero field, mask, lengths), built from the end back: None, the
-    end of every path, completes with nothing, and a state with one
-    closing into a tail is a tail.  Every other state keeps its closings
-    split into those that end in a tail, the completion joined on, and
-    those that go on, and the depth-first walk ends a path as soon as it
-    reaches a tail.  The sorted (key, factors) pairs are then replaced
-    in place by Factorizations built through the slot setters, so that
-    no key outlives the sort.
+    A state holds its slot and its letters left, so an edge fixes where
+    its factor sits in the flat word and in the lengths, and its share
+    of the key is made once, as one int; a path's key is the sum along
+    it.  Within one graph equal factors are one object, so its id names
+    the factor's own word and mask fields, made once each.  Most of the
+    states a walk steps on lie on a single-path tail, with one way to
+    the end.  tails maps each such state to that one completion
+    (factors, key share), built from the end back: None, the end of
+    every path, completes with nothing, and a state with one closing
+    into a tail is a tail.  Every other state keeps its closings split
+    into those that end in a tail, the completion joined on, and those
+    that go on, and the depth-first walk ends a path as soon as it
+    reaches a tail.  The sorted keys are then read off in order, each
+    path's factors becoming a Factorization built through the slot
+    setters.
     """
     w = tuple(w)
     kept = _graph(kind, w, parts, max_letters)
     closings, root = kept.graph
     distinct = {id(f): f for edges in closings.values() for f, _ in edges}
     n = len(w) - 1
-    value_width = max(n.bit_length() + 7, 8) // 8
-    longest = max(map(len, distinct.values()), default=0)
-    length_width = max(longest.bit_length() + 7, 8) // 8
+    slots = len(kept.specs)
+    value_bits = n.bit_length()
+    length_bits = max(map(len, distinct.values()), default=0).bit_length()
     circled = any(l.circled for f in distinct.values() for l in f)
-    pieces = {
-        k: (
-            b"".join(l.value.to_bytes(value_width, "big") for l in f),
-            bytes(l.circled for l in f) if circled else b"",
-            len(f).to_bytes(length_width, "big"),
-        )
-        for k, f in distinct.items()
-    }
+    # the budget of a real root is the number of word positions
+    positions = root[3] if root else 0
+    mask_at = length_bits * slots
+    word_at = mask_at + (positions if circled else 0)
+    # each factor's word and mask fields, its last letter lowest
+    fields = {}
+    for k, f in distinct.items():
+        word = mask = 0
+        for value, c in f:
+            word = word << value_bits | value
+            mask = mask << 1 | c
+        fields[k] = word, mask
     # the graph lists every state after the states its closings lead to,
     # so whether those are tails is known when a state is read
-    tails = {None: ((), bytes(value_width), b"", b"")}
+    tails = {None: ((), 0)}
     edges = {}
     for state, out in closings.items():
         ends, goes = [], []
         for f, nxt in out:
-            f_flat, f_mask, f_len = pieces[id(f)]
+            word, mask = fields[id(f)]
+            # state is (slot, below, u, letters left), and the word
+            # positions after f are the letters left past it
+            after = state[3] - len(f)
+            share = (
+                (word << word_at + value_bits * after)
+                + (mask << mask_at + after)
+                + (len(f) << length_bits * (slots - 1 - state[0]))
+            )
             tail = tails.get(nxt)
             if tail is None:
-                goes.append((f, f_flat, f_mask, f_len, nxt))
+                goes.append((f, share, nxt))
             else:
-                t_factors, t_flat, t_mask, t_lens = tail
-                ends.append(
-                    ((f, *t_factors), f_flat + t_flat, f_mask + t_mask, f_len + t_lens)
-                )
+                ends.append(((f, *tail[0]), share + tail[1]))
         if len(out) == 1 and ends:
             tails[state] = ends[0]
         else:
             edges[state] = ends, goes
-    found, stack = [], []
+    found = {}
+    stack = []
     if root in tails:
-        t_factors, t_flat, t_mask, t_lens = tails[root]
-        found.append((t_flat + t_mask + t_lens, t_factors))
+        t_factors, t_key = tails[root]
+        found[t_key] = t_factors
     else:
-        stack.append(((), b"", b"", b"", root))
+        stack.append(((), 0, root))
     while stack:
-        factors, flat, mask, lens, state = stack.pop()
+        factors, key, state = stack.pop()
         ends, goes = edges[state]
-        found += [
-            (flat + e_flat + mask + e_mask + lens + e_lens, factors + e_factors)
-            for e_factors, e_flat, e_mask, e_lens in ends
-        ]
-        stack += [
-            (factors + (f,), flat + f_flat, mask + f_mask, lens + f_len, nxt)
-            for f, f_flat, f_mask, f_len, nxt in goes
-        ]
-    found.sort()
+        for e_factors, e_key in ends:
+            found[key + e_key] = factors + e_factors
+        stack += [(factors + (f,), key + share, nxt) for f, share, nxt in goes]
     split = kept.split
-    for i, (_, factors) in enumerate(found):
-        found[i] = f = _new_factorization(Factorization)
+    listed = []
+    for key in sorted(found):
+        f = _new_factorization(Factorization)
         _set_kind(f, kind)
-        _set_factors(f, factors)
+        _set_factors(f, found[key])
         _set_n(f, n)
         _set_split(f, split)
-    return found
+        listed.append(f)
+    return listed
 
 
 def _series(
@@ -634,17 +657,10 @@ def genfun(factorizations, m: int | None = None) -> Polynomial:
     # slot weights, read from the slot memos of its own shape (split and
     # number of factors), so that items of mixed shapes pad each by its
     # own split and weights that pad to one key add up
-    units = _units(width)
-    shapes: dict[tuple[int | None, int], list[_SlotWeights]] = {}
-    keys = []
-    for f in items:
-        factors = f.factors
-        memos = shapes.get((f.split, len(factors)))
-        if memos is None:
-            memos = shapes[f.split, len(factors)] = _slot_weights(
-                kind, f.split, len(factors), units
-            )
-        keys.append(sum(map(getitem, memos, factors)))
+    shapes = _ShapeWeights(kind, _units(width))
+    keys = [
+        sum(map(getitem, shapes[f.split, len(f.factors)], f.factors)) for f in items
+    ]
     # each letter adds one to the total degree, so the longest factor met
     # in each slot bounds it; only past the cap is every item counted
     most = max(sum(max(map(len, memo)) for memo in memos) for memos in shapes.values())
@@ -662,8 +678,8 @@ def enumerate_X(w: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ..
     action only climbs its weak order, so u lies below w in right weak
     order and v below w in left weak order: the candidates are the keys
     of the two hecke_distance tables of w, not all of the symmetric
-    group.  As in demazure_product, each u is acted on by the letters of
-    lex_min_reduced_word(v), but the word of each v is made once.
+    group.  Each u is acted on by the letters of lex_min_reduced_word(v),
+    the word of each v made once.
 
     >>> enumerate_X((2, 1))
     [((1, 2), (2, 1)), ((2, 1), (1, 2)), ((2, 1), (2, 1))]

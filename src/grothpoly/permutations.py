@@ -22,7 +22,6 @@ from typing import Any, Callable, Iterable, NamedTuple
 
 __all__ = [
     "identity",
-    "longest_element",
     "all_permutations",
     "compose",
     "inverse",
@@ -34,24 +33,16 @@ __all__ = [
     "hecke_distance",
     "FactorSpec",
     "hecke_search",
-    "demazure_product",
     "reduced_words",
     "lex_min_reduced_word",
     "perm_to_str",
     "perm_from_str",
-    "word_to_str",
-    "word_from_str",
 ]
 
 
 def identity(size: int) -> tuple[int, ...]:
     """The identity permutation of {1, ..., size}."""
     return tuple(range(1, size + 1))
-
-
-def longest_element(size: int) -> tuple[int, ...]:
-    """The longest permutation (size, size-1, ..., 1)."""
-    return tuple(range(size, 0, -1))
 
 
 def all_permutations(size: int) -> list[tuple[int, ...]]:
@@ -185,26 +176,6 @@ def eval_hecke_word_ltr(word: tuple[int, ...], n: int) -> tuple[int, ...]:
     p = identity(n + 1)
     for i in word:
         p = hecke_apply(p, i)
-    return p
-
-
-def demazure_product(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    """
-    The permutation represented by concatenating words for u and v.
-
-    Computed by folding a reduced word of v into u one letter at a time;
-    the result does not depend on which words are chosen.
-
-    >>> demazure_product((2, 1), (2, 1))
-    (2, 1)
-    >>> demazure_product((1, 3, 2), (2, 1, 3))
-    (3, 1, 2)
-    """
-    if len(u) != len(v):
-        raise ValueError("size mismatch")
-    p = u
-    for i in lex_min_reduced_word(v):
-        p = hecke_apply_right(p, i)
     return p
 
 
@@ -533,28 +504,3 @@ def perm_from_str(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse permutation from {text!r}") from exc
     check_permutation(p)
     return p
-
-
-def word_to_str(word: tuple[int, ...], n: int) -> str:
-    """Digit string when the alphabet fits (n <= 9), else comma separated."""
-    if n <= 9:
-        return "".join(str(i) for i in word)
-    return ",".join(str(i) for i in word)
-
-
-def word_from_str(text: str) -> tuple[int, ...]:
-    """
-    Parse a word either as a digit string or comma separated; a letter
-    below 1 names no generator and raises ValueError.
-
-    >>> word_from_str("3232")
-    (3, 2, 3, 2)
-    >>> word_from_str("10,2")
-    (10, 2)
-    """
-    if not text:
-        return ()
-    word = tuple(int(tok) for tok in (text.split(",") if "," in text else text))
-    if any(i < 1 for i in word):
-        raise ValueError(f"letters must be positive: {text!r}")
-    return word

@@ -2,6 +2,7 @@
 kept apart from the code they check."""
 
 from grothpoly.insertion import insert_row
+from grothpoly.permutations import hecke_apply_right, lex_min_reduced_word
 from grothpoly.tableaux import Entry, Tableau
 
 
@@ -97,3 +98,53 @@ def phi_by_rows(f):
         for letter in fac
     ])
     return _as_pair(P, Q)
+
+
+def longest_element(size: int) -> tuple[int, ...]:
+    """The longest permutation (size, size-1, ..., 1)."""
+    return tuple(range(size, 0, -1))
+
+
+def demazure_product(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """
+    The permutation represented by concatenating words for u and v.
+
+    Computed by folding a reduced word of v into u one letter at a time;
+    the result does not depend on which words are chosen.
+
+    >>> demazure_product((2, 1), (2, 1))
+    (2, 1)
+    >>> demazure_product((1, 3, 2), (2, 1, 3))
+    (3, 1, 2)
+    """
+    if len(u) != len(v):
+        raise ValueError("size mismatch")
+    p = u
+    for i in lex_min_reduced_word(v):
+        p = hecke_apply_right(p, i)
+    return p
+
+
+def word_to_str(word: tuple[int, ...], n: int) -> str:
+    """Digit string when the alphabet fits (n <= 9), else comma separated."""
+    if n <= 9:
+        return "".join(str(i) for i in word)
+    return ",".join(str(i) for i in word)
+
+
+def word_from_str(text: str) -> tuple[int, ...]:
+    """
+    Parse a word either as a digit string or comma separated; a letter
+    below 1 names no generator and raises ValueError.
+
+    >>> word_from_str("3232")
+    (3, 2, 3, 2)
+    >>> word_from_str("10,2")
+    (10, 2)
+    """
+    if not text:
+        return ()
+    word = tuple(int(tok) for tok in (text.split(",") if "," in text else text))
+    if any(i < 1 for i in word):
+        raise ValueError(f"letters must be positive: {text!r}")
+    return word

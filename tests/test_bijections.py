@@ -1,5 +1,6 @@
 """Tests for the threshold-ladder rewrites and the factor-moving maps."""
 
+import dataclasses
 from itertools import combinations, permutations, product
 
 import pytest
@@ -299,6 +300,22 @@ def test_rewrite_chain_matches_the_worked_example():
         "()(3)(2 3)|[1 2](2 1)(3)(3)()",
         "()(3)(2 3)(1 2)|(2 1)(3)(3)()",
     ]
+
+
+def test_rewrite_equals_the_last_chain_state_and_a_constructed_factorization():
+    for w in permutations((1, 2, 3, 4)):
+        for f in enumerate_circled_bounded(w):
+            g = circled_to_double(f)
+            # the last state of the chain, its extra factor moved left of
+            # the center, read in the chain's own display form
+            head, tail = circled_to_double_chain(f)[-2].split("|")
+            extra, rights = tail.removeprefix("[").split("]")
+            assert str(g) == f"{head}({extra})|{rights}"
+            built = Factorization("double_bounded", g.factors, f.n, f.n + 1)
+            assert g == built and hash(g) == hash(built)
+            assert all(type(l) is Letter for fac in g.factors for l in fac)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                g.split = 0
 
 
 def test_rewrite_of_the_empty_factorization_is_empty():

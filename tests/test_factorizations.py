@@ -37,11 +37,11 @@ from grothpoly.grothendieck import (
 )
 from grothpoly.permutations import (
     all_permutations,
-    demazure_product,
     eval_hecke_word,
     hecke_distance,
     hecke_search,
     inversions,
+    _tuples,
 )
 from grothpoly.polynomials import monomial, poly_sum, pretty
 from grothpoly.stable import (
@@ -54,6 +54,7 @@ from grothpoly.stable import (
     weak_stable_double,
 )
 from grothpoly.tableaux import enumerate_hecke_tableaux
+from references import demazure_product
 
 
 # ---------------------------------------------------------------------------
@@ -733,6 +734,40 @@ def test_listing_is_sorted_by_flat_word_then_mask_then_lengths():
         assert family == sorted(family, key=_public_key)
         sizes.append(len(family))
     assert sizes[-2:] == [3, 600]
+
+
+def _shifted_to_s9(base):
+    k = 9 - len(base)
+    return tuple(range(1, k + 1)) + tuple(v + k for v in base)
+
+
+def test_listing_sorts_at_the_key_width_boundaries():
+    # over S_9 the letters reach 8, which needs a 4-bit value field, and
+    # a hook factor of 8 or more letters needs a 4-bit length field
+    families = []
+    for base in all_permutations(3):
+        w = _shifted_to_s9(base)
+        budget = inversions(w) + 2
+        families += [("double_unbounded", w, 2, budget), ("hook", w, 2, budget)]
+    families += [("hook", (2, 1), 2, 9), ("hook", (2, 1), 3, 9)]
+    families.append(("hook", (1, 3, 2), 2, 10))
+    met = []
+    for kind, w, parts, budget in families:
+        listed = factorizations._listed(kind, w, parts, budget)
+        met += [fac for f in listed for fac in f.factors]
+        # every path of the search graph, sorted here by the public key
+        paths = _tuples(_graph(kind, w, parts, budget).graph)
+        expected = sorted(
+            paths,
+            key=lambda factors: (
+                tuple(l.value for fac in factors for l in fac),
+                tuple(l.circled for fac in factors for l in fac),
+                tuple(map(len, factors)),
+            ),
+        )
+        assert [f.factors for f in listed] == expected
+    assert max(l.value for fac in met for l in fac) == 8
+    assert max(map(len, met)) == 10
 
 
 def test_letter_order():

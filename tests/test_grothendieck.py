@@ -24,7 +24,6 @@ from grothpoly.permutations import (
     inverse,
     inversions,
     lex_min_reduced_word,
-    longest_element,
     reduced_words,
 )
 from grothpoly.polynomials import (
@@ -40,6 +39,7 @@ from grothpoly.polynomials import (
     x_var,
     y_var,
 )
+from references import longest_element
 
 
 def operator_word(w):
@@ -163,6 +163,38 @@ def test_an_entry_over_the_budget_is_not_kept_and_evicts_nothing(
     assert len(grothendieck_double(w0).terms) > 40
     assert (w0, True) not in grothendieck._memo
     assert kept.items() <= dict(grothendieck._memo).items()
+
+
+def test_one_ascent_below_a_remembered_permutation_costs_one_pi(monkeypatch):
+    applied = []
+
+    def counted(i, p):
+        applied.append(i)
+        return pi(i, p)
+
+    monkeypatch.setattr(grothendieck, "pi", counted)
+    identity = (1, 2, 3, 4)
+    checked = 0
+    for u in all_permutations(4):
+        for i in range(1, 4):
+            if u[i - 1] < u[i]:
+                continue
+            w = u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
+            for double in (False, True):
+                monkeypatch.setattr(grothendieck, "_memo", OrderedDict())
+                monkeypatch.setattr(grothendieck, "_memo_terms", 0)
+                # the identity, its climb to w0 and u's are remembered:
+                # u is the nearest of them above w, and the identity has
+                # the fewest inversions but lies below w
+                grothendieck._descend(identity, double)
+                grothendieck._descend(u, double)
+                if (w, double) in grothendieck._memo:
+                    continue
+                applied.clear()
+                assert grothendieck._descend(w, double) == per_w_route(w, double)
+                assert len(applied) == 1
+                checked += 1
+    assert checked > 40
 
 
 def test_a_non_permutation_raises_on_a_warm_memo():

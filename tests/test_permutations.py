@@ -8,7 +8,6 @@ from grothpoly.permutations import _path_sum, _search_graph
 from grothpoly.permutations import (
     FactorSpec,
     all_permutations,
-    demazure_product,
     eval_hecke_word,
     eval_hecke_word_ltr,
     hecke_apply,
@@ -19,14 +18,17 @@ from grothpoly.permutations import (
     inverse,
     inversions,
     lex_min_reduced_word,
-    longest_element,
     perm_from_str,
     perm_to_str,
     reduced_words,
+)
+from references import (
+    demazure_product,
+    longest_element,
+    support,
     word_from_str,
     word_to_str,
 )
-from references import support
 
 
 def brute_force_words(target, max_len):
