@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, lru_cache
 import itertools
+import math
 import operator
 import re
 from typing import Iterable, NamedTuple
@@ -49,7 +50,6 @@ __all__ = [
     "is_psvt",
     "is_psmt",
     "is_pt",
-    "is_oft",
     "is_hecke_tableau",
     "enumerate_hecke_tableaux",
     "weight_of",
@@ -62,8 +62,6 @@ __all__ = [
     "has_i_starting",
     "has_i_lattice",
     "f_coefficient",
-    "tableau_to_json",
-    "tableau_from_json",
     "pretty_tableau",
 ]
 
@@ -363,20 +361,6 @@ def _single_values(T: Tableau, caps) -> bool:
         len(box) == 1 and not box[0].primed and 1 <= box[0].value <= hi
         for row, hi in zip(T.rows, caps)
         for box in row
-    )
-
-
-def is_oft(T: Tableau, inner: tuple[int, ...]) -> bool:
-    """Over flagged: skew over the given inner shape, row r entries at
-    most inner[r], rows weakly decreasing, columns strictly decreasing."""
-    check_partition(inner)
-    return (
-        tuple(T.inner) == tuple(inner)
-        and len(T.rows) == len(inner)
-        and _ordered(
-            T, lambda e: -e.value, row_strict=False, col_strict=True, skew=True
-        )
-        and _single_values(T, inner)
     )
 
 
@@ -904,9 +888,18 @@ def _lattice(T: Tableau, i: int) -> bool:
 
 @cache
 def _f_tally(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The primed tableaux of shape mu with values up to |mu| that pass
-    every starting and lattice scan, counted by combined weight, as
+    """The primed tableaux of shape mu that pass the starting and lattice
+    scans for every i in 1..|mu|, counted by combined weight, as
     (weight, count) pairs in the order the fill first meets each weight.
+
+    Such a tableau has a strict weight, so it uses no value past k, the
+    largest k with k(k+1)/2 <= |mu| (the length of the longest strict
+    partition of |mu|); the fill offers values up to min(k + 1, |mu|).
+    Value k + 1 is a sentinel: a filling that uses it and passes the
+    scans has a weight that is not strict, and the guard below raises.
+    Values 1..k+1 in marked order are a prefix of values 1..|mu|, so the
+    fill meets the surviving fillings in the order it would with all
+    |mu| values.
 
     The fill places the rows top first, so at the first box of row r the
     rows above are final.  The first lattice scan for i >= 2 reads those
@@ -919,7 +912,8 @@ def _f_tally(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """
     cap = max(sum(mu), 1)
     values = range(1, cap + 1)
-    fill_choices = _psmt_choices(cap)
+    k = (math.isqrt(8 * sum(mu) + 1) - 1) // 2
+    fill_choices = _psmt_choices(min(k + 1, cap))
 
     def choices(r, c, filled, room, used):
         if c == 0 and r > 0:
@@ -955,8 +949,10 @@ def f_coefficient(mu: tuple[int, ...], lam: tuple[int, ...]) -> int:
     lattice property whose combined x- and y-weight is lam.  Qualifying
     weights are checked to be strict partitions; a violation raises.
     The count is read from a tally cached per shape that counts every
-    lam at once; the fill behind it cuts a branch as soon as its
-    complete top rows fail a lattice scan (see _f_tally).
+    lam at once.  The fill behind it offers values up to one past the
+    length k of the longest strict partition of |mu|, that sentinel
+    value keeping the strictness check live, and cuts a branch as soon
+    as its complete top rows fail a lattice scan (see _f_tally).
 
     >>> f_coefficient((3, 1), (4,))
     1
@@ -974,56 +970,7 @@ def f_coefficient(mu: tuple[int, ...], lam: tuple[int, ...]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def tableau_to_json(T: Tableau) -> dict:
-    outer = outer_shape(T)
-    return {
-        "outer": list(outer),
-        "inner": list(T.inner),
-        "boxes": [[[str(e) for e in box] for box in row] for row in T.rows],
-    }
-
-
-_JSON_ENTRY_RE = re.compile(r"([1-9][0-9]*)('?)")
-
-
-def _entry_from_json(s) -> Entry:
-    match = _JSON_ENTRY_RE.fullmatch(s) if isinstance(s, str) else None
-    if match is None:
-        raise ValueError(f"not a tableau entry: {s!r}")
-    return Entry(int(match[1]), bool(match[2]))
-
-
-def _json_list(value) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"expected a list: {value!r}")
-    return value
-
-
-def tableau_from_json(data: dict) -> Tableau:
-    """Inverse of tableau_to_json; an entry other than a positive
-    integer with at most one prime, such as "12'", raises ValueError,
-    and so do a scalar where a list belongs, a loaded shape that is no
-    skew shape, an "outer" field that is not the loaded outer shape and
-    a missing "boxes" field."""
-    if not (isinstance(data, dict) and "boxes" in data):
-        raise ValueError(f"expected an object with a boxes field: {data!r}")
-    rows = tuple(
-        tuple(
-            tuple(_entry_from_json(s) for s in _json_list(box))
-            for box in _json_list(row)
-        )
-        for row in _json_list(data["boxes"])
-    )
-    T = Tableau(rows, tuple(_json_list(data.get("inner", []))))
-    if any(type(a) is not int for a in T.inner) or not _shape_ok(T):
-        lengths = [len(row) for row in rows]
-        raise ValueError(f"no skew shape: inner {T.inner!r}, row lengths {lengths}")
-    if "outer" in data and tuple(_json_list(data["outer"])) != outer_shape(T):
-        raise ValueError(f"outer shape {data['outer']!r} does not match the boxes")
-    return T
+# layout
 
 
 def pretty_tableau(T: Tableau) -> str:

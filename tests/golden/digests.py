@@ -41,6 +41,7 @@ DIGESTS = Path(__file__).parent / "digests.txt"
 _CI_VERIFY_STEPS = [
     "cauchy --n 4 --trials 42",
     "qp --degree 7",
+    "qp --degree 9",
     "insertion --n 4 --degree 7",
     "tabt --m 4 --degree 8",
     "bijections --n 5",

@@ -3,7 +3,21 @@ kept apart from the code they check."""
 
 from grothpoly.insertion import insert_row
 from grothpoly.permutations import hecke_apply_right, lex_min_reduced_word
-from grothpoly.tableaux import Entry, Tableau
+from grothpoly.tableaux import (
+    Entry,
+    Tableau,
+    _boxes_of,
+    _fill,
+    _filled_tableau,
+    _lattice,
+    _ordered,
+    _psmt_choices,
+    _single_values,
+    _starts_unprimed,
+    _top_down_scan,
+    check_partition,
+    weight_of,
+)
 
 
 def support(p):
@@ -148,3 +162,57 @@ def word_from_str(text: str) -> tuple[int, ...]:
     if any(i < 1 for i in word):
         raise ValueError(f"letters must be positive: {text!r}")
     return word
+
+
+def is_oft(T: Tableau, inner: tuple[int, ...]) -> bool:
+    """Over flagged: skew over the given inner shape, row r entries at
+    most inner[r], rows weakly decreasing, columns strictly decreasing."""
+    check_partition(inner)
+    return (
+        tuple(T.inner) == tuple(inner)
+        and len(T.rows) == len(inner)
+        and _ordered(
+            T, lambda e: -e.value, row_strict=False, col_strict=True, skew=True
+        )
+        and _single_values(T, inner)
+    )
+
+
+def f_tally_full_alphabet(mu):
+    """
+    The primed-tableau tally of shape mu as the library made it when its
+    fill offered every value up to |mu|, with nothing cached: the
+    qualifying fillings counted by combined weight, in the order the
+    fill first meets each weight.  The shorter alphabet of
+    tableaux._f_tally must give the same tuple.
+    """
+    cap = max(sum(mu), 1)
+    values = range(1, cap + 1)
+    fill_choices = _psmt_choices(cap)
+
+    def choices(r, c, filled, room, used):
+        if c == 0 and r > 0:
+            top = [[filled[(q, k)] for k in range(mu[q])] for q in range(r)]
+            if any(_top_down_scan(top, i) is None for i in values[1:]):
+                return ()
+        return fill_choices(r, c, filled, room, used)
+
+    counts: dict[tuple[int, ...], int] = {}
+
+    def leaf(filled):
+        T = _filled_tableau(mu, filled)  # valid by construction: scan unchecked
+        if not all(_starts_unprimed(T, i) and _lattice(T, i) for i in values):
+            return
+        x, y = weight_of(T)
+        combined = tuple(a + b for a, b in zip(x, y))
+        while combined and combined[-1] == 0:
+            combined = combined[:-1]
+        if any(a <= b for a, b in zip(combined, combined[1:])):
+            raise RuntimeError(
+                f"weight {combined} of a qualifying tableau is not strict: "
+                f"{T}"
+            )
+        counts[combined] = counts.get(combined, 0) + 1
+
+    _fill(_boxes_of(mu), sum(mu), choices, leaf)
+    return tuple(counts.items())

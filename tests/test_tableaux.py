@@ -1,8 +1,6 @@
 from collections import Counter
 import itertools
-import json
 
-from hypothesis import given, settings, strategies as st
 import pytest
 
 from grothpoly.factorizations import enumerate_plain_unbounded, genfun
@@ -32,7 +30,6 @@ from grothpoly.tableaux import (
     has_i_lattice,
     has_i_starting,
     is_hecke_tableau,
-    is_oft,
     is_psmt,
     is_psvt,
     is_pt,
@@ -47,8 +44,6 @@ from grothpoly.tableaux import (
     q_schur,
     split_key,
     tableau,
-    tableau_from_json,
-    tableau_to_json,
     weight_of,
 )
 from grothpoly import tableaux
@@ -59,6 +54,8 @@ from grothpoly.tableaux import (
     _pt_fillings,
     _top_down_scan,
 )
+
+from references import f_tally_full_alphabet, is_oft
 
 
 # ---------------------------------------------------------------------------
@@ -680,95 +677,31 @@ def test_f_coefficient_strictness_guard_survives_caching(monkeypatch):
         _f_tally.cache_clear()
 
 
+def test_f_tally_equals_the_full_alphabet_tally():
+    # at |mu| = 6 and 7 the fill offers 4 values, not 6 or 7: the
+    # tuple, order included, is the one a fill over every value gives
+    for n in (6, 7):
+        for mu in partitions_of(n):
+            assert _f_tally(mu) == f_tally_full_alphabet(mu), mu
+
+
+def test_the_sentinel_value_keeps_the_strictness_guard_live(monkeypatch):
+    # with the lattice scan disabled, every shape of 4..7 boxes has a
+    # qualifying filling whose weight is not strict; some shapes have
+    # one only with the value one past the longest strict partition
+    monkeypatch.setattr(tableaux, "_lattice", lambda T, i: True)
+    _f_tally.cache_clear()
+    try:
+        for n in range(4, 8):
+            for mu in partitions_of(n):
+                with pytest.raises(RuntimeError):
+                    f_coefficient(mu, (n,))
+    finally:
+        _f_tally.cache_clear()
+
+
 # ---------------------------------------------------------------------------
-# serialization and layout
-
-
-def test_tableau_json_roundtrip():
-    for T in [
-        PSVT_EXAMPLE,
-        PSMT_EXAMPLE,
-        OFT_EXAMPLE,
-        BIG_PT,
-        Tableau(()),
-    ]:
-        blob = json.dumps(tableau_to_json(T))
-        assert tableau_from_json(json.loads(blob)) == T
-
-
-def test_tableau_from_json_rejects_entries_it_cannot_read():
-    for bad in (["1''", "0"], ["1''"], ["0"], ["01"], ["'1"], ["1x"], [""], [3]):
-        with pytest.raises(ValueError):
-            tableau_from_json({"boxes": [[bad]]})
-    loaded = tableau_from_json({"boxes": [[["12'", "12"]]]})
-    assert loaded == Tableau((((Entry(12, True), Entry(12)),),))
-
-
-@st.composite
-def skew_tableaux(draw):
-    outer = sorted(draw(st.lists(st.integers(1, 4), max_size=4)), reverse=True)
-    inner: list[int] = []
-    for part in outer:
-        inner.append(draw(st.integers(0, min([part, *inner[-1:]]))))
-    entries = st.lists(
-        st.builds(Entry, st.integers(1, 12), st.booleans()), min_size=1, max_size=3
-    )
-    rows = tuple(
-        tuple(tuple(draw(entries)) for _ in range(part - start))
-        for part, start in zip(outer, inner)
-    )
-    return Tableau(rows, tuple(inner))
-
-
-@settings(max_examples=200, deadline=None)
-@given(skew_tableaux())
-def test_tableau_json_round_trip_property(T):
-    assert tableau_from_json(json.loads(json.dumps(tableau_to_json(T)))) == T
-
-
-def test_tableau_from_json_rejects_an_outer_shape_that_is_not_the_boxes():
-    one_box = {"inner": [], "boxes": [[["1"]]]}
-    for outer in ([5, 5], [2], [1, 1], []):
-        with pytest.raises(ValueError):
-            tableau_from_json({"outer": outer, **one_box})
-    assert tableau_from_json({"outer": [1], **one_box}) == tableau_from_json(one_box)
-    data = tableau_to_json(OFT_EXAMPLE)
-    data["outer"] = [6, 6, 5, 5]
-    with pytest.raises(ValueError):
-        tableau_from_json(data)
-
-
-@pytest.mark.parametrize("data", [{"inner": []}, [1]])
-def test_tableau_from_json_without_boxes_raises_value_error(data):
-    with pytest.raises(ValueError):
-        tableau_from_json(data)
-
-
-def test_tableau_from_json_rejects_what_is_no_skew_shape():
-    one_box = [[["1"]]]
-    for data in (
-        {"boxes": one_box, "inner": [-1]},
-        {"boxes": one_box, "inner": [0, 3]},
-        {"boxes": [[["1"]], [["2"], ["3"]]]},
-        {"boxes": [[["1"]], [["2"]]], "inner": [0, 1]},
-        {"boxes": one_box, "inner": ["1"]},
-        {"boxes": one_box, "inner": 5},
-        {"boxes": 5},
-        {"boxes": [5]},
-        {"boxes": [[5]]},
-        {"boxes": one_box, "outer": 1},
-    ):
-        with pytest.raises(ValueError):
-            tableau_from_json(data)
-    assert tableau_from_json({"boxes": one_box, "inner": [0, 0]}).inner == (0, 0)
-    assert tableau_from_json({"boxes": [[], [["1"]]], "inner": [1, 0]}).inner == (1, 0)
-
-
-def test_tableau_json_shape_fields():
-    data = tableau_to_json(OFT_EXAMPLE)
-    assert data["outer"] == [6, 6, 5, 4]
-    assert data["inner"] == [4, 3, 2, 1]
-    assert data["boxes"][0] == [["4"], ["2"]]
+# layout
 
 
 def test_pretty_tableau():
