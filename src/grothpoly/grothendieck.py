@@ -9,12 +9,17 @@ The result does not depend on the reduced word chosen.
 
 Since the pi operators satisfy the braid relations, G_w = pi_i G_{w s_i}
 for every ascent i of w (w(i) < w(i+1)), along any path down from w0.
-So one memo serves every permutation of a size: a new w climbs to the
-nearest remembered permutation above it in right weak order, the one of
-fewest inversions among those that invert every value pair w inverts
-(Bjorner and Brenti, Combinatorics of Coxeter Groups, 3.1), and comes
-back down one pi per step.  With nothing remembered above w it climbs to
-w0, and the staircase is built once for as long as the memo keeps it.
+The staircase is one case of a general rule (Fomin and Kirillov,
+Grothendieck polynomials and the Yang-Baxter equation, 1994): for a
+dominant (132-avoiding) u, whose code is a partition, G_u is x^code(u),
+or the product of x_i + y_j + x_i*y_j over the boxes (i, j) of its
+diagram.  So a new w climbs to whichever top has fewer inversions: the
+nearest remembered permutation above it in right weak order, the one
+of fewest inversions among those that invert every value pair w
+inverts (Bjorner and Brenti, Combinatorics of Coxeter Groups, 3.1), or
+the least dominant permutation above it, built as its diagram product;
+then it comes back down one pi per step.  One memo serves every
+permutation of a size.
 
 >>> from grothpoly.polynomials import pretty
 >>> pretty(grothendieck_single((3, 1, 2)))
@@ -45,17 +50,36 @@ __all__ = [
 ]
 
 
+def _diagram_product(code: tuple[int, ...], double: bool) -> Polynomial:
+    """G of the dominant permutation whose code is the partition code,
+    in family size len(code): the monomial x^code, or the product of
+    (x_i + y_j + x_i*y_j) over the boxes (i, j) of code's diagram
+    (Fomin and Kirillov, Grothendieck polynomials and the Yang-Baxter
+    equation, 1994).  The total degree, |code| or 2|code|, is checked
+    before any product is formed."""
+    _check_degree(sum(code) * (2 if double else 1))
+    m = len(code)
+    if not double:
+        return monomial(m, code)
+    out = constant(1, m)
+    for i, row in enumerate(code, 1):
+        for j in range(1, row + 1):
+            xi, yj = x_var(i, m), y_var(j, m)
+            out = out * (xi + yj + xi * yj)
+    return out
+
+
 def staircase_monomial(n: int) -> Polynomial:
     """
     The monomial x1^n x2^(n-1) ... xn^1 in family size n+1.  Its degree
-    n(n+1)/2 passes the degree cap from n = 23 on, and the constructor
-    raises ValueError.
+    n(n+1)/2 passes the degree cap from n = 23 on, and it raises
+    ValueError.
 
     >>> from grothpoly.polynomials import pretty
     >>> pretty(staircase_monomial(2))
     'x1^2*x2'
     """
-    return monomial(n + 1, tuple(n - i for i in range(n + 1)))
+    return _diagram_product(tuple(range(n, -1, -1)), False)
 
 
 def staircase_product(n: int) -> Polynomial:
@@ -70,23 +94,16 @@ def staircase_product(n: int) -> Polynomial:
     >>> pretty(staircase_product(0))
     '1'
     """
-    _check_degree(n * (n + 1))
-    m = n + 1
-    out = constant(1, m)
-    for i in range(1, n + 1):
-        for j in range(1, n + 2 - i):
-            xi, yj = x_var(i, m), y_var(j, m)
-            out = out * (xi + yj + xi * yj)
-    return out
+    return _diagram_product(tuple(range(n, -1, -1)), True)
 
 
 # The descent memo holds at most this many terms in all (the sum of
-# len(p) over its entries, which unpacks no key), least recently
-# used out first.  All that a round of the cauchy benchmark reaches, on
-# S_4 and six permutations of S_5, is 22,000 to 29,000 terms in about
-# 165 entries, each climb stopping at the nearest entry above it; an
-# entry larger than the budget, such as the 187,945-term staircase of
-# S_6, is never kept.
+# len(p) over its entries, which unpacks no key), least recently used
+# out first.  A round of the cauchy benchmark, on S_4 and six
+# permutations of S_5, leaves 6,500 to 9,600 terms in about 140
+# entries, each climb stopping at the nearer of a remembered entry and
+# a dominant top; an entry larger than the budget, such as the
+# 187,945-term staircase of S_6, is never kept.
 _MEMO_TERM_BUDGET = 100_000
 
 # (w, double) -> G_w, least recently used first
@@ -122,45 +139,67 @@ def _inverted(u: tuple[int, ...]) -> int:
     )
 
 
+def _dominant_above(w: tuple[int, ...]) -> tuple[int, ...]:
+    """The least dominant (132-avoiding) permutation above w in right
+    weak order: swap each ascent u_i < u_(i+1) that has a later value
+    strictly between the two, until none is left.  A dominant
+    permutation above u inverts that pair too, or its values u_i,
+    u_(i+1) and the later one would form a 132, so the climb passes
+    none of them, and it ends at a dominant one."""
+    u = list(w)
+    i = 0
+    while i < len(u) - 1:
+        a, b = u[i], u[i + 1]
+        if a < b and any(a < v < b for v in u[i + 2 :]):
+            u[i], u[i + 1] = b, a
+            i = max(i - 1, 0)  # only the ascent before can have become one
+        else:
+            i += 1
+    return tuple(u)
+
+
+def _code(u: tuple[int, ...]) -> tuple[int, ...]:
+    """The Lehmer code: for each position, the later values below it."""
+    return tuple(sum(b < a for b in u[i + 1 :]) for i, a in enumerate(u))
+
+
 def _descend(w: tuple[int, ...], double: bool) -> Polynomial:
     """G_w from the memo: climb to the nearest remembered permutation
-    above w in right weak order, or else to w0, then come back down one
-    pi per step."""
+    above w in right weak order, or to the least dominant one above w
+    where that is nearer, then come back down one pi per step."""
     if (w, double) in _memo:
         _memo.move_to_end((w, double))
         return _memo[(w, double)]
     n = len(w) - 1
+    dominant = _dominant_above(w)
     # one pass over the memo: of the remembered u of w's size and flag
-    # that invert every pair w inverts, the one with fewest inversions
+    # that invert every pair w inverts, the one with fewest inversions,
+    # if it has no more than the dominant top
     below = _inverted(w)
-    top, fewest = None, n * (n + 1) // 2 + 1
+    top, fewest = None, _inverted(dominant).bit_count() + 1
     for u, flag in _memo:
         if flag is double and len(u) == n + 1:
             mask = _inverted(u)
             if not below & ~mask and mask.bit_count() < fewest:
                 top, fewest = u, mask.bit_count()
-    # w0 inverts every pair, so with no top every ascent leads there
-    target = ~0 if top is None else _inverted(top)
+    if top is None:
+        top = dominant
+        p = _diagram_product(_code(top), double)
+        _remember((top, double), p)
+    else:
+        _memo.move_to_end((top, double))
+        p = _memo[(top, double)]
+    target = _inverted(top)
     climb = []
     u = w
     while u != top:
         i = next(
-            (
-                i
-                for i in range(1, n + 1)
-                if u[i - 1] < u[i] and target & _pair(u[i - 1], u[i])
-            ),
-            None,
+            i
+            for i in range(1, n + 1)
+            if u[i - 1] < u[i] and target & _pair(u[i - 1], u[i])
         )
-        if i is None:  # u is w0
-            p = staircase_product(n) if double else staircase_monomial(n)
-            _remember((u, double), p)
-            break
         climb.append((u, i))
         u = u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
-    else:
-        _memo.move_to_end((u, double))
-        p = _memo[(u, double)]
     for v, i in reversed(climb):
         p = pi(i, p)
         _remember((v, double), p)

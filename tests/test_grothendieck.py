@@ -1,6 +1,8 @@
 from collections import OrderedDict
 from functools import cache
+import itertools
 import random
+import time
 
 import pytest
 
@@ -165,6 +167,19 @@ def test_an_entry_over_the_budget_is_not_kept_and_evicts_nothing(
     assert kept.items() <= dict(grothendieck._memo).items()
 
 
+def dominant(u):
+    """Whether u avoids the pattern 132."""
+    return not any(a < c < b for a, b, c in itertools.combinations(u, 3))
+
+
+def inverted_pairs(u):
+    return {(b, a) for a, b in itertools.combinations(u, 2) if a > b}
+
+
+def lehmer_code(u):
+    return tuple(sum(b < a for b in u[i + 1 :]) for i, a in enumerate(u))
+
+
 def test_one_ascent_below_a_remembered_permutation_costs_one_pi(monkeypatch):
     applied = []
 
@@ -183,18 +198,62 @@ def test_one_ascent_below_a_remembered_permutation_costs_one_pi(monkeypatch):
             for double in (False, True):
                 monkeypatch.setattr(grothendieck, "_memo", OrderedDict())
                 monkeypatch.setattr(grothendieck, "_memo_terms", 0)
-                # the identity, its climb to w0 and u's are remembered:
-                # u is the nearest of them above w, and the identity has
-                # the fewest inversions but lies below w
+                # the identity, u and u's climb to its dominant top are
+                # remembered: u is the nearest of them above w, and the
+                # identity has the fewest inversions but lies below w;
+                # a dominant w is its own top, built with no pi
                 grothendieck._descend(identity, double)
                 grothendieck._descend(u, double)
                 if (w, double) in grothendieck._memo:
                     continue
                 applied.clear()
                 assert grothendieck._descend(w, double) == per_w_route(w, double)
-                assert len(applied) == 1
+                assert len(applied) == (0 if dominant(w) else 1)
                 checked += 1
     assert checked > 40
+
+
+@pytest.mark.parametrize("size", [3, 4, 5, 6])
+def test_a_cold_climb_ends_at_the_least_dominant_permutation_above_w(
+    monkeypatch, size
+):
+    applied, tops = [], []
+
+    def counted(i, p):
+        applied.append(i)
+        return pi(i, p)
+
+    def recorded(code, double, product=grothendieck._diagram_product):
+        tops.append(code)
+        return product(code, double)
+
+    monkeypatch.setattr(grothendieck, "pi", counted)
+    monkeypatch.setattr(grothendieck, "_diagram_product", recorded)
+    perms = all_permutations(size)
+    by_pairs = {frozenset(inverted_pairs(u)): u for u in perms}
+    dominant_pairs = [pairs for pairs, u in by_pairs.items() if dominant(u)]
+    for w in perms:
+        # the least dominant permutation above w inverts exactly the
+        # pairs that every dominant permutation above w inverts
+        below = inverted_pairs(w)
+        d = by_pairs[frozenset.intersection(
+            *(pairs for pairs in dominant_pairs if below <= pairs)
+        )]
+        assert dominant(d)
+        monkeypatch.setattr(grothendieck, "_memo", OrderedDict())
+        monkeypatch.setattr(grothendieck, "_memo_terms", 0)
+        applied.clear()
+        tops.clear()
+        g = grothendieck._descend(w, False)
+        assert tops == [lehmer_code(d)]
+        assert len(applied) == inversions(d) - inversions(w)
+        assert g == per_w_route(w, False)
+
+
+def test_claim_one_on_a_sample_of_s6(fresh_memo):
+    for w in random.Random(6).sample(all_permutations(6), 12):
+        assert grothendieck_double(w) == _series("circled_bounded", w)
+        assert grothendieck_single(w) == _series("bounded_plain", w)
 
 
 def test_a_non_permutation_raises_on_a_warm_memo():
@@ -232,6 +291,24 @@ def test_a_staircase_past_the_degree_cap_raises_before_any_product(monkeypatch):
         staircase_monomial(23)
     monkeypatch.undo()
     assert total_degree(max(staircase_monomial(22).terms)) == 253
+
+
+def test_a_top_past_the_degree_cap_raises_before_any_product(
+    fresh_memo, monkeypatch
+):
+    def no_product(*args):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(Polynomial, "__mul__", no_product)
+    monkeypatch.setattr(grothendieck, "pi", no_product)
+    start = time.perf_counter()
+    # dominant and not w0: its diagram is the staircase of S_17
+    with pytest.raises(ValueError, match="total degree 272 is past the cap"):
+        grothendieck_double((*range(17, 0, -1), 18))
+    # its least dominant permutation above is (25, 24, ..., 3, 1, 2)
+    with pytest.raises(ValueError, match="total degree 299 is past the cap"):
+        grothendieck_single((1, *range(25, 1, -1)))
+    assert time.perf_counter() - start < 1
 
 
 def test_nothing_on_the_arithmetic_path_unpacks_a_key(fresh_memo, monkeypatch):
