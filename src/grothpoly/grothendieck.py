@@ -13,12 +13,10 @@ The staircase is one case of a general rule (Fomin and Kirillov,
 Grothendieck polynomials and the Yang-Baxter equation, 1994): for a
 dominant (132-avoiding) u, whose code is a partition, G_u is x^code(u),
 or the product of x_i + y_j + x_i*y_j over the boxes (i, j) of its
-diagram.  So a new w climbs to whichever top has fewer inversions: the
-nearest remembered permutation above it in right weak order, the one
-of fewest inversions among those that invert every value pair w
-inverts (Bjorner and Brenti, Combinatorics of Coxeter Groups, 3.1), or
-the least dominant permutation above it, built as its diagram product;
-then it comes back down one pi per step.  One memo serves every
+diagram.  So a new w climbs toward the least dominant permutation
+above it in right weak order, stops at the first remembered
+permutation on the way, or else builds the top as its diagram product,
+and comes back down one pi per step.  One memo serves every
 permutation of a size.
 
 >>> from grothpoly.polynomials import pretty
@@ -29,7 +27,6 @@ permutation of a size.
 """
 
 from collections import OrderedDict
-from functools import lru_cache
 
 from .permutations import check_permutation
 from .polynomials import (
@@ -100,10 +97,9 @@ def staircase_product(n: int) -> Polynomial:
 # The descent memo holds at most this many terms in all (the sum of
 # len(p) over its entries, which unpacks no key), least recently used
 # out first.  A round of the cauchy benchmark, on S_4 and six
-# permutations of S_5, leaves 6,500 to 9,600 terms in about 140
-# entries, each climb stopping at the nearer of a remembered entry and
-# a dominant top; an entry larger than the budget, such as the
-# 187,945-term staircase of S_6, is never kept.
+# permutations of S_5, leaves 6,555 to 9,623 terms in 140 to 145
+# entries; an entry larger than the budget, such as the 187,945-term
+# staircase of S_6, is never kept.
 _MEMO_TERM_BUDGET = 100_000
 
 # (w, double) -> G_w, least recently used first
@@ -123,39 +119,28 @@ def _remember(key: tuple[tuple[int, ...], bool], p: Polynomial) -> None:
         _memo_terms -= len(old)
 
 
-def _pair(a: int, b: int) -> int:
-    """The bit of the value pair a < b."""
-    return 1 << (b * (b - 1) // 2 + a)
-
-
-# A memo scan reads the mask of every key, single and double alike: the
-# masks of all of S_6 fit.
-@lru_cache(maxsize=1024)
-def _inverted(u: tuple[int, ...]) -> int:
-    """The value pairs u inverts, one bit each: v lies above u in right
-    weak order exactly when _inverted(u) & ~_inverted(v) is 0."""
-    return sum(
-        _pair(b, a) for i, a in enumerate(u) for b in u[i + 1 :] if a > b
-    )
-
-
-def _dominant_above(w: tuple[int, ...]) -> tuple[int, ...]:
-    """The least dominant (132-avoiding) permutation above w in right
-    weak order: swap each ascent u_i < u_(i+1) that has a later value
-    strictly between the two, until none is left.  A dominant
-    permutation above u inverts that pair too, or its values u_i,
-    u_(i+1) and the later one would form a 132, so the climb passes
-    none of them, and it ends at a dominant one."""
+def _climb(
+    w: tuple[int, ...],
+) -> tuple[list[tuple[tuple[int, ...], int]], tuple[int, ...]]:
+    """The steps (u, i) up from w to the least dominant (132-avoiding)
+    permutation above w in right weak order, and that top: each step
+    swaps an ascent u_i < u_(i+1) that has a later value strictly
+    between the two, until none is left.  A dominant permutation above
+    u inverts that pair too, or its values u_i, u_(i+1) and the later
+    one would form a 132, so the climb passes none of them, and it ends
+    at a dominant one."""
+    steps = []
     u = list(w)
     i = 0
     while i < len(u) - 1:
         a, b = u[i], u[i + 1]
         if a < b and any(a < v < b for v in u[i + 2 :]):
+            steps.append((tuple(u), i + 1))
             u[i], u[i + 1] = b, a
             i = max(i - 1, 0)  # only the ascent before can have become one
         else:
             i += 1
-    return tuple(u)
+    return steps, tuple(u)
 
 
 def _code(u: tuple[int, ...]) -> tuple[int, ...]:
@@ -164,45 +149,26 @@ def _code(u: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _descend(w: tuple[int, ...], double: bool) -> Polynomial:
-    """G_w from the memo: climb to the nearest remembered permutation
-    above w in right weak order, or to the least dominant one above w
-    where that is nearer, then come back down one pi per step."""
+    """G_w from the memo: climb from w toward the least dominant
+    permutation above it, stop at the first remembered one, else build
+    the top as its diagram product, then come back down one pi per
+    step, remembering each result."""
     if (w, double) in _memo:
         _memo.move_to_end((w, double))
         return _memo[(w, double)]
-    n = len(w) - 1
-    dominant = _dominant_above(w)
-    # one pass over the memo: of the remembered u of w's size and flag
-    # that invert every pair w inverts, the one with fewest inversions,
-    # if it has no more than the dominant top
-    below = _inverted(w)
-    top, fewest = None, _inverted(dominant).bit_count() + 1
-    for u, flag in _memo:
-        if flag is double and len(u) == n + 1:
-            mask = _inverted(u)
-            if not below & ~mask and mask.bit_count() < fewest:
-                top, fewest = u, mask.bit_count()
-    if top is None:
-        top = dominant
+    steps, top = _climb(w)
+    # up the climb, the top last: the first remembered permutation
+    for k, (u, _) in enumerate([*steps, (top, None)]):
+        if (u, double) in _memo:
+            _memo.move_to_end((u, double))
+            p = _memo[(u, double)]
+            break
+    else:
         p = _diagram_product(_code(top), double)
         _remember((top, double), p)
-    else:
-        _memo.move_to_end((top, double))
-        p = _memo[(top, double)]
-    target = _inverted(top)
-    climb = []
-    u = w
-    while u != top:
-        i = next(
-            i
-            for i in range(1, n + 1)
-            if u[i - 1] < u[i] and target & _pair(u[i - 1], u[i])
-        )
-        climb.append((u, i))
-        u = u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
-    for v, i in reversed(climb):
+    for u, i in reversed(steps[:k]):
         p = pi(i, p)
-        _remember((v, double), p)
+        _remember((u, double), p)
     return p
 
 

@@ -214,6 +214,7 @@ def lex_min_reduced_word(p: tuple[int, ...]) -> tuple[int, ...]:
     >>> lex_min_reduced_word((1, 2, 3))
     ()
     """
+    check_permutation(p)
     word = []
     q = p
     ident = identity(len(p))

@@ -429,7 +429,7 @@ def pi_word(word: tuple[int, ...], f: Polynomial) -> Polynomial:
 def substitute_zero(p: Polynomial, family: str, keep: int) -> Polynomial:
     """
     Set every variable of the given family ("x" or "y") with index
-    greater than keep to zero.
+    greater than keep, an int >= 0, to zero.
 
     >>> pretty(substitute_zero(x_var(1, 2) + x_var(2, 2), "x", 1))
     'x1'
@@ -438,6 +438,8 @@ def substitute_zero(p: Polynomial, family: str, keep: int) -> Polynomial:
     """
     if family not in ("x", "y"):
         raise ValueError("family must be 'x' or 'y'")
+    if type(keep) is not int or keep < 0:
+        raise ValueError(f"keep must be an int >= 0, not {keep!r}")
     first = 0 if family == "x" else p.m
     dropped = sum(_ONES << _BITS * (first + j) for j in range(p.m)[keep:])
     kept = ((k, c) for k, c in p._packed.items() if not k & dropped)

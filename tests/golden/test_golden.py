@@ -1,7 +1,17 @@
 """Every pinned output prints the bytes and exits with the code that
 digests.txt records (see digests.py)."""
 
-from digests import _FAMILIES, cases, digest, factorization_lines, read
+from pathlib import Path
+import re
+
+from digests import (
+    _CI_VERIFY_STEPS,
+    _FAMILIES,
+    cases,
+    digest,
+    factorization_lines,
+    read,
+)
 
 from grothpoly.factorizations import (
     enumerate_double_unbounded,
@@ -9,9 +19,28 @@ from grothpoly.factorizations import (
 )
 from grothpoly.permutations import all_permutations
 
+WORKFLOW = Path(__file__).parents[2] / ".github" / "workflows" / "tests.yml"
+
 
 def test_the_digest_file_lists_every_pinned_output_once():
     assert list(read()) == cases()
+
+
+def test_every_verify_step_of_the_ci_workflow_is_pinned():
+    # read with regexes, as there is no YAML parser to lean on: each
+    # literal `grothpoly verify ...` line, and each quoted argv of a
+    # `for argv in ...` loop that runs `grothpoly verify $argv`
+    text = WORKFLOW.read_text()
+    literal = re.findall(r"grothpoly verify ([^$\n]+?)\s*$", text, re.M)
+    looped = [
+        argv
+        for loop in re.findall(r"for argv in (.+?); do", text)
+        for argv in re.findall(r'"([^"]+)"', loop)
+    ]
+    assert "grothpoly verify $argv" in text
+    assert literal and looped
+    missing = [argv for argv in literal + looped if argv not in _CI_VERIFY_STEPS]
+    assert not missing, "unpinned CI verify steps:\n" + "\n".join(missing)
 
 
 def test_every_pinned_output_matches_its_golden_digest():

@@ -180,37 +180,46 @@ def lehmer_code(u):
     return tuple(sum(b < a for b in u[i + 1 :]) for i, a in enumerate(u))
 
 
-def test_one_ascent_below_a_remembered_permutation_costs_one_pi(monkeypatch):
+@pytest.mark.parametrize("size", [4, 5])
+def test_a_climb_stops_at_its_first_remembered_permutation(monkeypatch, size):
     applied = []
 
     def counted(i, p):
         applied.append(i)
         return pi(i, p)
 
+    def no_product(code, double):
+        raise AssertionError("a diagram product was built")
+
+    perms = all_permutations(size)
+    route = {
+        (w, double): per_w_route(w, double)
+        for w in perms
+        for double in (False, True)
+    }
     monkeypatch.setattr(grothendieck, "pi", counted)
-    identity = (1, 2, 3, 4)
+    monkeypatch.setattr(grothendieck, "_diagram_product", no_product)
     checked = 0
-    for u in all_permutations(4):
-        for i in range(1, 4):
-            if u[i - 1] < u[i]:
-                continue
-            w = u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
+    for w in perms:
+        steps, top = grothendieck._climb(w)
+        # w, then each permutation the climb passes, the dominant top last
+        chain = [u for u, _ in steps] + [top]
+        assert chain[0] == w and dominant(top)
+        for (u, i), v in zip(steps, chain[1:]):
+            assert u[i - 1] < u[i]
+            assert v == u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
+        for k in range(1, len(chain)):
             for double in (False, True):
-                monkeypatch.setattr(grothendieck, "_memo", OrderedDict())
-                monkeypatch.setattr(grothendieck, "_memo_terms", 0)
-                # the identity, u and u's climb to its dominant top are
-                # remembered: u is the nearest of them above w, and the
-                # identity has the fewest inversions but lies below w;
-                # a dominant w is its own top, built with no pi
-                grothendieck._descend(identity, double)
-                grothendieck._descend(u, double)
-                if (w, double) in grothendieck._memo:
-                    continue
+                g = route[chain[k], double]
+                memo = OrderedDict({(chain[k], double): g})
+                monkeypatch.setattr(grothendieck, "_memo", memo)
+                monkeypatch.setattr(grothendieck, "_memo_terms", len(g))
                 applied.clear()
-                assert grothendieck._descend(w, double) == per_w_route(w, double)
-                assert len(applied) == (0 if dominant(w) else 1)
+                assert grothendieck._descend(w, double) == route[w, double]
+                assert len(applied) == k
                 checked += 1
-    assert checked > 40
+    # the 10 non-dominant w of S_4 climb 14 steps in all, the 78 of S_5 156
+    assert checked == 2 * {4: 14, 5: 156}[size]
 
 
 @pytest.mark.parametrize("size", [3, 4, 5, 6])

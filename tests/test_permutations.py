@@ -1,5 +1,6 @@
 import random
 from itertools import product
+import signal
 
 import pytest
 
@@ -143,6 +144,22 @@ def test_reduced_words_evaluate_home():
 def test_lex_min_reduced_word():
     for p in all_permutations(4):
         assert lex_min_reduced_word(p) == min(reduced_words(p))
+
+
+def test_lex_min_reduced_word_rejects_a_non_permutation():
+    def hung(signum, frame):
+        raise TimeoutError("lex_min_reduced_word did not return")
+
+    # a one-letter non-permutation must fail, not loop forever
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        for bad in ((0,), (2,), (1, 1), (2, 3), (0, 1, 2), ()):
+            with pytest.raises(ValueError, match="not a permutation"):
+                lex_min_reduced_word(bad)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def enumerate_hecke_words(p, max_len):

@@ -161,6 +161,18 @@ def test_substitute_zero():
         substitute_zero(p, "z", 1)
 
 
+def test_substitute_zero_rejects_a_keep_that_is_not_an_int_at_least_0():
+    x1, x2, y1 = x_var(1, 2), x_var(2, 2), y_var(1, 2)
+    p = x1 + x2 + y1
+    assert substitute_zero(p, "x", 0) == y1
+    assert substitute_zero(p, "y", 0) == x1 + x2
+    assert substitute_zero(p, "x", 3) == p
+    for keep in (-1, -2, True, False, 1.0, "1", None):
+        for family in ("x", "y"):
+            with pytest.raises(ValueError, match="keep"):
+                substitute_zero(p, family, keep)
+
+
 def test_set_y_equal_x():
     assert set_y_equal_x(y_var(1, 1)) == x_var(1, 1)
     x1, y1 = x_var(1, 1), y_var(1, 1)

@@ -7,7 +7,12 @@ import pytest
 
 from grothpoly.factorizations import enumerate_hook, genfun
 from grothpoly.grothendieck import grothendieck_double, grothendieck_single
-from grothpoly.permutations import all_permutations, inversions, reduced_words
+from grothpoly.permutations import (
+    all_permutations,
+    inverse,
+    inversions,
+    reduced_words,
+)
 from grothpoly.polynomials import (
     Polynomial,
     coefficient,
@@ -227,6 +232,18 @@ def test_one_factor_hooks_of_degree_four():
         "(4o 1 2 4)",
         "(4o 1o 2 4)",
     ]
+
+
+def test_the_half_weak_series_interpolates_stable_and_weak_stable():
+    # claim 3a: x = 0 leaves the stable series of w^-1 in y, and y = 0
+    # leaves its image under omega in x
+    t = TruncationSpec(4, 4)
+    perms = all_permutations(3) + all_permutations(4)
+    assert len(perms) == 30
+    for w in perms:
+        half, stable = halfweak_stable(w, t), stable_single(inverse(w), t)
+        assert substitute_zero(half, "x", 0) == exchange_families(stable)
+        assert substitute_zero(half, "y", 0) == omega(stable, "x")
 
 
 def test_degree_four_coefficient_after_merging_the_families():
