@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .tableaux import Entry, Tableau, outer_shape, pretty_tableau
 
@@ -210,6 +210,12 @@ def _transpose_rows(rows):
     ]
 
 
+# One Entry per label and mark, shared by every Q of phi that holds it:
+# an Entry is an immutable tuple, and a lookup costs less than building
+# one.  Labels of phi count factors, so there are few of them.
+_label = cache(Entry)
+
+
 # Insertion reads its word left to right, so the pair after a prefix of
 # a two-sided factorization does not depend on what follows it, and a
 # family repeats a few thousand prefixes tens of thousands of times.  So
@@ -234,9 +240,9 @@ def _prefix(left, right):
     q_rows: list[list[tuple[Entry, ...]]] = []
     for i, fac in enumerate(reversed(left), start=1):
         for letter in reversed(fac):
-            p_rows = _insert_one(p_rows, q_rows, letter.value, Entry(i))
+            p_rows = _insert_one(p_rows, q_rows, letter.value, _label(i))
     q_cols = tuple(
-        tuple(tuple(Entry(e.value, True) for e in box) for box in col)
+        tuple(tuple(_label(e.value, True) for e in box) for box in col)
         for col in _transpose_rows(q_rows)
     )
     return tuple(_transpose_rows(p_rows)), q_cols
@@ -246,7 +252,7 @@ def _with_factor(rows, fac, label: int):
     """The rows of P, and fresh lists of the rows of Q, after the letters
     of one more factor go into the given rows under the label."""
     p_rows, q_rows = rows[0], [list(row) for row in rows[1]]
-    entry = Entry(label)
+    entry = _label(label)
     for letter in fac:
         p_rows = _insert_one(p_rows, q_rows, letter.value, entry)
     return p_rows, q_rows

@@ -298,17 +298,25 @@ def hecke_distance(
 # up the weights of all paths with one memo per state, the
 # transfer-matrix method (Stanley, Enumerative Combinatorics I, 4.7),
 # without listing them.
+#
+# The search never leaves the interval of hecke_distance: a generator
+# moves a permutation up or fixes it, and the interval is a lower set.
+# So _interval numbers its permutations once per search, with one more
+# number for everything outside it, and a state holds that number.  A
+# letter is then two list lookups, the number it steps to and that
+# number's distance, with no permutation built or hashed.
 
 
 class FactorSpec(NamedTuple):
     """One factor slot of hecke_search.  candidates(prev, below) yields a
     (letter, generator, room) triple for each letter that may follow prev
     (None at the factor's start), given below, the factor finished just
-    before: room bounds how many more letters the factor can take after
-    it.  size bounds the factor's length, least(below) is its fewest.
-    reads_below says whether candidates or least reads below; a spec
-    that reads neither sets it False, so that states differing only in
-    below are one state of the search."""
+    before: generator is an index 1..n of S_{n+1}, and room bounds how
+    many more letters the factor can take after it.  size bounds the
+    factor's length, least(below) is its fewest.  reads_below says
+    whether candidates or least reads below; a spec that reads neither
+    sets it False, so that states differing only in below are one state
+    of the search."""
 
     candidates: Callable[[Any, tuple], Iterable[tuple[Any, int, int]]]
     size: int
@@ -316,30 +324,58 @@ class FactorSpec(NamedTuple):
     reads_below: bool = True
 
 
+class _Interval(NamedTuple):
+    """The permutations that reach a target, numbered: index maps each
+    to its number, step[u][g] is the number generator g takes number u
+    to (len(index), the one number outside, where it leaves the
+    interval), and need[u] is the distance of number u to the target,
+    far for the outside number.  Every step row holds None at 0, so that
+    generator g is read at step[u][g]."""
+
+    index: dict
+    step: list
+    need: list
+
+
+def _interval(target, dist, side, far) -> _Interval:
+    """The interval dist of hecke_distance(target, side) as an
+    _Interval, every step computed up front: one application of each
+    generator to each permutation of the interval."""
+    apply_fn = hecke_apply_right if side == "right" else hecke_apply
+    index = {u: k for k, u in enumerate(dist)}
+    outside = len(index)
+    generators = range(1, len(target))
+    step = [
+        [None, *[index.get(apply_fn(u, g), outside) for g in generators]]
+        for u in dist
+    ]
+    step.append([None] + [outside] * len(generators))
+    return _Interval(index, step, [*dist.values(), far])
+
+
 class _Closings(dict):
     """The live closings of each search state (idx, below, u, budget),
     expanded on first lookup: a tuple of every (factor, next state) that
     closes slot idx, in search order, where next is None after the last
-    slot.  below is () when spec idx does not read it.  An edge is kept
-    only if its next state has closings of its own.  Each generator is
-    applied to each permutation once per search: many branches reach
-    the same (u, generator), and applied keeps the result.  A dict with
-    __missing__ rather than a recursive closure, which would be a
-    reference cycle: _search_graph copies out the states and drops it."""
+    slot.  u is the number of the permutation reached in the _Interval
+    of the search, and below is () when spec idx does not read it.  An
+    edge is kept only if its next state has closings of its own.  A
+    generator outside 1..n raises ValueError.  A dict with __missing__
+    rather than a recursive closure, which would be a reference cycle:
+    _search_graph copies out the states and drops it."""
 
-    def __init__(self, specs, dist, apply_fn, far):
+    def __init__(self, specs, interval: _Interval):
         super().__init__()
         self.specs = specs
-        self.dist = dist
-        self.apply_fn = apply_fn
-        self.far = far
+        self.step = interval.step
+        self.need = interval.need
+        self.width = len(interval.step[0])  # n + 1, past the last generator
         self.tail = [sum(s.size for s in specs[i:]) for i in range(len(specs) + 1)]
         self.share = {}.setdefault
-        self.applied = {}
 
     def __missing__(self, state):
         idx, below, u, budget = state
-        spec, dist, far, applied = self.specs[idx], self.dist, self.far, self.applied
+        spec, step, need, width = self.specs[idx], self.step, self.need, self.width
         rest = self.tail[idx + 1]
         last = idx + 1 == len(self.specs)
         keyed = not last and self.specs[idx + 1].reads_below
@@ -349,8 +385,8 @@ class _Closings(dict):
         stack = [((), None, u, budget)]
         while stack:
             letters, prev, u, left = stack.pop()
-            need = dist.get(u, far)
-            if len(letters) >= least and need <= rest and need <= left:
+            d = need[u]
+            if len(letters) >= least and d <= rest and d <= left:
                 factor = self.share(letters, letters)
                 if last:
                     edges.append((factor, None))
@@ -359,13 +395,16 @@ class _Closings(dict):
                     if self[nxt]:
                         edges.append((factor, nxt))
             if left:
+                row = step[u]
                 grown = []
                 for letter, generator, room in spec.candidates(prev, below):
-                    u2 = applied.get((u, generator))
-                    if u2 is None:
-                        u2 = applied[u, generator] = self.apply_fn(u, generator)
-                    need = dist.get(u2, far)
-                    if need < left and need <= room + rest:
+                    if not 0 < generator < width:
+                        raise ValueError(
+                            f"generator {generator} out of range 1..{width - 1}"
+                        )
+                    u2 = row[generator]
+                    d = need[u2]
+                    if d < left and d <= room + rest:
                         grown.append((letters + (letter,), letter, u2, left - 1))
                 stack.extend(reversed(grown))
         self[state] = edges = tuple(edges)
@@ -385,7 +424,6 @@ def _search_graph(target, specs, side, max_letters):
     """
     target = tuple(target)
     dist = hecke_distance(target, side)
-    apply_fn = hecke_apply_right if side == "right" else hecke_apply
     if max_letters is None:
         max_letters = sum(spec.size for spec in specs)
     if max_letters < 0:
@@ -393,8 +431,9 @@ def _search_graph(target, specs, side, max_letters):
     if not specs:
         root = None if target == identity(len(target)) else ()
         return MappingProxyType({(): ()}), root
-    table = _Closings(specs, dist, apply_fn, max_letters + 1)
-    root = (0, (), identity(len(target)), max_letters)
+    interval = _interval(target, dist, side, max_letters + 1)
+    table = _Closings(specs, interval)
+    root = (0, (), interval.index[identity(len(target))], max_letters)
     table[root]
     return MappingProxyType(dict(table)), root
 

@@ -500,6 +500,65 @@ def set_y_equal_x(p: Polynomial) -> Polynomial:
     return _tally(p.m, summed)
 
 
+# ---------------------------------------------------------------------------
+# change of basis in one family, on packed keys (the bit layout stays
+# here; stable.omega drives these)
+
+
+def _components(p: Polynomial, family: str) -> dict:
+    """The terms of p split for a change of basis in one family ("x" or
+    "y"): a map from (the key of a term's part in the other family, its
+    degree in the chosen one) to a dict of the chosen family's parts,
+    moved to x keys, and their coefficients.  Within one dict every key
+    has the same degree."""
+    shift = 0 if family == "x" else _BITS * p.m
+    low = (1 << _BITS * p.m) - 1
+    groups: dict = {}
+    for k, c in p._packed.items():
+        own = k >> shift & low
+        groups.setdefault((k - (own << shift), own % _ONES), {})[own] = c
+    return groups
+
+
+def _lead_partition(key: int, m: int) -> tuple[int, ...]:
+    """The partition of the leading x key of a symmetric component.
+
+    x_m holds the highest bits, so the largest key of a symmetric
+    component is its antidominant arrangement, and its fields read from
+    x_m down are the partition.  A key whose fields rise on that way
+    down raises ValueError: its component is not symmetric."""
+    fields = [key >> s & _ONES for s in range(_BITS * (m - 1), -1, -_BITS)]
+    if sorted(fields, reverse=True) != fields:
+        raise ValueError(f"not symmetric: stray monomial {tuple(fields[::-1])}")
+    return tuple(e for e in fields if e)
+
+
+def _subtract(component: dict, q: Polynomial, c: int) -> None:
+    """Take c * q from a dict of x keys in place, zeros dropped; q has
+    no y part."""
+    get = component.get
+    for k, qc in q._packed.items():
+        left = get(k, 0) - c * qc
+        if left:
+            component[k] = left
+        else:
+            del component[k]
+
+
+def _placed(m: int, family: str, parts: Iterable) -> Polynomial:
+    """The sum of c * q * other over (q, c, other) triples: q has no y
+    part and moves into the chosen family, other is a key of the other
+    family from _components.  Unchecked: each term keeps the degree of
+    the component it came from."""
+    shift = 0 if family == "x" else _BITS * m
+    pairs = (
+        ((k << shift) + other, c * qc)
+        for q, c, other in parts
+        for k, qc in q._packed.items()
+    )
+    return _tally(m, pairs)
+
+
 def total_degree(key: Key) -> int:
     return sum(key[0]) + sum(key[1])
 

@@ -15,6 +15,10 @@ from .polynomials import (
     restrict_variables,
     truncate_degree,
     _check_degree,
+    _components,
+    _lead_partition,
+    _placed,
+    _subtract,
 )
 from .tableaux import (
     conjugate,
@@ -157,34 +161,17 @@ def schur(shape: tuple[int, ...], m: int) -> Polynomial:
     return genfun_svt(shape, m, sum(shape))
 
 
-@cache
-def _schur_items(shape: tuple[int, ...], m: int) -> tuple:
-    """The (x_exponents, coefficient) items of schur(shape, m), which has
-    no y part, unpacked once and kept next to the cached polynomial."""
-    return tuple((xe, c) for (xe, _), c in schur(shape, m).terms.items())
-
-
 def _eliminate(component: dict, m: int) -> dict:
-    """Expand an exponent-vector-to-coefficient map of one homogeneous
-    symmetric component into Schur coordinates by leading-term
-    subtraction."""
-    component = {k: c for k, c in component.items() if c}
+    """Expand one homogeneous symmetric component, a dict of x keys and
+    their coefficients that it uses up, into Schur coordinates by
+    leading-term subtraction: the leading key is the largest, and
+    _lead_partition reads its partition or raises ValueError."""
     out: dict[tuple[int, ...], int] = {}
     while component:
         lead = max(component)
-        if any(a < b for a, b in zip(lead, lead[1:])):
-            raise ValueError(f"not symmetric: stray monomial {lead}")
-        lam = lead[: next(
-            (i for i, e in enumerate(lead) if e == 0), len(lead)
-        )]
-        c = component[lead]
-        out[lam] = c
-        for exps, sc in _schur_items(lam, m):
-            left = component.get(exps, 0) - c * sc
-            if left:
-                component[exps] = left
-            else:
-                del component[exps]
+        lam = _lead_partition(lead, m)
+        c = out[lam] = component[lead]
+        _subtract(component, schur(lam, m), c)
     return out
 
 
@@ -193,29 +180,24 @@ def omega(p: Polynomial, family: str) -> Polynomial:
     The linear involution on symmetric truncations that rewrites each
     homogeneous component of the chosen family in the Schur basis and
     conjugates every indexing partition.  The other family rides along
-    as coefficients.
+    as coefficients.  A component that is not symmetric raises
+    ValueError.
 
     >>> omega(schur((2,), 3), "x") == schur((1, 1), 3)
     True
     """
     if family not in ("x", "y"):
         raise ValueError(f"unknown family {family!r}")
-    if family == "y":
-        return exchange_families(omega(exchange_families(p), "x"))
-    groups: dict = {}
-    for (xe, ye), c in p.terms.items():
-        groups.setdefault((ye, sum(xe)), {})[xe] = c
-    # the y-part of each partition: its coefficient in every component
-    y_parts: dict = {}
-    zero = (0,) * p.m
-    for (ye, _), component in groups.items():
-        for lam, c in _eliminate(component, p.m).items():
-            y_parts.setdefault(lam, {})[zero, ye] = c
-    images = (
-        schur(conjugate(lam), p.m) * Polynomial(p.m, terms)
-        for lam, terms in y_parts.items()
-    )
-    return poly_sum(p.m, images)
+    m = p.m
+    images: dict = {}  # schur(lam', m) by lam, met once per component
+    parts = []
+    for (other, _), component in _components(p, family).items():
+        for lam, c in _eliminate(component, m).items():
+            image = images.get(lam)
+            if image is None:
+                image = images[lam] = schur(conjugate(lam), m)
+            parts.append((image, c, other))
+    return _placed(m, family, parts)
 
 
 def weak_stable_double(w: tuple[int, ...], t: TruncationSpec) -> Polynomial:

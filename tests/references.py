@@ -3,6 +3,7 @@ kept apart from the code they check."""
 
 from grothpoly.insertion import insert_row
 from grothpoly.permutations import hecke_apply_right, lex_min_reduced_word
+from grothpoly.stable import schur
 from grothpoly.tableaux import (
     Entry,
     Tableau,
@@ -216,3 +217,28 @@ def f_tally_full_alphabet(mu):
 
     _fill(_boxes_of(mu), sum(mu), choices, leaf)
     return tuple(counts.items())
+
+
+def eliminate_by_tuples(component, m):
+    """
+    A homogeneous symmetric component, a map from x-exponent tuples to
+    coefficients, in Schur coordinates by leading-term subtraction on
+    the tuples: the leading monomial is the largest tuple, the dominant
+    arrangement of its partition, and a lead that is not a partition
+    raises ValueError.
+    """
+    component = {k: c for k, c in component.items() if c}
+    out = {}
+    while component:
+        lead = max(component)
+        if any(a < b for a, b in zip(lead, lead[1:])):
+            raise ValueError(f"not symmetric: stray monomial {lead}")
+        lam = tuple(e for e in lead if e)
+        c = out[lam] = component[lead]
+        for (exps, _), sc in schur(lam, m).terms.items():
+            left = component.get(exps, 0) - c * sc
+            if left:
+                component[exps] = left
+            else:
+                del component[exps]
+    return out

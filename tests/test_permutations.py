@@ -5,7 +5,7 @@ import signal
 import pytest
 
 from grothpoly import factorizations, tableaux
-from grothpoly.permutations import _path_sum, _search_graph
+from grothpoly.permutations import _interval, _path_sum, _search_graph
 from grothpoly.permutations import (
     FactorSpec,
     all_permutations,
@@ -400,6 +400,61 @@ def test_specs_that_ignore_below_merge_states_with_equal_closings(monkeypatch):
         assert hecke_search(w, specs, side) == hecke_search(w, keyed, side)
     specs, side = by_name["hecke_tableaux"]
     assert all(spec.reads_below for spec in specs)
+
+
+def test_a_shifted_permutation_keeps_the_state_count_of_its_base():
+    # the tableaux bases of S_5 at m = 2, D = l + 2: a shift moves every
+    # letter up and numbers a copy of the same interval, so the graph of
+    # each copy in S_6 and S_7 has the base's states
+    bases = {
+        (3, 1, 2, 4, 5): 14,
+        (2, 1, 4, 3, 5): 23,
+        (1, 3, 4, 2, 5): 16,
+        (2, 3, 1, 5, 4): 36,
+        (1, 4, 2, 5, 3): 25,
+        (2, 1, 5, 3, 4): 32,
+        (3, 2, 1, 5, 4): 69,
+        (2, 4, 1, 5, 3): 47,
+    }
+    for base, states in bases.items():
+        copies = [base] + [
+            tuple(range(1, k + 1))
+            + tuple(v + k for v in base)
+            + tuple(range(len(base) + k + 1, size + 1))
+            for size in (6, 7)
+            for k in range(size - len(base) + 1)
+        ]
+        for w in copies:
+            n = len(w) - 1
+            specs, side, _ = factorizations._family("double_unbounded", n, 2)
+            closings, _ = _search_graph(w, specs, side, inversions(w) + 2)
+            assert len(closings) == states, w
+
+
+def test_a_letter_that_leaves_the_interval_is_pruned():
+    # below (2, 1, 3) on the right lie only itself and the identity, so
+    # generator 2 takes either out of the interval, to the one number
+    # past it, whose distance no budget allows
+    target = (2, 1, 3)
+    dist = hecke_distance(target, "right")
+    interval = _interval(target, dist, "right", 5)
+    outside = len(interval.index)
+    assert outside == 2 and interval.need[outside] == 5
+    for u in dist:
+        row = interval.step[interval.index[u]]
+        assert row[1] == interval.index[target]
+        assert row[2] == outside
+    assert interval.step[outside][1:] == [outside, outside]
+    letters = [(g, g, 4) for g in (2, 1)]
+    spec = FactorSpec(lambda prev, below: letters, 4)
+    closings, root = _search_graph(target, [spec], "right", 4)
+    factors = [factor for factor, _ in closings[root]]
+    assert factors == [(1,) * k for k in (1, 2, 3, 4)]
+    assert all(u < outside for _, _, u, _ in closings)
+    for generator in (0, -1, 3):
+        bad = FactorSpec(lambda prev, below, g=generator: [(g, g, 0)], 1)
+        with pytest.raises(ValueError, match="out of range"):
+            hecke_search(target, [bad], "right")
 
 
 def action_graph_distances(size, side):

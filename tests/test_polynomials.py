@@ -1,8 +1,10 @@
+import ast
 from collections import Counter
 import copy
 from functools import reduce
 import json
 import operator
+from pathlib import Path
 import pickle
 import random
 from types import MappingProxyType
@@ -33,6 +35,7 @@ from grothpoly.polynomials import (
     x_var,
     y_var,
 )
+import grothpoly
 
 
 def random_poly(rng, m=3, max_terms=6, max_exp=3):
@@ -559,3 +562,16 @@ def test_a_product_of_factors_that_dropped_their_top_terms_is_formed():
     x1, y2 = x_var(1, 2), y_var(2, 2)
     dropped = substitute_zero(y2**200 + x1, "y", 0)
     assert dropped * x1**100 == x1**101
+
+
+def test_only_polynomials_reads_the_packed_terms():
+    # the bit layout of a key is private to polynomials: any other
+    # module goes through terms or a private helper defined there
+    readers = []
+    for path in sorted(Path(grothpoly.__file__).parent.glob("*.py")):
+        if path.name == "polynomials.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "_packed":
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []

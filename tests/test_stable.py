@@ -41,7 +41,7 @@ from grothpoly.stable import (
     weak_symmetric,
 )
 from grothpoly import cli
-from grothpoly.stable import _MODELS, _eliminate, _shape_series
+from grothpoly.stable import _MODELS, _shape_series
 from grothpoly.tableaux import (
     conjugate,
     contains,
@@ -55,6 +55,7 @@ from grothpoly.tableaux import (
     q_schur,
 )
 from grothpoly.tableaux import _hecke_shapes
+from references import eliminate_by_tuples
 
 
 def shifted(w, j):
@@ -161,9 +162,9 @@ def test_schur_values_and_expansion():
     assert schur((1, 1, 1), 2) == Polynomial(2, {})
     both = schur((2, 1), 3) + schur((3,), 3)
     component = {xe: c for (xe, _), c in both.terms.items()}
-    assert _eliminate(component, 3) == {(2, 1): 1, (3,): 1}
+    assert eliminate_by_tuples(component, 3) == {(2, 1): 1, (3,): 1}
     with pytest.raises(ValueError):
-        _eliminate({(2, 0): 1}, 2)
+        eliminate_by_tuples({(2, 0): 1}, 2)
 
 
 def test_schur_cache_cannot_be_changed_through_a_result():
@@ -189,16 +190,24 @@ def test_involution_conjugates_schur_components():
         omega(monomial(2, (2,)), "x")
 
 
-def omega_per_component(p):
+def omega_per_component(p, family="x"):
     """omega with one product per (component, partition) pair: each
-    y-monomial's x-part of each degree expanded alone."""
+    monomial of the other family, with the chosen family's part of each
+    degree expanded alone by eliminate_by_tuples."""
+    own = 0 if family == "x" else 1
     out = constant(0, p.m)
-    for ye, d in {(ye, sum(xe)) for xe, ye in p.terms}:
+    for other, d in {(k[1 - own], sum(k[own])) for k in p.terms}:
         component = {
-            xe: c for (xe, y), c in p.terms.items() if y == ye and sum(xe) == d
+            k[own]: c
+            for k, c in p.terms.items()
+            if k[1 - own] == other and sum(k[own]) == d
         }
-        for lam, c in _eliminate(component, p.m).items():
-            out = out + c * schur(conjugate(lam), p.m) * monomial(p.m, (), ye)
+        rider = monomial(p.m, other) if own else monomial(p.m, (), other)
+        for lam, c in eliminate_by_tuples(component, p.m).items():
+            image = schur(conjugate(lam), p.m)
+            if own:
+                image = exchange_families(image)
+            out = out + c * image * rider
     return out
 
 
@@ -210,6 +219,39 @@ def test_omega_groups_the_components_that_share_a_partition():
     mixed = p + 2 * schur((1, 1), 3) * y_part + schur((2, 1), 3) - schur((1,), 3)
     assert omega(mixed, "x") == omega_per_component(mixed)
     assert omega(omega(mixed, "x"), "x") == mixed
+
+
+def test_omega_in_y_is_omega_in_x_between_two_exchanges():
+    # every stable double series of S_3 and S_4, and mixed inputs whose
+    # two families carry different partitions
+    t = TruncationSpec(3, 5)
+    x_part = monomial(3, (1,)) - 3 * monomial(3, (1, 2))
+    inputs = [stable_double(w, t) for w in all_permutations(3) + all_permutations(4)]
+    inputs += [
+        schur((2, 1), 3) * exchange_families(schur((2,), 3)),
+        exchange_families(schur((3,), 3) - 2 * schur((1, 1), 3)) * x_part,
+        exchange_families(schur((2, 2), 3)) + schur((1,), 3) + 5,
+    ]
+    for p in inputs:
+        want = exchange_families(omega(exchange_families(p), "x"))
+        assert omega(p, "y") == want == omega_per_component(p, "y")
+        assert omega(omega(p, "y"), "y") == p
+    assert omega(inputs[-1], "y") == (
+        exchange_families(schur((2, 2), 3)) + schur((1,), 3) + 5
+    )
+
+
+def test_omega_rejects_a_component_that_is_not_symmetric_in_either_family():
+    x_only = monomial(3, (0, 2, 1))
+    y_only = exchange_families(x_only)
+    for p, family in ((x_only, "x"), (y_only, "y")):
+        with pytest.raises(ValueError, match="not symmetric"):
+            omega(p, family)
+        assert omega(p, "y" if family == "x" else "x") == p
+    # symmetric in y for one x monomial, not for the other
+    lopsided = exchange_families(schur((2,), 3)) * monomial(3, (1,)) + y_only
+    with pytest.raises(ValueError, match="not symmetric"):
+        omega(lopsided, "y")
 
 
 def test_one_factor_hooks_of_degree_four():
