@@ -12,11 +12,7 @@ from .factorizations import (
     Letter,
     factorization_to_str,
     is_valid_factorization,
-    _new_factorization,
-    _set_factors,
-    _set_kind,
-    _set_n,
-    _set_split,
+    _factorization,
 )
 
 __all__ = [
@@ -154,14 +150,6 @@ def wk_step_up(q: WQuadruple) -> WQuadruple:
 _RIDE_CACHE_SIZE = 4096
 
 
-def _ride_down(b: tuple[int, ...], c: tuple[int, ...]):
-    q = WQuadruple((), b, c, (), max((*b, *c), default=0))
-    check_quadruple(q)
-    for _ in range(q.k):
-        q = wk_step_down(q)
-    return q.a, q.d
-
-
 @lru_cache(maxsize=_RIDE_CACHE_SIZE)
 def _ride_up(a: tuple[int, ...], d: tuple[int, ...]):
     q = WQuadruple(a, (), (), d, 0)
@@ -179,8 +167,12 @@ def arrow_down(pair) -> tuple[tuple[int, ...], tuple[int, ...]]:
     >>> arrow_down(((1, 2, 3, 5, 6, 8), (8, 7, 5, 2)))
     ((8, 6, 5, 3), (1, 2, 3, 5, 6, 7))
     """
-    b, c = pair
-    return _ride_down(tuple(b), tuple(c))
+    b, c = map(tuple, pair)
+    q = WQuadruple((), b, c, (), max((*b, *c), default=0))
+    check_quadruple(q)
+    for _ in range(q.k):
+        q = wk_step_down(q)
+    return q.a, q.d
 
 
 def arrow_up(pair) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -274,7 +266,8 @@ def _moves(n: int) -> tuple[tuple[int, int, bool], ...]:
     """The rewrite's moves over S_{n+1}, in order: psi(j, k) for k from
     n down to 1 and j from n-k+1 down to 1, with close set on the last
     move of each k > 1, after which the extra factor joins the left
-    half and a new, empty one starts."""
+    half and a new, empty one starts.  The last move is psi(1, 1), so
+    the last extra factor ends left of every right factor."""
     return tuple(
         (j, k, j == 1 and k > 1)
         for k in range(n, 0, -1)
@@ -282,30 +275,36 @@ def _moves(n: int) -> tuple[tuple[int, int, bool], ...]:
     )
 
 
-def _chain_states(f: Factorization):
-    """Yield (left factors, right factors, extra factor, slot) after
-    every rewrite, the slot counting right factors left of the extra.
-    left and rights are the live lists the next rewrite changes, not
-    copies, so read a state before drawing the next one."""
-    n = f.n
-    rights = [tuple(fac) for fac in f.factors]
-    left: list[tuple[int, ...]] = [()] if n else []
-    f_ex: tuple[int, ...] = ()
-    yield left, rights, f_ex, 1 if n else 0
-    for j, k, close in _moves(n):
-        f_ex, rights[j - 1] = psi(j, k, rights[j - 1], f_ex)
-        yield left, rights, f_ex, j - 1
-        if close:
-            left.append(f_ex)
-            f_ex = ()
-            yield left, rights, f_ex, n - k + 2
-
-
-def _check_circled_input(f: Factorization) -> None:
+def _rewrite(f: Factorization, lines: list[str] | None = None) -> Factorization:
+    """Run the moves of _moves(f.n) on a bounded circled factorization
+    and build the two-sided result.  Given a list, append to it the
+    display line of every state: the start, and after every move and
+    every close, the extra factor in square brackets at its slot (the
+    number of right factors left of it)."""
     if f.kind != "circled_bounded":
         raise ValueError("expected a bounded circled factorization")
     if not is_valid_factorization(f):
         raise ValueError("invalid factorization")
+    n = f.n
+    rights = [tuple(fac) for fac in f.factors]
+    left: list[tuple[int, ...]] = [()] if n else []
+    f_ex: tuple[int, ...] = ()
+    if lines is not None:
+        lines.append(_state_line(left, rights, f_ex, 1 if n else 0))
+    for j, k, close in _moves(n):
+        f_ex, rights[j - 1] = psi(j, k, rights[j - 1], f_ex)
+        if lines is not None:
+            lines.append(_state_line(left, rights, f_ex, j - 1))
+        if close:
+            left.append(f_ex)
+            f_ex = ()
+            if lines is not None:
+                lines.append(_state_line(left, rights, f_ex, n - k + 2))
+    if any(l.circled for fac in rights for l in fac):
+        raise RuntimeError("rewrite chain ended in a bad state")
+    left.append(f_ex)
+    factors = tuple(map(_plain, left)) + tuple(rights)
+    return _factorization("double_bounded", factors, n, n + 1)
 
 
 @lru_cache(maxsize=_RIDE_CACHE_SIZE)
@@ -320,35 +319,12 @@ def circled_to_double(f: Factorization) -> Factorization:
     bounded factorization with the same letter weights, by repeatedly
     moving an extra factor leftward through the circled factors.
 
-    The moves are those of _chain_states, run in a plain loop with no
-    state yielded, and the result is built through the slot setters.
-
     >>> from .factorizations import parse_factorization
     >>> start = parse_factorization("(3 3o 2o 1 1o)(3o 2)(3 3o)()", "circled_bounded", 3)
     >>> str(circled_to_double(start))
     '()(3)(2 3)(1 2)|(2 1)(3)(3)()'
     """
-    _check_circled_input(f)
-    n = f.n
-    moves = _moves(n)
-    rights = [tuple(fac) for fac in f.factors]
-    left = [()] if n else []
-    f_ex = ()
-    for j, k, close in moves:
-        f_ex, rights[j - 1] = psi(j, k, rights[j - 1], f_ex)
-        if close:
-            left.append(f_ex)
-            f_ex = ()
-    slot = moves[-1][0] - 1 if moves else 0
-    if slot != 0 or any(l.circled for fac in rights for l in fac):
-        raise RuntimeError("rewrite chain ended in a bad state")
-    left.append(f_ex)
-    g = _new_factorization(Factorization)
-    _set_kind(g, "double_bounded")
-    _set_factors(g, tuple(map(_plain, left)) + tuple(rights))
-    _set_n(g, n)
-    _set_split(g, n + 1)
-    return g
+    return _rewrite(f)
 
 
 def _state_line(left, rights, f_ex, slot) -> str:
@@ -364,8 +340,6 @@ def circled_to_double_chain(f: Factorization) -> list[str]:
     """Display strings for the full rewrite: the input, every
     intermediate state (extra factor in square brackets), and the
     final two-sided factorization."""
-    _check_circled_input(f)
-    lines = [factorization_to_str(f)]
-    lines += [_state_line(*state) for state in _chain_states(f)]
-    lines.append(factorization_to_str(circled_to_double(f)))
-    return lines
+    lines: list[str] = []
+    g = _rewrite(f, lines)
+    return [factorization_to_str(f), *lines, factorization_to_str(g)]

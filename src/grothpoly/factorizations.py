@@ -413,6 +413,18 @@ _set_n = Factorization.n.__set__
 _set_split = Factorization.split.__set__
 
 
+def _factorization(kind: str, factors: tuple, n: int, split: int | None) -> Factorization:
+    """A Factorization of fields known to be right, built through the
+    slot descriptors' setters rather than the frozen dataclass's
+    __init__; for the listing and the circled-to-double rewrite."""
+    f = _new_factorization(Factorization)
+    _set_kind(f, kind)
+    _set_factors(f, factors)
+    _set_n(f, n)
+    _set_split(f, split)
+    return f
+
+
 def _listed(
     kind: str, w: tuple[int, ...], parts: int | None = None, max_letters: int | None = None
 ) -> list[Factorization]:
@@ -442,8 +454,7 @@ def _listed(
     into those that end in a tail, the completion joined on, and those
     that go on, and the depth-first walk ends a path as soon as it
     reaches a tail.  The sorted keys are then read off in order, each
-    path's factors becoming a Factorization built through the slot
-    setters.
+    path's factors becoming a Factorization built by _factorization.
     """
     w = tuple(w)
     kept = _graph(kind, w, parts, max_letters)
@@ -505,15 +516,7 @@ def _listed(
             found[key + e_key] = factors + e_factors
         stack += [(factors + (f,), key + share, nxt) for f, share, nxt in goes]
     split = kept.split
-    listed = []
-    for key in sorted(found):
-        f = _new_factorization(Factorization)
-        _set_kind(f, kind)
-        _set_factors(f, found[key])
-        _set_n(f, n)
-        _set_split(f, split)
-        listed.append(f)
-    return listed
+    return [_factorization(kind, found[key], n, split) for key in sorted(found)]
 
 
 def _series(

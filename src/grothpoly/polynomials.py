@@ -25,7 +25,7 @@ x exponents of each term and carry the y part along untouched.
 from __future__ import annotations
 
 from itertools import chain
-from operator import mul
+from operator import eq, ge, mul
 from types import MappingProxyType
 from typing import Iterable
 
@@ -563,22 +563,25 @@ def total_degree(key: Key) -> int:
     return sum(key[0]) + sum(key[1])
 
 
-def _of_degree(p: Polynomial, keep) -> Polynomial:
-    """The terms of p whose total degree passes keep.  A key modulo the
-    all-ones field value is its total degree, which the cap keeps below
-    that value."""
-    kept = ((k, c) for k, c in p._packed.items() if keep(k % _ONES))
+def _of_degree(p: Polynomial, d: int, keep) -> Polynomial:
+    """The terms of p whose total degree t passes keep(d, t), for an int
+    d.  A key modulo the all-ones field value is its total degree, which
+    the cap keeps below that value."""
+    if type(d) is not int:
+        raise ValueError(f"degree must be an int, not {d!r}")
+    kept = ((k, c) for k, c in p._packed.items() if keep(d, k % _ONES))
     return _distinct(p.m, kept)
 
 
 def truncate_degree(p: Polynomial, bound: int) -> Polynomial:
     """
-    Keep the terms of total degree (x and y together) at most bound.
+    Keep the terms of total degree (x and y together) at most bound, an
+    int.
 
     >>> pretty(truncate_degree(x_var(1, 1) + x_var(1, 1) ** 2, 1))
     'x1'
     """
-    return _of_degree(p, bound.__ge__)
+    return _of_degree(p, bound, ge)
 
 
 def coefficient(
@@ -603,13 +606,13 @@ def coefficient(
 
 def homogeneous_component(p: Polynomial, d: int) -> Polynomial:
     """
-    The sum of terms of total degree exactly d.
+    The sum of terms of total degree exactly d, an int.
 
     >>> q = x_var(1, 2) + x_var(1, 2) * x_var(2, 2)
     >>> pretty(homogeneous_component(q, 2))
     'x1*x2'
     """
-    return _of_degree(p, d.__eq__)
+    return _of_degree(p, d, eq)
 
 
 def _term_sort_key(key: Key):

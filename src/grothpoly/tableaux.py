@@ -101,11 +101,13 @@ def partitions_of(
     n: int, max_part: int | None = None
 ) -> list[tuple[int, ...]]:
     """
-    All partitions of n with parts at most max_part.
+    All partitions of n >= 0 with parts at most max_part >= 0.
 
     >>> partitions_of(4, 3)
     [(3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     """
+    if n < 0 or (max_part is not None and max_part < 0):
+        raise ValueError(f"cannot partition {n} into parts at most {max_part}")
     cap = n if max_part is None else min(n, max_part)
     if n == 0:
         return [()]
@@ -675,18 +677,6 @@ def genfun_psmt(outer: tuple[int, ...], m: int, D: int) -> Polynomial:
     return _genfun(_boxes_of(outer), D, _psmt_choices(m), m)
 
 
-def _pt_fillings(shape: tuple[int, ...], max_value: int) -> list[Tableau]:
-    """All primed tableaux of the shape with values <= max_value."""
-    boxes = _boxes_of(shape)
-    out: list[Tableau] = []
-
-    def leaf(filled):
-        out.append(_filled_tableau(shape, filled))
-
-    _fill(boxes, len(boxes), _psmt_choices(max_value), leaf)
-    return out
-
-
 def _filled_tableau(shape: tuple[int, ...], filled: dict) -> Tableau:
     """The straight tableau of the shape whose box (r, c) holds
     filled[(r, c)]."""
@@ -790,23 +780,9 @@ def q_schur(shape: tuple[int, ...], m: int, D: int) -> Polynomial:
 # finger scans
 
 
-# A caller asks the scans of one tableau for many i in a row, so the
-# last tableau found primed is kept and known again by identity alone.
-# Only a hashable one is kept: its rows are tuples and cannot change.  A
-# tableau that fails is never kept, so it raises on every call.
-_last_pt: list = [None]
-
-
 def _require_pt(T: Tableau) -> None:
-    if T is _last_pt[0]:
-        return
     if not is_pt(T):
         raise ValueError("finger scans are defined on primed tableaux only")
-    try:
-        hash(T)
-    except TypeError:
-        return
-    _last_pt[0] = T
 
 
 def _rows_bottom_up(T: Tableau) -> Iterable[Entry]:
@@ -908,7 +884,8 @@ def _f_tally(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     and the second lattice scan read the bottom row first, which is not
     placed yet, so they cannot cut; every leaf is still scanned in full.
     Cutting drops only fillings that fail, so the surviving ones, and
-    the tally's order, are those of the whole list _pt_fillings(mu, cap).
+    the tally's order, are those of the whole list pt_fillings(mu, cap)
+    of tests/references.py.
     """
     cap = max(sum(mu), 1)
     values = range(1, cap + 1)

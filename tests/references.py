@@ -179,6 +179,19 @@ def is_oft(T: Tableau, inner: tuple[int, ...]) -> bool:
     )
 
 
+def pt_fillings(shape, max_value):
+    """All primed tableaux of the shape with values <= max_value, in the
+    order the box filler meets them."""
+    boxes = _boxes_of(shape)
+    out = []
+
+    def leaf(filled):
+        out.append(_filled_tableau(shape, filled))
+
+    _fill(boxes, len(boxes), _psmt_choices(max_value), leaf)
+    return out
+
+
 def f_tally_full_alphabet(mu):
     """
     The primed-tableau tally of shape mu as the library made it when its

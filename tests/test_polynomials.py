@@ -193,6 +193,18 @@ def test_truncate_coefficient_homogeneous():
     assert homogeneous_component(p, 5) == constant(0, 2)
 
 
+def test_a_degree_that_is_not_an_int_raises():
+    # a str or None compared with a term's degree gives NotImplemented,
+    # which would read as true and keep every term
+    p = x_var(1, 2) + x_var(1, 2) * x_var(2, 2)
+    for bad in ("2", "1", None, True, 2.0):
+        with pytest.raises(ValueError):
+            truncate_degree(p, bad)
+        with pytest.raises(ValueError):
+            homogeneous_component(p, bad)
+    assert truncate_degree(p, -1) == homogeneous_component(p, -1) == constant(0, 2)
+
+
 def test_len_is_the_term_count_and_truth_is_unchanged():
     rng = random.Random(3)
     for _ in range(100):

@@ -51,11 +51,10 @@ from grothpoly.tableaux import (
     _f_tally,
     _hecke_shapes,
     _lattice,
-    _pt_fillings,
     _top_down_scan,
 )
 
-from references import f_tally_full_alphabet, is_oft
+from references import f_tally_full_alphabet, is_oft, pt_fillings
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +74,13 @@ def test_partitions_of():
     assert partitions_of(0) == [()]
     assert partitions_of(4, 3) == [(3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert len(partitions_of(6)) == 11
+
+
+def test_partitions_of_a_negative_number_or_part_raise():
+    assert partitions_of(3, 0) == [] and partitions_of(0, 0) == [()]
+    for n, max_part in ((-1, None), (-1, 3), (3, -1), (0, -1)):
+        with pytest.raises(ValueError):
+            partitions_of(n, max_part)
 
 
 def test_partitions_inside_matches_filter():
@@ -603,7 +609,7 @@ def test_f_coefficient_pinned():
 
 def qualifying_weights(mu, cap):
     out = {}
-    for T in _pt_fillings(mu, cap):
+    for T in pt_fillings(mu, cap):
         if all(
             has_i_starting(T, i) and has_i_lattice(T, i)
             for i in range(1, cap + 1)
@@ -650,7 +656,7 @@ def test_a_scan_broken_on_the_top_rows_fails_the_lattice():
     cuts = 0
     for n in range(5):
         for mu in partitions_of(n):
-            for T in _pt_fillings(mu, 4):
+            for T in pt_fillings(mu, 4):
                 for r in range(1, len(mu)):
                     for i in range(2, 5):
                         if _top_down_scan(T.rows[:r], i) is None:
