@@ -261,8 +261,9 @@ def _qschur_degree(shape_counts: dict, d: int) -> dict:
         )
         if not filled:
             continue
-        # every nonzero lam, strict and of size d, in partitions_of order
-        for lam, f in sorted(_f_tally(mu), reverse=True):
+        # every nonzero lam, strict and of size d, in decreasing order,
+        # which is the order of partitions_of
+        for lam, f in _f_tally(mu):
             out[lam] = out.get(lam, 0) + filled * f
     return out
 

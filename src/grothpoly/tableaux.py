@@ -677,15 +677,6 @@ def genfun_psmt(outer: tuple[int, ...], m: int, D: int) -> Polynomial:
     return _genfun(_boxes_of(outer), D, _psmt_choices(m), m)
 
 
-def _filled_tableau(shape: tuple[int, ...], filled: dict) -> Tableau:
-    """The straight tableau of the shape whose box (r, c) holds
-    filled[(r, c)]."""
-    return Tableau(tuple(
-        tuple(filled[(r, c)] for c in range(length))
-        for r, length in enumerate(shape)
-    ))
-
-
 def genfun_pt(shape: tuple[int, ...], m: int) -> Polynomial:
     """
     Generating polynomial of single-entry primed tableaux; every term
@@ -780,7 +771,9 @@ def q_schur(shape: tuple[int, ...], m: int, D: int) -> Polynomial:
 # finger scans
 
 
-def _require_pt(T: Tableau) -> None:
+def _check_scan(T: Tableau, i: int) -> None:
+    if type(i) is not int or i < 1:
+        raise ValueError(f"scan index {i!r} is not an int >= 1")
     if not is_pt(T):
         raise ValueError("finger scans are defined on primed tableaux only")
 
@@ -794,9 +787,10 @@ def _rows_bottom_up(T: Tableau) -> Iterable[Entry]:
 def has_i_starting(T: Tableau, i: int) -> bool:
     """
     Scan rows left to right, bottom row to top: the first i or i' seen
-    must be unprimed (vacuously true if neither occurs).
+    must be unprimed (vacuously true if neither occurs).  T must be a
+    primed tableau and i an int >= 1, else ValueError.
     """
-    _require_pt(T)
+    _check_scan(T, i)
     return _starts_unprimed(T, i)
 
 
@@ -815,8 +809,9 @@ def has_i_lattice(T: Tableau, i: int) -> bool:
     on a primed i.  Second (tallies kept): bottom row leftmost box,
     left to right then up; primed i tallies above, primed i-1 below;
     breaks when above exceeds below, or on a tie over an unprimed i-1.
+    T must be a primed tableau and i an int >= 1, else ValueError.
     """
-    _require_pt(T)
+    _check_scan(T, i)
     return _lattice(T, i)
 
 
@@ -866,58 +861,98 @@ def _lattice(T: Tableau, i: int) -> bool:
 def _f_tally(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The primed tableaux of shape mu that pass the starting and lattice
     scans for every i in 1..|mu|, counted by combined weight, as
-    (weight, count) pairs in the order the fill first meets each weight.
+    (weight, count) pairs in decreasing weight order.
 
     Such a tableau has a strict weight, so it uses no value past k, the
     largest k with k(k+1)/2 <= |mu| (the length of the longest strict
     partition of |mu|); the fill offers values up to min(k + 1, |mu|).
     Value k + 1 is a sentinel: a filling that uses it and passes the
-    scans has a weight that is not strict, and the guard below raises.
-    Values 1..k+1 in marked order are a prefix of values 1..|mu|, so the
-    fill meets the surviving fillings in the order it would with all
-    |mu| values.
-
-    The fill places the rows top first, so at the first box of row r the
-    rows above are final.  The first lattice scan for i >= 2 reads those
-    rows before any other box: if it already breaks on them, it breaks
-    on every completion, and the branch is cut there.  The starting scan
-    and the second lattice scan read the bottom row first, which is not
-    placed yet, so they cannot cut; every leaf is still scanned in full.
-    Cutting drops only fillings that fail, so the surviving ones, and
-    the tally's order, are those of the whole list pt_fillings(mu, cap)
-    of tests/references.py.
+    scans has a weight that is not strict, and _lattice_tally raises.
     """
-    cap = max(sum(mu), 1)
-    values = range(1, cap + 1)
-    k = (math.isqrt(8 * sum(mu) + 1) - 1) // 2
-    fill_choices = _psmt_choices(min(k + 1, cap))
+    n = sum(mu)
+    k = (math.isqrt(8 * n + 1) - 1) // 2
+    return _lattice_tally(mu, min(k + 1, max(n, 1)))
 
-    def choices(r, c, filled, room, used):
-        if c == 0 and r > 0:
-            top = [[filled[(q, k)] for k in range(mu[q])] for q in range(r)]
-            if any(_top_down_scan(top, i) is None for i in values[1:]):
-                return ()
-        return fill_choices(r, c, filled, room, used)
 
+def _breaks_scan(primed: bool, above: int, below: int) -> bool:
+    """Whether an entry i >= 2 breaks the first lattice scan for i, the
+    scan's (above, below) tallies counting it: above past below, or a
+    primed i on a tie."""
+    return above > below or (above == below and primed)
+
+
+def _lattice_tally(mu: tuple[int, ...], top: int) -> tuple:
+    """
+    The tally of _f_tally over the primed tableaux of shape mu with
+    values at most top; a qualifying weight that is not strict raises
+    RuntimeError.
+
+    The fill places the boxes in the order the first lattice scan reads
+    them: rows top first, each row right to left.  A box lies between
+    the box over it and its right neighbour in the marked order; as
+    rows and columns weakly increase, an unprimed entry once per column
+    is one unlike the entry over it, and a primed entry once per row
+    one unlike its right neighbour.  The fill keeps that scan's (above,
+    below) tallies for every i >= 2 and skips an entry that breaks the
+    scan for its own value (_breaks_scan): every completion breaks it
+    too.  The starting scan and the second lattice scan read the bottom
+    row first, so every leaf is still scanned in full, for every i.
+    Cutting drops only fillings that fail, so the counts are those of
+    the whole list pt_fillings(mu, top) of tests/references.py.
+    """
+    values = range(1, max(sum(mu), 1) + 1)
+    entries = _alphabet(top, marked_key)  # an entry's rank is its index
+    boxes = [(r, c) for r, row in enumerate(mu) for c in range(row)[::-1]]
+    grid = [[0] * row for row in mu]
+    above = [0] * (top + 2)  # above[i], below[i]: the scan's tallies for i
+    below = [0] * (top + 2)
     counts: dict[tuple[int, ...], int] = {}
 
-    def leaf(filled):
-        T = _filled_tableau(mu, filled)  # valid by construction: scan unchecked
+    def leaf():
+        T = Tableau(tuple(tuple((entries[e],) for e in row) for row in grid))
         if not all(_starts_unprimed(T, i) and _lattice(T, i) for i in values):
             return
-        x, y = weight_of(T)
-        combined = tuple(a + b for a, b in zip(x, y))
-        while combined and combined[-1] == 0:
-            combined = combined[:-1]
-        if any(a <= b for a, b in zip(combined, combined[1:])):
+        weight = [0] * top
+        for row in grid:
+            for e in row:
+                weight[e >> 1] += 1
+        while weight and weight[-1] == 0:
+            weight.pop()
+        key = tuple(weight)
+        if any(a <= b for a, b in zip(key, key[1:])):
             raise RuntimeError(
-                f"weight {combined} of a qualifying tableau is not strict: "
-                f"{T}"
+                f"weight {key} of a qualifying tableau is not strict: {T}"
             )
-        counts[combined] = counts.get(combined, 0) + 1
+        counts[key] = counts.get(key, 0) + 1
 
-    _fill(_boxes_of(mu), sum(mu), choices, leaf)
-    return tuple(counts.items())
+    def place(idx: int) -> None:
+        if idx == len(boxes):
+            leaf()
+            return
+        r, c = boxes[idx]
+        row = grid[r]
+        lo, hi = 0, 2 * top - 1  # ranks: 1' is 0, 1 is 1, 2' is 2, ...
+        if r:
+            lo = grid[r - 1][c]
+            lo += lo & 1  # an unprimed entry is not repeated down a column
+        if c + 1 < len(row):
+            hi = row[c + 1]
+            hi -= 1 - (hi & 1)  # a primed entry is not repeated along a row
+        for e in range(lo, hi + 1):
+            i, unprimed = (e >> 1) + 1, e & 1  # the scan counts unprimed only
+            if i > 1 and _breaks_scan(
+                not unprimed, above[i] + unprimed, below[i]
+            ):
+                continue
+            row[c] = e
+            above[i] += unprimed
+            below[i + 1] += unprimed
+            place(idx + 1)
+            above[i] -= unprimed
+            below[i + 1] -= unprimed
+
+    place(0)
+    return tuple(sorted(counts.items(), reverse=True))
 
 
 def f_coefficient(mu: tuple[int, ...], lam: tuple[int, ...]) -> int:
@@ -926,10 +961,12 @@ def f_coefficient(mu: tuple[int, ...], lam: tuple[int, ...]) -> int:
     lattice property whose combined x- and y-weight is lam.  Qualifying
     weights are checked to be strict partitions; a violation raises.
     The count is read from a tally cached per shape that counts every
-    lam at once.  The fill behind it offers values up to one past the
-    length k of the longest strict partition of |mu|, that sentinel
-    value keeping the strictness check live, and cuts a branch as soon
-    as its complete top rows fail a lattice scan (see _f_tally).
+    lam at once, in decreasing order.  The fill behind it offers values
+    up to one past the length k of the longest strict partition of
+    |mu|, that sentinel value keeping the strictness check live.  It
+    places the boxes in the order the first lattice scan reads them,
+    rows top first and each row right to left, and skips an entry as
+    soon as it breaks that scan (see _lattice_tally).
 
     >>> f_coefficient((3, 1), (4,))
     1

@@ -36,14 +36,15 @@ from grothpoly.polynomials import pretty
 DIGESTS = Path(__file__).parent / "digests.txt"
 
 
-# every `groth verify` step of the CI workflow, after the 42-trial
-# Cauchy step it ran before, the five bounds above their caps last
-# (each exits 2 with nothing on stdout)
+# every `groth verify` step of the CI workflow, each next to the steps
+# it replaced (Cauchy at 42 trials, qp at degrees 7 and 9), the five
+# bounds above their caps last (each exits 2 with nothing on stdout)
 _CI_VERIFY_STEPS = [
     "cauchy --n 4 --trials 42",
     "cauchy --n 4 --trials 46",
     "qp --degree 7",
     "qp --degree 9",
+    "qp --degree 11",
     "insertion --n 4 --degree 7",
     "tabt --m 4 --degree 8",
     "bijections --n 5",

@@ -9,7 +9,6 @@ from grothpoly.tableaux import (
     Tableau,
     _boxes_of,
     _fill,
-    _filled_tableau,
     _lattice,
     _ordered,
     _psmt_choices,
@@ -179,6 +178,15 @@ def is_oft(T: Tableau, inner: tuple[int, ...]) -> bool:
     )
 
 
+def filled_tableau(shape, filled):
+    """The straight tableau of the shape whose box (r, c) holds
+    filled[(r, c)]."""
+    return Tableau(tuple(
+        tuple(filled[(r, c)] for c in range(length))
+        for r, length in enumerate(shape)
+    ))
+
+
 def pt_fillings(shape, max_value):
     """All primed tableaux of the shape with values <= max_value, in the
     order the box filler meets them."""
@@ -186,7 +194,7 @@ def pt_fillings(shape, max_value):
     out = []
 
     def leaf(filled):
-        out.append(_filled_tableau(shape, filled))
+        out.append(filled_tableau(shape, filled))
 
     _fill(boxes, len(boxes), _psmt_choices(max_value), leaf)
     return out
@@ -214,7 +222,7 @@ def f_tally_full_alphabet(mu):
     counts: dict[tuple[int, ...], int] = {}
 
     def leaf(filled):
-        T = _filled_tableau(mu, filled)  # valid by construction: scan unchecked
+        T = filled_tableau(mu, filled)  # valid by construction: scan unchecked
         if not all(_starts_unprimed(T, i) and _lattice(T, i) for i in values):
             return
         x, y = weight_of(T)

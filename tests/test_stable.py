@@ -2,6 +2,7 @@
 tableau formulas, the conjugating involution, and the Q-basis pipeline."""
 
 from collections import Counter
+import hashlib
 
 import pytest
 
@@ -329,6 +330,21 @@ def test_q_basis_expansion_matches_the_merged_hook_model():
         lhs = set_y_equal_x(halfweak_stable(w, t))
         for d in range(t.D + 1):
             assert homogeneous_component(lhs, d) == homogeneous_component(rhs, d)
+
+
+def test_q_basis_expansion_is_positive_on_all_of_s5_to_degree_eleven():
+    # claim 3c on every permutation of S_5 to degree 11: 3,769
+    # coefficients, each at least 1, pinned in order by their sha256
+    expansions = [
+        (w, list(qschur_expansion(w, TruncationSpec(1, 11)).items()))
+        for w in all_permutations(5)
+    ]
+    coefficients = [c for _, items in expansions for _, c in items]
+    assert len(coefficients) == 3769
+    assert min(coefficients) >= 1
+    assert hashlib.sha256(repr(expansions).encode()).hexdigest() == (
+        "9fb9ade054e3ed5b0780f95f800240e79fc628dc6f901d53ce7b00da4afba11e"
+    )
 
 
 def qschur_by_pairs(w, t):

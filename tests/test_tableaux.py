@@ -1,4 +1,5 @@
 from collections import Counter
+import hashlib
 import itertools
 
 import pytest
@@ -51,6 +52,7 @@ from grothpoly.tableaux import (
     _f_tally,
     _hecke_shapes,
     _lattice,
+    _lattice_tally,
     _top_down_scan,
 )
 
@@ -596,6 +598,14 @@ def test_finger_scans_require_pt():
         has_i_lattice(tableau([["12"]]), 1)
 
 
+@pytest.mark.parametrize("i", [0, -1, True, False, 2.0, "2", None])
+def test_finger_scans_take_only_int_indices_from_one(i):
+    # a bool, a float or a string is not an index, and neither is 0
+    for scan in (has_i_starting, has_i_lattice):
+        with pytest.raises(ValueError):
+            scan(BIG_PT, i)
+
+
 def test_f_coefficient_pinned():
     assert f_coefficient((), ()) == 1
     assert f_coefficient((4,), (4,)) == 1
@@ -635,13 +645,14 @@ def test_f_coefficient_cap_is_saturated():
 def test_f_coefficient_matches_public_scans():
     # every lam of the same size, strict or not, against a count made
     # through the public scans of every filling; the tally, whose fill
-    # cuts branches, lists the same weights in the same order; repeat
+    # cuts branches, lists the same weights in decreasing order; repeat
     # calls agree and the cached tally is immutable all the way down
     # (hashable)
     for n in range(6):
         for mu in partitions_of(n):
             brute = qualifying_weights(mu, max(n, 1))
-            assert _f_tally(mu) == tuple(brute.items()), mu
+            pairs = tuple(sorted(brute.items(), reverse=True))
+            assert _f_tally(mu) == pairs, mu
             for lam in partitions_of(n):
                 value = f_coefficient(mu, lam)
                 assert type(value) is int
@@ -651,17 +662,20 @@ def test_f_coefficient_matches_public_scans():
 
 
 def test_a_scan_broken_on_the_top_rows_fails_the_lattice():
-    # the cut's argument: once the first lattice scan breaks on complete
-    # top rows, no bottom rows can save the tableau
+    # the cut's argument: once the first lattice scan breaks on a prefix
+    # of its reading order (complete top rows, then the rightmost j boxes
+    # of the next row), no completion can save the tableau
     cuts = 0
     for n in range(5):
         for mu in partitions_of(n):
             for T in pt_fillings(mu, 4):
-                for r in range(1, len(mu)):
-                    for i in range(2, 5):
-                        if _top_down_scan(T.rows[:r], i) is None:
-                            cuts += 1
-                            assert not _lattice(T, i), (T, r, i)
+                for r, length in enumerate(mu):
+                    for j in range(length + 1):
+                        prefix = T.rows[:r] + (T.rows[r][length - j:],)
+                        for i in range(2, 5):
+                            if _top_down_scan(prefix, i) is None:
+                                cuts += 1
+                                assert not _lattice(T, i), (T, r, j, i)
     assert cuts > 0
 
 
@@ -684,17 +698,35 @@ def test_f_coefficient_strictness_guard_survives_caching(monkeypatch):
 
 
 def test_f_tally_equals_the_full_alphabet_tally():
-    # at |mu| = 6 and 7 the fill offers 4 values, not 6 or 7: the
-    # tuple, order included, is the one a fill over every value gives
+    # at |mu| = 6 and 7 the fill offers 4 values, not 6 or 7: the pairs
+    # are those a fill over every value gives, in decreasing order
     for n in (6, 7):
         for mu in partitions_of(n):
-            assert _f_tally(mu) == f_tally_full_alphabet(mu), mu
+            full = f_tally_full_alphabet(mu)
+            assert _f_tally(mu) == tuple(sorted(full, reverse=True)), mu
 
 
-def test_the_sentinel_value_keeps_the_strictness_guard_live(monkeypatch):
-    # with the lattice scan disabled, every shape of 4..7 boxes has a
-    # qualifying filling whose weight is not strict; some shapes have
-    # one only with the value one past the longest strict partition
+def test_f_tally_digest_on_every_partition_up_to_ten():
+    # the (weight, count) pairs of every shape of 0..10 boxes, each
+    # tally sorted, pinned by a sha256 made with the earlier row-by-row
+    # fill, which cut only at the start of a row
+    text = repr([
+        (mu, sorted(_f_tally(mu), reverse=True))
+        for n in range(11)
+        for mu in partitions_of(n)
+    ])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "625f07f5cab7d307fa93de8f25e2f0c26569ed3c6650412eb2ff5a757b0e57ab"
+    )
+
+
+def test_without_both_lattice_scans_every_shape_has_a_weight_not_strict(
+    monkeypatch,
+):
+    # with the fill's cut and the leaf's lattice scan disabled, every
+    # shape of 4..7 boxes has a filling that passes the starting scans
+    # and whose weight is not strict
+    monkeypatch.setattr(tableaux, "_breaks_scan", lambda *tallies: False)
     monkeypatch.setattr(tableaux, "_lattice", lambda T, i: True)
     _f_tally.cache_clear()
     try:
@@ -702,6 +734,20 @@ def test_the_sentinel_value_keeps_the_strictness_guard_live(monkeypatch):
             for mu in partitions_of(n):
                 with pytest.raises(RuntimeError):
                     f_coefficient(mu, (n,))
+    finally:
+        _f_tally.cache_clear()
+
+
+def test_the_sentinel_value_keeps_the_strictness_guard_live(monkeypatch):
+    # with the leaf's lattice scan disabled and the fill's cut on,
+    # (3, 1, 1) has a surviving filling whose weight is not strict only
+    # with the value one past k = 2, the longest strict partition of 5
+    monkeypatch.setattr(tableaux, "_lattice", lambda T, i: True)
+    _f_tally.cache_clear()
+    try:
+        with pytest.raises(RuntimeError):
+            f_coefficient((3, 1, 1), (5,))
+        _lattice_tally((3, 1, 1), 2)
     finally:
         _f_tally.cache_clear()
 
