@@ -5,6 +5,8 @@ two-sided bounded factorizations."""
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
+from operator import attrgetter
 from typing import NamedTuple
 
 from .factorizations import (
@@ -99,6 +101,13 @@ def wk_step_down(q: WQuadruple) -> WQuadruple:
     check_quadruple(q)
     if q.k < 1:
         raise ValueError("already at threshold 0")
+    return _step_down(q)
+
+
+def _step_down(q: WQuadruple) -> WQuadruple:
+    """wk_step_down of a quadruple known to pass check_quadruple, with
+    k at least 1; a step keeps the quadruple valid, so a ride checks
+    only where it starts."""
     K, k = q.k, q.k - 1
     key = (k in q.b, K in q.b, K in q.c, k in q.c)
     if key not in LADDER_TABLE:
@@ -122,6 +131,11 @@ def wk_step_up(q: WQuadruple) -> WQuadruple:
     WQuadruple(a=(), b=(1, 2, 3, 5, 6, 8), c=(8, 7, 5, 2), d=(), k=8)
     """
     check_quadruple(q)
+    return _step_up(q)
+
+
+def _step_up(q: WQuadruple) -> WQuadruple:
+    """wk_step_up of a quadruple known to pass check_quadruple."""
     K, k = q.k + 1, q.k
     key = (
         bool(q.a) and q.a[-1] == K,
@@ -155,7 +169,7 @@ def _ride_up(a: tuple[int, ...], d: tuple[int, ...]):
     q = WQuadruple(a, (), (), d, 0)
     check_quadruple(q)
     for _ in range(max((*a, *d), default=0)):
-        q = wk_step_up(q)
+        q = _step_up(q)
     return q.b, q.c
 
 
@@ -171,7 +185,7 @@ def arrow_down(pair) -> tuple[tuple[int, ...], tuple[int, ...]]:
     q = WQuadruple((), b, c, (), max((*b, *c), default=0))
     check_quadruple(q)
     for _ in range(q.k):
-        q = wk_step_down(q)
+        q = _step_down(q)
     return q.a, q.d
 
 
@@ -300,7 +314,7 @@ def _rewrite(f: Factorization, lines: list[str] | None = None) -> Factorization:
             f_ex = ()
             if lines is not None:
                 lines.append(_state_line(left, rights, f_ex, n - k + 2))
-    if any(l.circled for fac in rights for l in fac):
+    if any(map(attrgetter("circled"), chain.from_iterable(rights))):
         raise RuntimeError("rewrite chain ended in a bad state")
     left.append(f_ex)
     factors = tuple(map(_plain, left)) + tuple(rights)

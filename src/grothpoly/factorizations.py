@@ -20,9 +20,10 @@ evaluate leftmost first.
 (4, 1, 3, 2)
 """
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from operator import getitem
 import re
 from typing import NamedTuple
@@ -416,13 +417,35 @@ _set_split = Factorization.split.__set__
 def _factorization(kind: str, factors: tuple, n: int, split: int | None) -> Factorization:
     """A Factorization of fields known to be right, built through the
     slot descriptors' setters rather than the frozen dataclass's
-    __init__; for the listing and the circled-to-double rewrite."""
+    __init__; for the circled-to-double rewrite, one at a time.
+    _factorizations sets the same slots for a whole listing."""
     f = _new_factorization(Factorization)
     _set_kind(f, kind)
     _set_factors(f, factors)
     _set_n(f, n)
     _set_split(f, split)
     return f
+
+
+def _factorizations(kind: str, paths, count: int, n: int, split: int | None) -> list:
+    """The Factorizations of the first count factor tuples of paths, all
+    of one kind, n and split, as _factorization builds one: each slot is
+    set on every object in one pass of map, with no Python frame per
+    object."""
+    made = list(map(_new_factorization, repeat(Factorization, count)))
+    deque(map(_set_kind, made, repeat(kind)), 0)
+    deque(map(_set_factors, made, paths), 0)
+    deque(map(_set_n, made, repeat(n)), 0)
+    deque(map(_set_split, made, repeat(split)), 0)
+    return made
+
+
+# A state whose closings all lead to completed states gets its list of
+# completions when it has at most this many, so the walk ends a path at
+# the first completed state it meets.  Longer lists would save few more
+# steps of the walk, and each completion holds a tuple of its own: a
+# bound of 16 instead of 4 took more memory than it saved time.
+_COMPLETIONS = 4
 
 
 def _listed(
@@ -446,15 +469,16 @@ def _listed(
     of the key is made once, as one int; a path's key is the sum along
     it.  Within one graph equal factors are one object, so its id names
     the factor's own word and mask fields, made once each.  Most of the
-    states a walk steps on lie on a single-path tail, with one way to
-    the end.  tails maps each such state to that one completion
-    (factors, key share), built from the end back: None, the end of
-    every path, completes with nothing, and a state with one closing
-    into a tail is a tail.  Every other state keeps its closings split
-    into those that end in a tail, the completion joined on, and those
-    that go on, and the depth-first walk ends a path as soon as it
-    reaches a tail.  The sorted keys are then read off in order, each
-    path's factors becoming a Factorization built by _factorization.
+    states a walk steps on have few ways to the end.  done maps such a
+    state to its list of completions (factors, key share), built from
+    the end back: None, the end of every path, completes with nothing,
+    and a state whose closings all lead to completed states, with at
+    most _COMPLETIONS completions in all, is completed.  Every other
+    state keeps its closings split into those that end in a completed
+    state, each completion joined on, and those that go on, and the
+    depth-first walk ends a path as soon as it reaches a completed
+    state.  The sorted keys are then read off in order, and
+    _factorizations builds the objects in one pass.
     """
     w = tuple(w)
     kept = _graph(kind, w, parts, max_letters)
@@ -478,8 +502,8 @@ def _listed(
             mask = mask << 1 | c
         fields[k] = word, mask
     # the graph lists every state after the states its closings lead to,
-    # so whether those are tails is known when a state is read
-    tails = {None: ((), 0)}
+    # so whether those are completed is known when a state is read
+    done = {None: [((), 0)]}
     edges = {}
     for state, out in closings.items():
         ends, goes = [], []
@@ -493,20 +517,20 @@ def _listed(
                 + (mask << mask_at + after)
                 + (len(f) << length_bits * (slots - 1 - state[0]))
             )
-            tail = tails.get(nxt)
-            if tail is None:
+            completions = done.get(nxt)
+            if completions is None:
                 goes.append((f, share, nxt))
             else:
-                ends.append(((f, *tail[0]), share + tail[1]))
-        if len(out) == 1 and ends:
-            tails[state] = ends[0]
+                ends += [((f, *rest), share + key) for rest, key in completions]
+        if not goes and len(ends) <= _COMPLETIONS:
+            done[state] = ends
         else:
             edges[state] = ends, goes
     found = {}
     stack = []
-    if root in tails:
-        t_factors, t_key = tails[root]
-        found[t_key] = t_factors
+    if root in done:
+        for factors, key in done[root]:
+            found[key] = factors
     else:
         stack.append(((), 0, root))
     while stack:
@@ -515,8 +539,8 @@ def _listed(
         for e_factors, e_key in ends:
             found[key + e_key] = factors + e_factors
         stack += [(factors + (f,), key + share, nxt) for f, share, nxt in goes]
-    split = kept.split
-    return [_factorization(kind, found[key], n, split) for key in sorted(found)]
+    paths = map(found.__getitem__, sorted(found))
+    return _factorizations(kind, paths, len(found), n, kept.split)
 
 
 def _series(

@@ -312,8 +312,11 @@ class FactorSpec(NamedTuple):
     (letter, generator, room) triple for each letter that may follow prev
     (None at the factor's start), given below, the factor finished just
     before: generator is an index 1..n of S_{n+1}, and room bounds how
-    many more letters the factor can take after it.  size bounds the
-    factor's length, least(below) is its fewest.  reads_below says
+    many more letters the factor can take after it.  room, not size,
+    bounds a factor's growth: size only counts toward what the slots
+    before it may leave to be done, so a factor outgrows size when the
+    search budget allows, as a hook factor does when the budget is past
+    its size.  least(below) is its fewest letters.  reads_below says
     whether candidates or least reads below; a spec that reads neither
     sets it False, so that states differing only in below are one state
     of the search."""
@@ -362,7 +365,20 @@ class _Closings(dict):
     edge is kept only if its next state has closings of its own.  A
     generator outside 1..n raises ValueError.  A dict with __missing__
     rather than a recursive closure, which would be a reference cycle:
-    _search_graph copies out the states and drops it."""
+    _search_graph copies out the states and drops it.
+
+    A factor's growth does not depend on the budget, only which of its
+    letters the budget allows: the i-th letter, reaching u_i, needs
+    need[u_i] + i letters in all.  So the closings of a slot from
+    (below, u) are grown once, in the table grown, each with its least
+    budget, the most any letter on its way needs, and every state that
+    differs only in its budget reads the ones its budget allows, in the
+    same depth-first order.  They are grown again only for a budget
+    above the one they were grown at.  They grow to the state's own
+    budget, not one clamped to the sizes of the slots left: a spec's
+    room need not shrink as its factor grows (a hook factor outgrows its
+    size when the budget allows), so no bound but the budget caps a
+    factor."""
 
     def __init__(self, specs, interval: _Interval):
         super().__init__()
@@ -372,28 +388,21 @@ class _Closings(dict):
         self.width = len(interval.step[0])  # n + 1, past the last generator
         self.tail = [sum(s.size for s in specs[i:]) for i in range(len(specs) + 1)]
         self.share = {}.setdefault
+        self.grown = {}
 
-    def __missing__(self, state):
-        idx, below, u, budget = state
+    def _grow(self, idx, below, u, budget):
+        """Every (factor, end, least budget) that closes slot idx from
+        u, depth first and shortest first, grown within budget."""
         spec, step, need, width = self.specs[idx], self.step, self.need, self.width
         rest = self.tail[idx + 1]
-        last = idx + 1 == len(self.specs)
-        keyed = not last and self.specs[idx + 1].reads_below
         least = spec.least(below)
-        edges = []
-        # grow the factor letter by letter, depth first, shortest first
-        stack = [((), None, u, budget)]
+        closings = []
+        stack = [((), None, u, need[u])]
         while stack:
-            letters, prev, u, left = stack.pop()
-            d = need[u]
-            if len(letters) >= least and d <= rest and d <= left:
-                factor = self.share(letters, letters)
-                if last:
-                    edges.append((factor, None))
-                else:
-                    nxt = (idx + 1, factor if keyed else (), u, left)
-                    if self[nxt]:
-                        edges.append((factor, nxt))
+            letters, prev, u, most = stack.pop()
+            if len(letters) >= least and need[u] <= rest:
+                closings.append((self.share(letters, letters), u, most))
+            left = budget - len(letters)
             if left:
                 row = step[u]
                 grown = []
@@ -405,8 +414,30 @@ class _Closings(dict):
                     u2 = row[generator]
                     d = need[u2]
                     if d < left and d <= room + rest:
-                        grown.append((letters + (letter,), letter, u2, left - 1))
+                        d += len(letters) + 1  # letters in all at u2
+                        grown.append(
+                            (letters + (letter,), letter, u2, d if d > most else most)
+                        )
                 stack.extend(reversed(grown))
+        return closings
+
+    def __missing__(self, state):
+        idx, below, u, budget = state
+        key = idx, below, u
+        grown = self.grown.get(key)
+        if grown is None or grown[0] < budget:
+            grown = self.grown[key] = budget, self._grow(idx, below, u, budget)
+        last = idx + 1 == len(self.specs)
+        keyed = not last and self.specs[idx + 1].reads_below
+        edges = []
+        for factor, end, most in grown[1]:
+            if most <= budget:
+                if last:
+                    edges.append((factor, None))
+                else:
+                    nxt = (idx + 1, factor if keyed else (), end, budget - len(factor))
+                    if self[nxt]:
+                        edges.append((factor, nxt))
         self[state] = edges = tuple(edges)
         return edges
 

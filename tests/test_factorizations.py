@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import operator
 import pickle
 
 from hypothesis import given, settings, strategies as st
@@ -704,36 +705,74 @@ def test_equal_factors_of_one_search_are_one_tuple():
     assert len({id(fac) for fac in factors}) == len(set(factors))
 
 
-def _public_key(f):
-    masks = tuple(l.circled for fac in f.factors for l in fac)
-    return f.flat_word(), masks, tuple(map(len, f.factors))
+def _paths_key(factors):
+    """The public order of a listing on a tuple of factors: flat word,
+    then circle mask, then factor lengths."""
+    masks = tuple(l.circled for fac in factors for l in fac)
+    words = tuple(l.value for fac in factors for l in fac)
+    return words, masks, tuple(map(len, factors))
+
+
+def _listed_family_args():
+    """(kind, w, parts, max_letters) of every family _listed_families
+    lists, in order."""
+    for w in all_permutations(3) + all_permutations(4):
+        for kind in ("bounded_plain", "circled_bounded", "double_bounded"):
+            yield kind, w, None, None
+        for parts, extra in ((2, 1), (3, 2)):
+            budget = inversions(w) + extra
+            for kind in ("plain", "double_unbounded", "hook"):
+                yield kind, w, parts, budget
+    for w in ((4, 5, 1, 3, 2), (3, 5, 4, 1, 2)):
+        yield "circled_bounded", w, None, None
+        yield "double_bounded", w, None, None
+    # letters and factor lengths past one byte
+    s_256 = tuple(range(1, 256)) + (257, 256)
+    yield "double_unbounded", s_256, 1, 2
+    yield "hook", (2, 1), 1, 300
+
+
+_ENUMERATORS = {
+    "bounded_plain": lambda w, parts, budget: enumerate_bounded_plain(w, budget),
+    "circled_bounded": lambda w, parts, budget: enumerate_circled_bounded(w, budget),
+    "double_bounded": lambda w, parts, budget: enumerate_double_bounded(w, budget),
+    "plain": enumerate_plain_unbounded,
+    "double_unbounded": enumerate_double_unbounded,
+    "hook": enumerate_hook,
+}
 
 
 def _listed_families():
-    for w in all_permutations(3) + all_permutations(4):
-        yield enumerate_bounded_plain(w)
-        yield enumerate_circled_bounded(w)
-        yield enumerate_double_bounded(w)
-        for parts, extra in ((2, 1), (3, 2)):
-            budget = inversions(w) + extra
-            yield enumerate_plain_unbounded(w, parts, budget)
-            yield enumerate_double_unbounded(w, parts, budget)
-            yield enumerate_hook(w, parts, budget)
-    for w in ((4, 5, 1, 3, 2), (3, 5, 4, 1, 2)):
-        yield enumerate_circled_bounded(w)
-        yield enumerate_double_bounded(w)
-    # letters and factor lengths past one byte
-    s_256 = tuple(range(1, 256)) + (257, 256)
-    yield enumerate_double_unbounded(s_256, 1, 2)
-    yield enumerate_hook((2, 1), 1, 300)
+    for kind, *args in _listed_family_args():
+        yield _ENUMERATORS[kind](*args)
 
 
 def test_listing_is_sorted_by_flat_word_then_mask_then_lengths():
     sizes = []
     for family in _listed_families():
-        assert family == sorted(family, key=_public_key)
+        assert family == sorted(family, key=lambda f: _paths_key(f.factors))
         sizes.append(len(family))
     assert sizes[-2:] == [3, 600]
+
+
+@pytest.mark.parametrize("bound", [1, 10**9])
+def test_listing_is_the_sorted_paths_at_any_completion_bound(monkeypatch, bound):
+    # a state's completion list is made only up to a bound; at 1 almost
+    # every path is walked, at 10**9 every state whose closings all end
+    # is completed, and either way the listing is every path of the
+    # search graph in the public order, factor for factor the same
+    # objects
+    monkeypatch.setattr(factorizations, "_COMPLETIONS", bound)
+    for kind, w, parts, budget in _listed_family_args():
+        listed = factorizations._listed(kind, w, parts, budget)
+        paths = _tuples(_graph(kind, w, parts, budget).graph)
+        expected = sorted(paths, key=_paths_key)
+        assert [f.factors for f in listed] == expected, (kind, w, parts, budget)
+        for f, factors in zip(listed, expected):
+            assert all(map(operator.is_, f.factors, factors)), (kind, w)
+        assert {(f.kind, f.n, f.split) for f in listed} <= {
+            (kind, len(w) - 1, _graph(kind, w, parts, budget).split)
+        }
 
 
 def _shifted_to_s9(base):
@@ -757,14 +796,7 @@ def test_listing_sorts_at_the_key_width_boundaries():
         met += [fac for f in listed for fac in f.factors]
         # every path of the search graph, sorted here by the public key
         paths = _tuples(_graph(kind, w, parts, budget).graph)
-        expected = sorted(
-            paths,
-            key=lambda factors: (
-                tuple(l.value for fac in factors for l in fac),
-                tuple(l.circled for fac in factors for l in fac),
-                tuple(map(len, factors)),
-            ),
-        )
+        expected = sorted(paths, key=_paths_key)
         assert [f.factors for f in listed] == expected
     assert max(l.value for fac in met for l in fac) == 8
     assert max(map(len, met)) == 10

@@ -335,6 +335,28 @@ def test_hecke_search_keeps_the_letter_by_letter_order(monkeypatch):
                         assert shared.setdefault(factor, factor) is factor
 
 
+def test_a_slot_grows_its_factors_once_across_letter_budgets():
+    # the split search of (4,5,1,3,2) has 261 states but far fewer
+    # distinct (slot, factor before, permutation reached); growing a
+    # factor letter by letter in each state called candidates 1,229 times
+    w = (4, 5, 1, 3, 2)
+    specs, side, _ = factorizations._family("double_bounded", len(w) - 1)
+    calls = 0
+
+    def counted(spec):
+        def candidates(prev, below):
+            nonlocal calls
+            calls += 1
+            return spec.candidates(prev, below)
+
+        return spec._replace(candidates=candidates)
+
+    closings, _ = _search_graph(w, [counted(spec) for spec in specs], side, None)
+    assert len(closings) == 261
+    assert calls <= 700
+    assert dict(closings) == dict(_search_graph(w, specs, side, None)[0])
+
+
 def test_a_search_graph_lists_each_state_after_the_states_it_closes_into(
     monkeypatch,
 ):

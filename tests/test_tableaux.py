@@ -53,6 +53,7 @@ from grothpoly.tableaux import (
     _hecke_shapes,
     _lattice,
     _lattice_tally,
+    _starts_unprimed,
     _top_down_scan,
 )
 
@@ -618,10 +619,14 @@ def test_f_coefficient_pinned():
 
 
 def qualifying_weights(mu, cap):
+    # has_i_starting and has_i_lattice validate the whole tableau on each
+    # call; each filling is validated here once, and the scans behind
+    # them read it for every i
     out = {}
     for T in pt_fillings(mu, cap):
+        assert is_pt(T)
         if all(
-            has_i_starting(T, i) and has_i_lattice(T, i)
+            _starts_unprimed(T, i) and _lattice(T, i)
             for i in range(1, cap + 1)
         ):
             x, y = weight_of(T)
@@ -644,10 +649,10 @@ def test_f_coefficient_cap_is_saturated():
 
 def test_f_coefficient_matches_public_scans():
     # every lam of the same size, strict or not, against a count made
-    # through the public scans of every filling; the tally, whose fill
-    # cuts branches, lists the same weights in decreasing order; repeat
-    # calls agree and the cached tally is immutable all the way down
-    # (hashable)
+    # by the scans behind has_i_starting and has_i_lattice over every
+    # filling, each validated once; the tally, whose fill cuts branches,
+    # lists the same weights in decreasing order; repeat calls agree and
+    # the cached tally is immutable all the way down (hashable)
     for n in range(6):
         for mu in partitions_of(n):
             brute = qualifying_weights(mu, max(n, 1))
