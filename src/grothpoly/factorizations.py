@@ -16,8 +16,6 @@ evaluate leftmost first.
 >>> f = parse_factorization("(3 2)(3 2 1)()(1)", "plain", 3)
 >>> factorization_to_str(f)
 '(3 2)(3 2 1)()(1)'
->>> evaluation(f)
-(4, 1, 3, 2)
 """
 
 from collections import Counter, deque
@@ -31,8 +29,6 @@ from typing import NamedTuple
 from .grothendieck import grothendieck_single
 from .permutations import (
     FactorSpec,
-    eval_hecke_word,
-    eval_hecke_word_ltr,
     hecke_apply_right,
     hecke_distance,
     inverse,
@@ -55,7 +51,6 @@ from .polynomials import (
 __all__ = [
     "Letter",
     "Factorization",
-    "evaluation",
     "is_valid_factorization",
     "weight",
     "enumerate_bounded_plain",
@@ -108,17 +103,6 @@ class Factorization:
         return factorization_to_str(self)
 
 
-def evaluation(f: Factorization) -> tuple[int, ...]:
-    """
-    The permutation the flattened word evaluates to, in the reading
-    order of the factorization's kind.
-    """
-    word = f.flat_word()
-    if f.kind == "hook":
-        return eval_hecke_word_ltr(word, f.n)
-    return eval_hecke_word(word, f.n)
-
-
 def _strictly_decreasing(ranks) -> bool:
     return all(a > b for a, b in zip(ranks, ranks[1:]))
 
@@ -131,13 +115,11 @@ _KINDS = _CIRCLED_KINDS + _BOUNDED_KINDS + ("plain", "double_unbounded")
 def is_valid_factorization(f: Factorization) -> bool:
     """
     Structural membership test for the factorization's kind; does not
-    fix a target permutation (use evaluation for that).
+    fix a target permutation.
 
     >>> g = parse_factorization("(3 2 2o)(3o 2 1 1o)()(1o)", "circled", 3)
     >>> is_valid_factorization(g)
     True
-    >>> evaluation(g)
-    (4, 1, 3, 2)
     """
     kind = f.kind
     if kind not in _KINDS:
@@ -356,7 +338,8 @@ def _family(
     The hecke_search slots of a family over S_{n+1}, the side its words
     act on and its split: the bounded kinds have n+1 factors a side,
     double_unbounded has parts a side, plain and hook have parts.  A
-    negative parts raises ValueError.
+    negative parts raises ValueError, and so does a hook family with no
+    letter budget.
     """
     if parts is not None and parts < 0:
         raise ValueError(f"parts must be at least 0: {parts}")
@@ -375,6 +358,8 @@ def _family(
     if kind == "plain":
         return [_chain_spec(_descending(1, n))] * parts, "right", None
     if kind == "hook":
+        if max_letters is None:
+            raise ValueError("a hook family needs its max_letters")
         return [_hook_spec(n, max_letters) for _ in range(parts)], "left", None
     raise ValueError(f"no family of kind {kind!r}")
 
@@ -385,7 +370,8 @@ def _family(
 # with its series once summed.  A graph of a bounded family over S_5
 # holds thousands of states, and a run over many permutations rarely
 # comes back to an old one, so the bound is small.  The graph and the
-# series are read-only, and a raise is never cached.
+# series are read-only, and a raise is never cached.  Keys are typed, so
+# a budget of True or 1.0 is checked, never read as the entry of 1.
 _GRAPH_CACHE_SIZE = 4
 
 
@@ -400,7 +386,7 @@ class _Kept:
     series: Polynomial | None = None
 
 
-@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
+@lru_cache(maxsize=_GRAPH_CACHE_SIZE, typed=True)
 def _graph(kind: str, w: tuple[int, ...], parts: int | None, max_letters: int | None):
     """The kept search graph of a family; w is a tuple."""
     specs, side, split = _family(kind, len(w) - 1, parts, max_letters)
@@ -769,11 +755,14 @@ def parse_factorization(text: str, kind: str, n: int) -> Factorization:
     """
     Parse the ASCII form back into a Factorization; "|" fixes the split
     for double kinds, otherwise the split is the midpoint when needed.
-    A "|" in any other kind raises ValueError.
+    A "|" in any other kind raises ValueError, and so does an unknown
+    kind.
 
     >>> parse_factorization("()(3)|(3 1)()", "double_unbounded", 3).split
     2
     """
+    if kind not in _KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
     stray = _FACTOR_RE.sub("", text).replace("|", "", 1) + "".join(
         _LETTER_RE.sub("", body) for body in _FACTOR_RE.findall(text)
     )

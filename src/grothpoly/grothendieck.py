@@ -37,10 +37,10 @@ from .polynomials import (
     x_var,
     y_var,
     _check_degree,
+    _check_size,
 )
 
 __all__ = [
-    "staircase_monomial",
     "staircase_product",
     "grothendieck_single",
     "grothendieck_double",
@@ -66,24 +66,12 @@ def _diagram_product(code: tuple[int, ...], double: bool) -> Polynomial:
     return out
 
 
-def staircase_monomial(n: int) -> Polynomial:
-    """
-    The monomial x1^n x2^(n-1) ... xn^1 in family size n+1.  Its degree
-    n(n+1)/2 passes the degree cap from n = 23 on, and it raises
-    ValueError.
-
-    >>> from grothpoly.polynomials import pretty
-    >>> pretty(staircase_monomial(2))
-    'x1^2*x2'
-    """
-    return _diagram_product(tuple(range(n, -1, -1)), False)
-
-
 def staircase_product(n: int) -> Polynomial:
     """
     The expanded product of (x_i + y_j + x_i*y_j) over i + j <= n+1,
     in family size n+1.  Its degree n(n+1) passes the degree cap from
-    n = 16 on, which raises ValueError before any product is formed.
+    n = 16 on, which raises ValueError before any product is formed, and
+    so does an n that is not an int >= 0.
 
     >>> from grothpoly.polynomials import pretty
     >>> pretty(staircase_product(1))
@@ -91,6 +79,7 @@ def staircase_product(n: int) -> Polynomial:
     >>> pretty(staircase_product(0))
     '1'
     """
+    _check_size(n, "n")
     return _diagram_product(tuple(range(n, -1, -1)), True)
 
 

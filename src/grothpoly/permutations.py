@@ -15,7 +15,6 @@ Words may be longer than reduced words; two words are Hecke equivalent
 when they evaluate to the same permutation.
 """
 
-from functools import lru_cache
 from itertools import permutations as _itertools_permutations
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, NamedTuple
@@ -23,7 +22,6 @@ from typing import Any, Callable, Iterable, NamedTuple
 __all__ = [
     "identity",
     "all_permutations",
-    "compose",
     "inverse",
     "inversions",
     "hecke_apply",
@@ -33,7 +31,6 @@ __all__ = [
     "hecke_distance",
     "FactorSpec",
     "hecke_search",
-    "reduced_words",
     "lex_min_reduced_word",
     "perm_to_str",
     "perm_from_str",
@@ -54,18 +51,6 @@ def check_permutation(p: tuple[int, ...]) -> None:
     """Raise ValueError unless p is a permutation of {1, ..., len(p)}."""
     if len(p) < 1 or sorted(p) != list(range(1, len(p) + 1)):
         raise ValueError(f"not a permutation of 1..{len(p)}: {p!r}")
-
-
-def compose(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    """
-    Functional composition (u o v)(i) = u(v(i)).
-
-    >>> compose((2, 1, 3), (1, 3, 2))
-    (2, 3, 1)
-    """
-    if len(u) != len(v):
-        raise ValueError("size mismatch")
-    return tuple(u[x - 1] for x in v)
 
 
 def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -177,31 +162,6 @@ def eval_hecke_word_ltr(word: tuple[int, ...], n: int) -> tuple[int, ...]:
     for i in word:
         p = hecke_apply(p, i)
     return p
-
-
-@lru_cache(maxsize=None)
-def reduced_words(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """
-    All words of length exactly inversions(p) evaluating to p,
-    lexicographically sorted.
-
-    >>> reduced_words((1, 2, 3))
-    ((),)
-    >>> reduced_words((3, 2, 1))
-    ((1, 2, 1), (2, 1, 2))
-    >>> reduced_words((2, 1, 3))
-    ((1,),)
-    """
-    check_permutation(p)
-    if p == identity(len(p)):
-        return ((),)
-    words = set()
-    for i in range(1, len(p)):
-        if p[i - 1] > p[i]:
-            shorter = p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :]
-            for w in reduced_words(shorter):
-                words.add(w + (i,))
-    return tuple(sorted(words))
 
 
 def lex_min_reduced_word(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -457,8 +417,8 @@ def _search_graph(target, specs, side, max_letters):
     dist = hecke_distance(target, side)
     if max_letters is None:
         max_letters = sum(spec.size for spec in specs)
-    if max_letters < 0:
-        raise ValueError(f"max_letters must be at least 0: {max_letters}")
+    elif type(max_letters) is not int or max_letters < 0:
+        raise ValueError(f"max_letters must be an int >= 0: {max_letters!r}")
     if not specs:
         root = None if target == identity(len(target)) else ()
         return MappingProxyType({(): ()}), root
@@ -496,8 +456,8 @@ def hecke_search(
     letters in all (default: the sum of the sizes), whose generators,
     applied in order on the given side, take the identity to target.
     The tuples come in search order, and equal factors within one
-    search are one tuple object.  A negative max_letters or a side
-    other than "right" or "left" raises ValueError.
+    search are one tuple object.  A max_letters that is not an int >= 0
+    or a side other than "right" or "left" raises ValueError.
 
     Each state of the search (slot, factor closed before it, permutation
     reached, letters left) is expanded once into its live closings; a

@@ -39,7 +39,6 @@ __all__ = [
     "swap_x",
     "delta",
     "pi",
-    "pi_word",
     "substitute_zero",
     "restrict_variables",
     "exchange_families",
@@ -50,7 +49,6 @@ __all__ = [
     "total_degree",
     "pretty",
     "to_json",
-    "from_json",
 ]
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
@@ -248,9 +246,9 @@ def _distinct(m: int, pairs) -> Polynomial:
     return _store(Polynomial.__new__(Polynomial), m, dict(pairs))
 
 
-def _check_size(m) -> None:
+def _check_size(m, what: str = "family size") -> None:
     if type(m) is not int or m < 0:
-        raise ValueError(f"family size must be an int >= 0: {m!r}")
+        raise ValueError(f"{what} must be an int >= 0: {m!r}")
 
 
 def _constant(c: int, m: int) -> Polynomial:
@@ -335,8 +333,8 @@ def swap_x(p: Polynomial, i: int) -> Polynomial:
     >>> swap_x(q, 1) == q
     True
     """
-    if not 1 <= i <= p.m - 1:
-        raise ValueError(f"swap index {i} out of range 1..{p.m - 1}")
+    if type(i) is not int or not 1 <= i <= p.m - 1:
+        raise ValueError(f"swap index {i!r} is not an int in 1..{p.m - 1}")
     s = _BITS * (i - 1)  # the shift of the x_i field
     # moving one unit from x_{i+1} to x_i adds step to a key
     step = (1 << s) - (1 << s + _BITS)
@@ -359,8 +357,8 @@ def _quotients(i: int, f: Polynomial, lifts: tuple[int, ...]) -> Polynomial:
     key of x_i^p x_{i+1}^(r-1).  No quotient, lifted or not, passes the
     total degree of its term.
     """
-    if not 1 <= i <= f.m - 1:
-        raise ValueError(f"operator index {i} out of range 1..{f.m - 1}")
+    if type(i) is not int or not 1 <= i <= f.m - 1:
+        raise ValueError(f"operator index {i!r} is not an int in 1..{f.m - 1}")
     s = _BITS * (i - 1)  # the shift of the x_i field
     next_unit = 1 << s + _BITS
     step = (1 << s) - next_unit
@@ -413,19 +411,6 @@ def pi(i: int, f: Polynomial) -> Polynomial:
     return _quotients(i, f, (0, 1))
 
 
-def pi_word(word: tuple[int, ...], f: Polynomial) -> Polynomial:
-    """
-    Composite pi_{i1}(pi_{i2}(...(f))) for word (i1, i2, ...): the
-    rightmost letter acts first.
-
-    >>> pi_word((), x_var(1, 2)) == x_var(1, 2)
-    True
-    """
-    for i in reversed(word):
-        f = pi(i, f)
-    return f
-
-
 def substitute_zero(p: Polynomial, family: str, keep: int) -> Polynomial:
     """
     Set every variable of the given family ("x" or "y") with index
@@ -454,8 +439,8 @@ def restrict_variables(p: Polynomial, m: int) -> Polynomial:
     >>> pretty(restrict_variables(x_var(1, 3) + x_var(3, 3), 1))
     'x1'
     """
-    if not 0 <= m <= p.m:
-        raise ValueError(f"cannot keep {m} of {p.m} variables")
+    if type(m) is not int or not 0 <= m <= p.m:
+        raise ValueError(f"cannot keep {m!r} of {p.m} variables")
     half = _BITS * p.m
     low = (1 << _BITS * m) - 1  # the first m fields
     dropped = (((1 << half) - 1) ^ low) * ((1 << half) + 1)
@@ -673,27 +658,3 @@ def to_json(p: Polynomial) -> dict:
             for k in sorted(terms, key=_term_sort_key)
         ],
     }
-
-
-def from_json(data: dict) -> Polynomial:
-    """
-    Inverse of to_json; repeated exponents add up.  Whatever the
-    constructor rejects raises ValueError, and so do a missing field and
-    a scalar where an object or a list belongs.
-
-    >>> q = x_var(1, 2) * y_var(2, 2) - 2
-    >>> from_json(to_json(q)) == q
-    True
-    """
-    if not (isinstance(data, dict) and "m" in data and "terms" in data):
-        raise ValueError(f"expected an object with fields m and terms: {data!r}")
-    m, terms = data["m"], data["terms"]
-    if not isinstance(terms, list) or not all(
-        isinstance(t, dict)
-        and "c" in t
-        and all(isinstance(t.get(v), list) for v in "xy")
-        for t in terms
-    ):
-        raise ValueError(f"terms must be a list of {{c, x: list, y: list}}: {terms!r}")
-    ones = [Polynomial(m, {(tuple(t["x"]), tuple(t["y"])): t["c"]}) for t in terms]
-    return poly_sum(m, [Polynomial(m), *ones])  # checks m even with no terms

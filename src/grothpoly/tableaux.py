@@ -33,7 +33,7 @@ from .permutations import (
     _path_sum,
     _search_graph,
 )
-from .polynomials import Polynomial, constant, set_y_equal_x
+from .polynomials import Polynomial, constant, set_y_equal_x, _check_size
 
 __all__ = [
     "Entry",
@@ -46,7 +46,6 @@ __all__ = [
     "partitions_of",
     "partitions_inside",
     "is_standard_svt",
-    "is_svt",
     "is_psvt",
     "is_psmt",
     "is_pt",
@@ -57,7 +56,6 @@ __all__ = [
     "genfun_psvt",
     "genfun_psmt",
     "genfun_pt",
-    "oft_count",
     "q_schur",
     "has_i_starting",
     "has_i_lattice",
@@ -311,21 +309,6 @@ def is_standard_svt(T: Tableau) -> bool:
     )
 
 
-def is_svt(T: Tableau) -> bool:
-    """Set-valued: rows weak, columns strict, boxes are sets.
-
-    >>> is_svt(tableau([["12", 2], [2]]))
-    False
-    >>> is_svt(tableau([["12", 2], [3]]))
-    True
-    """
-    return (
-        _ordered(T, marked_key, row_strict=False, col_strict=True, skew=True)
-        and not any(e.primed for e in T.all_entries())
-        and all(len(set(box)) == len(box) for box in _boxes(T))
-    )
-
-
 def is_psvt(T: Tableau) -> bool:
     """Primed set-valued: split order, all comparisons weak, unprimed
     once per row, primed once per column."""
@@ -407,6 +390,8 @@ def _hecke_rows(
     boxes, and the slot offers no column at or past cap // (n - idx).
     """
     n = len(w) - 1
+    if max_boxes is not None:
+        _check_size(max_boxes, "max_boxes")
     cap = n * n if max_boxes is None else min(max_boxes, n * n)
 
     def row(width):
@@ -428,7 +413,7 @@ def enumerate_hecke_tableaux(
     """
     All Hecke tableaux for w with at most max_boxes boxes (default: the
     full n x n box), by a hecke_search over n rows (see _hecke_rows).  A
-    negative max_boxes raises ValueError.
+    max_boxes that is not an int >= 0 raises ValueError.
 
     >>> [outer_shape(T) for T in enumerate_hecke_tableaux((3, 1, 2, 5, 4))]
     [(2, 1), (3,), (3, 1)]
@@ -690,36 +675,16 @@ def genfun_pt(shape: tuple[int, ...], m: int) -> Polynomial:
     return genfun_psmt(shape, m, sum(shape))
 
 
-def oft_count(mu: tuple[int, ...], rho: tuple[int, ...]) -> int:
-    """
-    The number of over flagged fillings of mu/rho; zero when mu has
-    more rows than rho.
-
-    >>> oft_count((3, 1), (2, 1))
-    2
-    >>> oft_count((2, 2), (2, 1))
-    1
-    >>> oft_count((4,), (3,))
-    3
-    >>> oft_count((2, 1), (2, 1))
-    1
-    """
-    check_partition(mu)
-    check_partition(rho)
-    if not contains(mu, rho):
-        raise ValueError(f"{rho} not inside {mu}")
-    return _oft_count(tuple(mu), tuple(rho))
-
-
 # qschur_expansion asks for the same few (mu, rho) counts for every
-# permutation; like the fills of genfun_svt, the bound is fixed, and a
-# raise is never cached (oft_count checks before it looks here).
+# permutation; like the fills of genfun_svt, the bound is fixed.
 _OFT_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=_OFT_CACHE_SIZE)
 def _oft_count(mu: tuple[int, ...], rho: tuple[int, ...]) -> int:
-    """oft_count for partitions mu containing rho, already checked."""
+    """The number of over flagged fillings of mu/rho, for partitions mu
+    containing rho that the caller has checked; zero when mu has more
+    rows than rho."""
     if len(mu) > len(rho):
         return 0
     boxes = _boxes_of(mu, rho)

@@ -1,8 +1,18 @@
 """Independent references that the tests compare the library against,
 kept apart from the code they check."""
 
+from functools import cache
+
 from grothpoly.insertion import insert_row
-from grothpoly.permutations import hecke_apply_right, lex_min_reduced_word
+from grothpoly.permutations import (
+    check_permutation,
+    eval_hecke_word,
+    eval_hecke_word_ltr,
+    hecke_apply_right,
+    identity,
+    lex_min_reduced_word,
+)
+from grothpoly.polynomials import monomial, pi
 from grothpoly.stable import schur
 from grothpoly.tableaux import (
     Entry,
@@ -16,6 +26,7 @@ from grothpoly.tableaux import (
     _starts_unprimed,
     _top_down_scan,
     check_partition,
+    marked_key,
     weight_of,
 )
 
@@ -119,6 +130,82 @@ def longest_element(size: int) -> tuple[int, ...]:
     return tuple(range(size, 0, -1))
 
 
+def compose(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """
+    Functional composition (u o v)(i) = u(v(i)).
+
+    >>> compose((2, 1, 3), (1, 3, 2))
+    (2, 3, 1)
+    """
+    if len(u) != len(v):
+        raise ValueError("size mismatch")
+    return tuple(u[x - 1] for x in v)
+
+
+@cache
+def reduced_words(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """
+    All words of length exactly inversions(p) evaluating to p,
+    lexicographically sorted.
+
+    >>> reduced_words((1, 2, 3))
+    ((),)
+    >>> reduced_words((3, 2, 1))
+    ((1, 2, 1), (2, 1, 2))
+    >>> reduced_words((2, 1, 3))
+    ((1,),)
+    """
+    check_permutation(p)
+    if p == identity(len(p)):
+        return ((),)
+    words = set()
+    for i in range(1, len(p)):
+        if p[i - 1] > p[i]:
+            shorter = p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :]
+            for w in reduced_words(shorter):
+                words.add(w + (i,))
+    return tuple(sorted(words))
+
+
+def evaluation(f) -> tuple[int, ...]:
+    """
+    The permutation the flattened word of a Factorization evaluates to,
+    in the reading order of its kind: hook words leftmost letter first,
+    every other kind rightmost first.
+    """
+    word = f.flat_word()
+    if f.kind == "hook":
+        return eval_hecke_word_ltr(word, f.n)
+    return eval_hecke_word(word, f.n)
+
+
+def staircase_monomial(n: int):
+    """
+    The monomial x1^n x2^(n-1) ... xn^1 in family size n+1.  Its degree
+    n(n+1)/2 passes the degree cap from n = 23 on, and it raises
+    ValueError.
+
+    >>> from grothpoly.polynomials import pretty
+    >>> pretty(staircase_monomial(2))
+    'x1^2*x2'
+    """
+    return monomial(n + 1, tuple(range(n, -1, -1)))
+
+
+def pi_word(word: tuple[int, ...], f):
+    """
+    Composite pi_{i1}(pi_{i2}(...(f))) for word (i1, i2, ...): the
+    rightmost letter acts first.
+
+    >>> from grothpoly.polynomials import x_var
+    >>> pi_word((), x_var(1, 2)) == x_var(1, 2)
+    True
+    """
+    for i in reversed(word):
+        f = pi(i, f)
+    return f
+
+
 def demazure_product(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     """
     The permutation represented by concatenating words for u and v.
@@ -162,6 +249,22 @@ def word_from_str(text: str) -> tuple[int, ...]:
     if any(i < 1 for i in word):
         raise ValueError(f"letters must be positive: {text!r}")
     return word
+
+
+def is_svt(T: Tableau) -> bool:
+    """Set-valued: rows weak, columns strict, boxes are sets.
+
+    >>> from grothpoly.tableaux import tableau
+    >>> is_svt(tableau([["12", 2], [2]]))
+    False
+    >>> is_svt(tableau([["12", 2], [3]]))
+    True
+    """
+    return (
+        _ordered(T, marked_key, row_strict=False, col_strict=True, skew=True)
+        and not any(e.primed for e in T.all_entries())
+        and all(len(set(box)) == len(box) for row in T.rows for box in row)
+    )
 
 
 def is_oft(T: Tableau, inner: tuple[int, ...]) -> bool:

@@ -24,13 +24,12 @@ from grothpoly.factorizations import (
     Letter,
     enumerate_circled_bounded,
     enumerate_double_bounded,
-    evaluation,
     is_valid_factorization,
     parse_factorization,
     weight,
 )
 from grothpoly.permutations import eval_hecke_word
-from references import support
+from references import evaluation, support
 
 
 def test_rewrite_table_covers_exactly_the_patterns_with_a_threshold_letter():

@@ -18,7 +18,6 @@ from grothpoly.factorizations import (
     enumerate_hook,
     enumerate_plain_unbounded,
     enumerate_X,
-    evaluation,
     factorization_to_str,
     genfun,
     is_valid_factorization,
@@ -55,7 +54,7 @@ from grothpoly.stable import (
     weak_stable_double,
 )
 from grothpoly.tableaux import enumerate_hecke_tableaux
-from references import demazure_product
+from references import demazure_product, evaluation
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +478,21 @@ def test_path_sum_and_genfun_reject_what_they_cannot_weigh():
     b = enumerate_plain_unbounded((2, 1), 3, 2)[0]
     with pytest.raises(ValueError):
         genfun([a, b])  # one kind, two shapes
+
+
+def test_parse_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown kind 'zzz'"):
+        parse_factorization("(1)", "zzz", 1)
+
+
+@pytest.mark.parametrize("budget", [None, 1.5, True])
+def test_a_letter_budget_that_is_not_an_int_raises_value_error(budget):
+    enumerate_hook((2, 1), 1, 1)  # leaves the graph of budget 1 cached
+    with pytest.raises(ValueError, match="max_letters"):
+        enumerate_hook((2, 1), 1, budget)
+    if budget is not None:
+        with pytest.raises(ValueError, match="max_letters must be an int"):
+            enumerate_bounded_plain((2, 1), budget)
 
 
 def test_parse_rejects_stray_characters():

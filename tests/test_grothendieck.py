@@ -17,23 +17,19 @@ from grothpoly.factorizations import (
 from grothpoly.grothendieck import (
     grothendieck_double,
     grothendieck_single,
-    staircase_monomial,
     staircase_product,
 )
 from grothpoly.permutations import (
     all_permutations,
-    compose,
     inverse,
     inversions,
     lex_min_reduced_word,
-    reduced_words,
 )
 from grothpoly.polynomials import (
     Polynomial,
     constant,
     monomial,
     pi,
-    pi_word,
     pretty,
     substitute_zero,
     total_degree,
@@ -41,7 +37,13 @@ from grothpoly.polynomials import (
     x_var,
     y_var,
 )
-from references import longest_element
+from references import (
+    compose,
+    longest_element,
+    pi_word,
+    reduced_words,
+    staircase_monomial,
+)
 
 
 def operator_word(w):
@@ -54,6 +56,12 @@ def test_staircase_monomial():
     assert staircase_monomial(1) == x_var(1, 2)
     assert staircase_monomial(2) == monomial(3, (2, 1, 0))
     assert staircase_monomial(3) == monomial(4, (3, 2, 1, 0))
+
+
+@pytest.mark.parametrize("n", [-1, 1.5, True])
+def test_staircase_product_rejects_a_bad_size(n):
+    with pytest.raises(ValueError, match="n must be an int >= 0"):
+        staircase_product(n)
 
 
 def test_staircase_product():

@@ -21,11 +21,11 @@ from grothpoly.permutations import (
     lex_min_reduced_word,
     perm_from_str,
     perm_to_str,
-    reduced_words,
 )
 from references import (
     demazure_product,
     longest_element,
+    reduced_words,
     support,
     word_from_str,
     word_to_str,

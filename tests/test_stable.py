@@ -12,7 +12,6 @@ from grothpoly.permutations import (
     all_permutations,
     inverse,
     inversions,
-    reduced_words,
 )
 from grothpoly.polynomials import (
     Polynomial,
@@ -49,14 +48,13 @@ from grothpoly.tableaux import (
     enumerate_hecke_tableaux,
     f_coefficient,
     genfun_svt,
-    oft_count,
     outer_shape,
     partitions_inside,
     partitions_of,
     q_schur,
 )
-from grothpoly.tableaux import _hecke_shapes
-from references import eliminate_by_tuples
+from grothpoly.tableaux import _hecke_shapes, _oft_count
+from references import eliminate_by_tuples, reduced_words
 
 
 def shifted(w, j):
@@ -355,7 +353,7 @@ def qschur_by_pairs(w, t):
     for d in range(t.D + 1):
         for mu in partitions_of(d):
             filled = sum(
-                count * oft_count(mu, rho)
+                count * _oft_count(mu, rho)
                 for rho, count in shapes.items()
                 if contains(mu, rho)
             )
