@@ -237,15 +237,24 @@ def _slot_weights(kind: str, split: int | None, size: int, units) -> list[_SlotW
     return [_SlotWeights(kind, split, slot, size, units) for slot in range(size)]
 
 
+def _check_split(kind: str, split: int | None, size: int) -> None:
+    """Raise ValueError unless a double kind's split is an int in 0..size."""
+    if kind in ("double_bounded", "double_unbounded") and not (
+        type(split) is int and 0 <= split <= size
+    ):
+        raise ValueError(f"{kind} needs a split in 0..{size}: {split!r}")
+
+
 class _ShapeWeights(dict):
     """The _slot_weights of each shape (split, number of factors) met,
-    made on first lookup."""
+    made on first lookup; a double kind's split is checked."""
 
     def __init__(self, kind: str, units):
         super().__init__()
         self.kind, self.units = kind, units
 
     def __missing__(self, shape: tuple[int | None, int]) -> list[_SlotWeights]:
+        _check_split(self.kind, *shape)
         memos = self[shape] = _slot_weights(self.kind, *shape, self.units)
         return memos
 
@@ -254,7 +263,7 @@ def weight(f: Factorization) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
     The (x-weight, y-weight) pair of vectors for f, per its kind.  A
     circled v in factor k of a circled_bounded factorization weighs
-    y_(v-k+1); one with no such slot raises ValueError.
+    y_(v-k+1); one with no such slot raises ValueError, as does a bad split.
 
     >>> h = parse_factorization("(3o 2o 2 3 3)(1o 2 2)(3o 2o 1 1 3 3)", "hook", 3)
     >>> weight(h)
@@ -279,6 +288,7 @@ def weight(f: Factorization) -> tuple[tuple[int, ...], tuple[int, ...]]:
             x.append(plain)
         return tuple(x), tuple(y)
     if f.kind in ("double_bounded", "double_unbounded"):
+        _check_split(f.kind, f.split, len(f.factors))
         left, right = f.factors[: f.split], f.factors[f.split :]
         return tuple(map(len, right)), tuple(map(len, reversed(left)))
     if f.kind == "hook":
@@ -338,11 +348,11 @@ def _family(
     The hecke_search slots of a family over S_{n+1}, the side its words
     act on and its split: the bounded kinds have n+1 factors a side,
     double_unbounded has parts a side, plain and hook have parts.  A
-    negative parts raises ValueError, and so does a hook family with no
-    letter budget.
+    parts that is not an int >= 0 raises ValueError, and so does a hook
+    family with no letter budget.
     """
-    if parts is not None and parts < 0:
-        raise ValueError(f"parts must be at least 0: {parts}")
+    if parts is not None and (type(parts) is not int or parts < 0):
+        raise ValueError(f"parts must be at least 0, as an int: {parts!r}")
     if kind in ("bounded_plain", "circled_bounded"):
         circled = kind == "circled_bounded"
         specs = [_chain_spec(_descending(i, n, circled)) for i in range(1, n + 2)]

@@ -87,7 +87,7 @@ def hecke_apply(p: tuple[int, ...], i: int) -> tuple[int, ...]:
 
     The values i and i+1 are interchanged if i lies to the left of i+1
     in p; otherwise p is returned unchanged.  Applying twice is the same
-    as applying once.
+    as applying once.  An i that is not an int in 1..n raises ValueError.
 
     >>> hecke_apply((1, 2), 1)
     (2, 1)
@@ -96,8 +96,8 @@ def hecke_apply(p: tuple[int, ...], i: int) -> tuple[int, ...]:
     >>> hecke_apply((1, 3, 2, 4), 3)
     (1, 4, 2, 3)
     """
-    if not 1 <= i <= len(p) - 1:
-        raise ValueError(f"generator index {i} out of range 1..{len(p) - 1}")
+    if type(i) is not int or not 1 <= i <= len(p) - 1:
+        raise ValueError(f"generator index {i!r} out of range 1..{len(p) - 1}")
     a, b = p.index(i), p.index(i + 1)
     if a < b:
         q = list(p)
@@ -120,8 +120,8 @@ def hecke_apply_right(p: tuple[int, ...], i: int) -> tuple[int, ...]:
     >>> hecke_apply_right((1, 3, 2), 2)
     (1, 3, 2)
     """
-    if not 1 <= i <= len(p) - 1:
-        raise ValueError(f"generator index {i} out of range 1..{len(p) - 1}")
+    if type(i) is not int or not 1 <= i <= len(p) - 1:
+        raise ValueError(f"generator index {i!r} out of range 1..{len(p) - 1}")
     if p[i - 1] < p[i]:
         return p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :]
     return p
@@ -253,11 +253,11 @@ def hecke_distance(
 # and many prefixes reach the same state; a slot whose spec does not read
 # the factor before it keys its states without that factor, which merges
 # states with equal closings.  So the search is a graph: each state is
-# expanded once, into its live closings, and two readers walk its edges.
+# expanded once, into its live closings, and a slot's factors from one
+# (factor before, permutation) are grown once for all its budgets.
 # hecke_search lists every path depth first; the private _path_sum adds
-# up the weights of all paths with one memo per state, the
-# transfer-matrix method (Stanley, Enumerative Combinatorics I, 4.7),
-# without listing them.
+# up the weights of all paths in one bottom-up pass over the states, the
+# transfer-matrix method (Stanley, Enumerative Combinatorics I, 4.7).
 #
 # The search never leaves the interval of hecke_distance: a generator
 # moves a permutation up or fixes it, and the interval is a lower set.
@@ -327,20 +327,16 @@ class _Closings(dict):
     rather than a recursive closure, which would be a reference cycle:
     _search_graph copies out the states and drops it.
 
-    A factor's growth does not depend on the budget, only which of its
-    letters the budget allows: the i-th letter, reaching u_i, needs
-    need[u_i] + i letters in all.  So the closings of a slot from
-    (below, u) are grown once, in the table grown, each with its least
-    budget, the most any letter on its way needs, and every state that
-    differs only in its budget reads the ones its budget allows, in the
-    same depth-first order.  They are grown again only for a budget
-    above the one they were grown at.  They grow to the state's own
-    budget, not one clamped to the sizes of the slots left: a spec's
-    room need not shrink as its factor grows (a hook factor outgrows its
-    size when the budget allows), so no bound but the budget caps a
-    factor."""
+    The budget only decides which of a factor's letters are allowed: the
+    i-th letter, reaching u_i, needs need[u_i] + i letters in all.  So
+    grown keeps the closings of each (idx, below, u), each with its least
+    budget, grown once at the most letters a state at u can have left
+    (every letter climbs one step or none, so the root's need less
+    need[u] are spent), and each state reads, in the same order, those
+    its budget allows.  A spec's room need not shrink as its factor grows
+    (a hook factor outgrows its size), so only the budget caps a factor."""
 
-    def __init__(self, specs, interval: _Interval):
+    def __init__(self, specs, interval: _Interval, spare):
         super().__init__()
         self.specs = specs
         self.step = interval.step
@@ -349,11 +345,13 @@ class _Closings(dict):
         self.tail = [sum(s.size for s in specs[i:]) for i in range(len(specs) + 1)]
         self.share = {}.setdefault
         self.grown = {}
+        self.spare = spare  # letters past the least any path needs
 
-    def _grow(self, idx, below, u, budget):
+    def _grow(self, idx, below, u):
         """Every (factor, end, least budget) that closes slot idx from
-        u, depth first and shortest first, grown within budget."""
+        u, depth first and shortest first, within spare + need[u] letters."""
         spec, step, need, width = self.specs[idx], self.step, self.need, self.width
+        budget = self.spare + need[u]
         rest = self.tail[idx + 1]
         least = spec.least(below)
         closings = []
@@ -385,12 +383,12 @@ class _Closings(dict):
         idx, below, u, budget = state
         key = idx, below, u
         grown = self.grown.get(key)
-        if grown is None or grown[0] < budget:
-            grown = self.grown[key] = budget, self._grow(idx, below, u, budget)
+        if grown is None:
+            grown = self.grown[key] = self._grow(idx, below, u)
         last = idx + 1 == len(self.specs)
         keyed = not last and self.specs[idx + 1].reads_below
         edges = []
-        for factor, end, most in grown[1]:
+        for factor, end, most in grown:
             if most <= budget:
                 if last:
                     edges.append((factor, None))
@@ -423,8 +421,9 @@ def _search_graph(target, specs, side, max_letters):
         root = None if target == identity(len(target)) else ()
         return MappingProxyType({(): ()}), root
     interval = _interval(target, dist, side, max_letters + 1)
-    table = _Closings(specs, interval)
-    root = (0, (), interval.index[identity(len(target))], max_letters)
+    start = interval.index[identity(len(target))]
+    table = _Closings(specs, interval, max_letters - interval.need[start])
+    root = (0, (), start, max_letters)
     table[root]
     return MappingProxyType(dict(table)), root
 
@@ -471,41 +470,22 @@ def hecke_search(
     return _tuples(_search_graph(target, specs, side, max_letters))
 
 
-class _PathSums(dict):
-    """The path sum of each search state, computed on first lookup from
-    the sums of the states its closings lead to; None, the end of every
-    path, sums to {0: 1}.  Like _Closings, a dict with __missing__,
-    dropped when the call returns."""
-
-    def __init__(self, closings, weigh):
-        super().__init__({None: {0: 1}})
-        self.closings = closings
-        self.weigh = weigh
-
-    def __missing__(self, state):
-        out: dict[int, int] = {}
-        for factor, nxt in self.closings[state]:
-            w = self.weigh(state[0], factor)
-            for key, c in self[nxt].items():
-                key += w
-                out[key] = out.get(key, 0) + c
-        self[state] = out
-        return out
-
-
 def _path_sum(graph, weigh) -> dict[int, int]:
     """
     The paths of a search graph, counted by weight: a map from each
     total weight to the number of the tuples hecke_search would list
     that have it.  A tuple's weight is the sum of weigh(slot, factor)
-    over its factors, so the sum is read off the graph, one memo per
-    state, without listing a tuple:
+    over its factors, so the sum is read off the graph without listing
+    a tuple:
 
         P(state) = sum over the closings (factor, next) of state of
                    weigh(slot, factor) added to each weight of P(next),
 
-    with P(None) = {0: 1} at the end of a path.  weigh returns an int; a
-    packed exponent vector adds fieldwise as long as no field overflows.
+    with P(None) = {0: 1} at the end of a path.  The graph lists every
+    state after the states its closings lead to, so one pass in its
+    order fills each P(next) before a state reads it.  weigh returns an
+    int; a packed exponent vector adds fieldwise as long as no field
+    overflows.
 
     >>> letters = [(i, i, 3) for i in (1, 2)]
     >>> spec = FactorSpec(lambda prev, below: letters, 3)
@@ -514,7 +494,15 @@ def _path_sum(graph, weigh) -> dict[int, int]:
     {3: 2}
     """
     closings, root = graph
-    return _PathSums(closings, weigh)[root]
+    sums: dict = {None: {0: 1}}
+    for state, edges in closings.items():
+        out = sums[state] = {}
+        for factor, nxt in edges:
+            w = weigh(state[0], factor)
+            for key, c in sums[nxt].items():
+                key += w
+                out[key] = out.get(key, 0) + c
+    return sums[root]
 
 
 def perm_to_str(p: tuple[int, ...]) -> str:

@@ -480,6 +480,31 @@ def test_path_sum_and_genfun_reject_what_they_cannot_weigh():
         genfun([a, b])  # one kind, two shapes
 
 
+@pytest.mark.parametrize("parts", [True, 1.5])
+@pytest.mark.parametrize(
+    "enumerate_kind",
+    [enumerate_plain_unbounded, enumerate_double_unbounded, enumerate_hook],
+)
+def test_a_parts_that_is_not_an_int_raises_value_error(enumerate_kind, parts):
+    # True would list the family of one part, 1.5 fail inside the search
+    with pytest.raises(ValueError, match="parts must be at least 0"):
+        enumerate_kind((2, 1), parts, 2)
+
+
+@pytest.mark.parametrize("split", [None, -1, 4, True])
+def test_weight_and_genfun_reject_a_double_split_outside_its_factors(split):
+    letters = ((Letter(1),), (Letter(2),), (Letter(2),))
+    f = Factorization("double_unbounded", letters, 2, split)
+    with pytest.raises(ValueError, match="split"):
+        weight(f)
+    with pytest.raises(ValueError, match="split"):
+        genfun([f])
+    # the first item passes weight, the second's shape is checked
+    g = Factorization("double_unbounded", letters, 2, 0)
+    with pytest.raises(ValueError, match="split"):
+        genfun([g, f], 3)
+
+
 def test_parse_rejects_an_unknown_kind():
     with pytest.raises(ValueError, match="unknown kind 'zzz'"):
         parse_factorization("(1)", "zzz", 1)

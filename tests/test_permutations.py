@@ -4,7 +4,7 @@ import signal
 
 import pytest
 
-from grothpoly import factorizations, tableaux
+from grothpoly import factorizations, permutations, tableaux
 from grothpoly.permutations import _interval, _path_sum, _search_graph
 from grothpoly.permutations import (
     FactorSpec,
@@ -61,6 +61,13 @@ def test_hecke_apply_rejects_bad_index():
         hecke_apply((1, 2, 3), 3)
     with pytest.raises(ValueError):
         hecke_apply_right((1, 2, 3), 0)
+    # True or 1.0 would move the values 1 and 2 and write itself into p
+    for i in (True, 1.0):
+        for act in (hecke_apply, hecke_apply_right):
+            with pytest.raises(ValueError, match="out of range"):
+                act((1, 2, 3), i)
+        with pytest.raises(ValueError, match="out of range"):
+            eval_hecke_word((i, 2), 2)
 
 
 def test_eval_hecke_word_pinned():
@@ -335,26 +342,43 @@ def test_hecke_search_keeps_the_letter_by_letter_order(monkeypatch):
                         assert shared.setdefault(factor, factor) is factor
 
 
-def test_a_slot_grows_its_factors_once_across_letter_budgets():
-    # the split search of (4,5,1,3,2) has 261 states but far fewer
-    # distinct (slot, factor before, permutation reached); growing a
-    # factor letter by letter in each state called candidates 1,229 times
+def test_a_slot_grows_its_factors_once_across_letter_budgets(monkeypatch):
+    # the circled and split searches of (4,5,1,3,2) have far fewer
+    # distinct (slot, factor before, permutation reached) than states,
+    # and each is grown once, at the most letters any of its states can
+    # have left; growing a factor in each state of the split search
+    # called candidates 1,229 times
     w = (4, 5, 1, 3, 2)
-    specs, side, _ = factorizations._family("double_bounded", len(w) - 1)
-    calls = 0
+    grown = []
+    grow = permutations._Closings._grow
 
-    def counted(spec):
-        def candidates(prev, below):
-            nonlocal calls
-            calls += 1
-            return spec.candidates(prev, below)
+    def recorded(self, idx, below, u, *rest):
+        grown.append((idx, below, u))
+        return grow(self, idx, below, u, *rest)
 
-        return spec._replace(candidates=candidates)
+    for name, states, most_calls in (
+        ("circled_bounded", 132, 313),
+        ("double_bounded", 261, 426),
+    ):
+        specs, side, _ = factorizations._family(name, len(w) - 1)
+        calls = 0
 
-    closings, _ = _search_graph(w, [counted(spec) for spec in specs], side, None)
-    assert len(closings) == 261
-    assert calls <= 700
-    assert dict(closings) == dict(_search_graph(w, specs, side, None)[0])
+        def counted(spec):
+            def candidates(prev, below):
+                nonlocal calls
+                calls += 1
+                return spec.candidates(prev, below)
+
+            return spec._replace(candidates=candidates)
+
+        grown.clear()
+        monkeypatch.setattr(permutations._Closings, "_grow", recorded)
+        closings, _ = _search_graph(w, [counted(s) for s in specs], side, None)
+        monkeypatch.undo()
+        assert len(closings) == states, name
+        assert calls <= most_calls, name
+        assert len(grown) == len(set(grown)), name
+        assert dict(closings) == dict(_search_graph(w, specs, side, None)[0])
 
 
 def test_a_search_graph_lists_each_state_after_the_states_it_closes_into(
